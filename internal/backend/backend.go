@@ -67,12 +67,11 @@ func evalPointwise(ctx context.Context, eval func([]float64) (float64, error), p
 	return out, nil
 }
 
-// shardRange runs fn over the deterministic contiguous shards of [0, n)
-// (the shared shard.ForRange split — backend cannot import exec, which
-// imports backend, so it reaches the primitive directly), adding the error
-// and cancellation handling batch evaluation needs: fn owns [lo, hi)
-// exclusively, must honor ctx, and the first error cancels the remaining
-// shards. Serial budgets run fn inline.
+// shardRange runs fn over contiguous shards of [0, n) on a shard.Group,
+// split on the same fixed i*n/w boundaries as shard.ForRange, adding the
+// error and cancellation handling batch evaluation needs: fn owns [lo, hi)
+// exclusively, must honor ctx, and the first error or panic cancels the
+// remaining shards and is returned. Serial budgets run fn inline.
 func shardRange(ctx context.Context, workers, n int, fn func(ctx context.Context, lo, hi int) error) error {
 	if n == 0 {
 		return ctx.Err()
@@ -80,28 +79,15 @@ func shardRange(ctx context.Context, workers, n int, fn func(ctx context.Context
 	if workers <= 1 || n <= 1 {
 		return fn(ctx, 0, n)
 	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
-	shard.ForRange(workers, n, func(lo, hi int) {
-		if err := fn(cctx, lo, hi); err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			cancel()
-		}
-	})
-	// Prefer the parent context's error: a shard that observed the derived
-	// cancellation should not mask the caller's ctx.Err().
-	if err := ctx.Err(); err != nil {
-		return err
+	if workers > n {
+		workers = n
 	}
-	return firstErr
+	g, cctx := shard.WithContext(ctx)
+	for w := 0; w < workers; w++ {
+		lo, hi := w*n/workers, (w+1)*n/workers
+		g.Go(func() error { return fn(cctx, lo, hi) })
+	}
+	return g.Wait()
 }
 
 // Option tunes evaluator construction.

@@ -24,8 +24,8 @@ import (
 	"sort"
 
 	"repro/internal/dct"
-	"repro/internal/exec"
 	"repro/internal/obs"
+	"repro/internal/shard"
 )
 
 // Method selects the sparse-recovery algorithm.
@@ -182,7 +182,7 @@ func ReconstructNDContext(ctx context.Context, dims []int, idx []int, y []float6
 	}
 	n := 1
 	for _, d := range dims {
-		if d <= 0 {
+		if d <= 0 || n > math.MaxInt/d {
 			return nil, fmt.Errorf("cs: invalid shape %v", dims)
 		}
 		n *= d
@@ -370,7 +370,7 @@ func solveProx(ctx context.Context, op *partialDCT, y []float64, opt Options) (*
 		// iteration instead of two; elementwise, so sharding stays
 		// bit-identical to a serial pass.
 		lamIt := lam
-		exec.ForRange(op.workers, n, func(lo, hi int) {
+		shard.ForRange(op.workers, n, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				v := z[i] - grad[i]
 				switch {
@@ -387,7 +387,7 @@ func solveProx(ctx context.Context, op *partialDCT, y []float64, opt Options) (*
 		if opt.Method == FISTA {
 			tNext := (1 + math.Sqrt(1+4*tk*tk)) / 2
 			beta := (tk - 1) / tNext
-			exec.ForRange(op.workers, n, func(lo, hi int) {
+			shard.ForRange(op.workers, n, func(_, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					z[i] = s[i] + beta*(s[i]-prev[i])
 				}
@@ -627,7 +627,7 @@ func StratifiedIndicesND(rng *rand.Rand, dims []int, m int) ([]int, error) {
 	}
 	n := 1
 	for _, d := range dims {
-		if d <= 0 {
+		if d <= 0 || n > math.MaxInt/d {
 			return nil, fmt.Errorf("cs: invalid shape %v", dims)
 		}
 		n *= d

@@ -3,7 +3,8 @@ package cs
 import (
 	"context"
 	"runtime"
-	"sync"
+
+	"repro/internal/shard"
 )
 
 // Job describes one independent reconstruction: recover a Rows×Cols
@@ -28,8 +29,9 @@ type JobResult struct {
 // ReconstructMany solves independent reconstruction jobs concurrently on a
 // worker pool and returns one JobResult per job, index-aligned with jobs (the
 // engine's deterministic-ordering convention). Errors are isolated per job: a
-// failing job does not stop the others. A canceled ctx stops in-flight
-// solves between iterations and marks every unfinished job with ctx.Err().
+// failing or panicking job does not stop the others. A canceled ctx stops
+// in-flight solves between iterations and marks every unfinished job with
+// ctx.Err().
 //
 // Jobs themselves are the unit of parallelism here, so a job whose
 // Opt.Workers is not positive (which Reconstruct2D would resolve to
@@ -48,34 +50,37 @@ func ReconstructMany(ctx context.Context, jobs ...Job) []JobResult {
 		workers = len(jobs)
 	}
 	next := make(chan int)
-	var wg sync.WaitGroup
+	var g shard.Group
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		g.Go(func() error {
 			for i := range next {
-				if err := ctx.Err(); err != nil {
-					out[i] = JobResult{Err: err}
-					continue
-				}
-				job := jobs[i]
-				opt := job.Opt
-				if opt.Workers <= 0 {
-					// Jobs are the unit of parallelism here; keep
-					// unset-Workers jobs serial instead of letting
-					// the solver resolve non-positive values to
-					// GOMAXPROCS.
-					opt.Workers = 1
-				}
-				res, err := Reconstruct2DContext(ctx, job.Rows, job.Cols, job.Idx, job.Y, opt)
-				out[i] = JobResult{Result: res, Err: err}
+				out[i] = solveJob(ctx, jobs[i])
 			}
-		}()
+			return nil
+		})
 	}
 	for i := range jobs {
 		next <- i
 	}
 	close(next)
-	wg.Wait()
+	g.Wait() // solveJob contains its own panics: no worker fails
 	return out
+}
+
+// solveJob runs one job of ReconstructMany; a panic in the solve becomes
+// only this job's Err, as a *shard.PanicError.
+func solveJob(ctx context.Context, job Job) JobResult {
+	if err := ctx.Err(); err != nil {
+		return JobResult{Err: err}
+	}
+	opt := job.Opt
+	if opt.Workers <= 0 {
+		opt.Workers = 1 // see ReconstructMany: jobs are the unit of parallelism
+	}
+	var res *Result
+	err := shard.Try(func() (err error) {
+		res, err = Reconstruct2DContext(ctx, job.Rows, job.Cols, job.Idx, job.Y, opt)
+		return err
+	})
+	return JobResult{Result: res, Err: err}
 }

@@ -235,6 +235,7 @@ func TestReconstructNDValidation(t *testing.T) {
 		{"empty shape", nil, []int{0}, y},
 		{"bad dim", []int{4, 0}, []int{0}, y},
 		{"negative dim", []int{-2}, []int{0}, y},
+		{"size overflows int", []int{3, 6148914691236517206}, []int{0}, y},
 		{"len mismatch", []int{8}, []int{0, 1}, y},
 		{"no samples", []int{8}, nil, nil},
 		{"out of range", []int{8}, []int{8}, y},

@@ -3,7 +3,6 @@ package dct
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Plan computes orthonormal DCT-II (forward) and DCT-III (inverse)
@@ -193,28 +192,3 @@ func (p *Plan2D) Forward(dst, src []float64) { p.nd.Forward(dst, src) }
 
 // Inverse computes the 2-D orthonormal DCT-III of src into dst.
 func (p *Plan2D) Inverse(dst, src []float64) { p.nd.Inverse(dst, src) }
-
-// forShards splits [0, n) into w contiguous shards on the same deterministic
-// i*n/w boundaries internal/exec uses for chunking and runs fn once per
-// shard, concurrently when w > 1. fn receives the shard's worker slot so it
-// can use per-slot plans and scratch; shards write disjoint output, so no
-// synchronization beyond the final wait is needed.
-func forShards(w, n int, fn func(slot, lo, hi int)) {
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for slot := 0; slot < w; slot++ {
-		lo, hi := slot*n/w, (slot+1)*n/w
-		go func(slot, lo, hi int) {
-			defer wg.Done()
-			fn(slot, lo, hi)
-		}(slot, lo, hi)
-	}
-	wg.Wait()
-}

@@ -3,6 +3,8 @@ package dct
 import (
 	"fmt"
 	"runtime"
+
+	"repro/internal/shard"
 )
 
 // PlanND computes separable orthonormal N-dimensional DCTs on row-major data
@@ -149,7 +151,7 @@ func (p *PlanND) apply(dst, src []float64, forward bool) {
 		lines := p.size / n
 		if k == len(p.dims)-1 {
 			// Contiguous lines: transform each in place.
-			forShards(p.workers, lines, func(slot, lo, hi int) {
+			shard.ForRange(p.workers, lines, func(slot, lo, hi int) {
 				plan := p.axisPlans[k][slot]
 				for r := lo; r < hi; r++ {
 					row := dst[r*n : (r+1)*n]
@@ -168,7 +170,7 @@ func (p *PlanND) apply(dst, src []float64, forward bool) {
 		}
 		// Strided lines: line l starts at (l/stride)*stride*n + l%stride and
 		// steps by stride — the same enumeration landscape metrics use.
-		forShards(p.workers, lines, func(slot, lo, hi int) {
+		shard.ForRange(p.workers, lines, func(slot, lo, hi int) {
 			plan := p.axisPlans[k][slot]
 			buf, out := p.axisBufs[k][slot], p.axisOuts[k][slot]
 			for l := lo; l < hi; l++ {

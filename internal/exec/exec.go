@@ -23,10 +23,10 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sync"
 
 	"repro/internal/backend"
 	"repro/internal/obs"
+	"repro/internal/shard"
 )
 
 // BatchEvaluator computes costs for a batch of parameter vectors. The
@@ -247,43 +247,27 @@ func (e *Engine) run(ctx context.Context, work [][]float64, values []float64) er
 		return nil
 	}
 
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
+	// A worker error or panic cancels cctx, which stops the feed and the
+	// other workers; Wait surfaces it (a panic as *shard.PanicError).
+	g, cctx := shard.WithContext(ctx)
 	chunks := make(chan chunk, workers)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		g.Go(func() error {
 			for ch := range chunks {
 				if cctx.Err() != nil {
-					return
+					return nil
 				}
 				vals, err := e.inner.EvaluateBatch(cctx, work[ch.lo:ch.hi])
 				if err != nil {
-					fail(err)
-					return
+					return err
 				}
 				if len(vals) != ch.hi-ch.lo {
-					fail(errors.New("exec: inner evaluator returned wrong batch length"))
-					return
+					return errors.New("exec: inner evaluator returned wrong batch length")
 				}
 				copy(values[ch.lo:ch.hi], vals)
 			}
-		}()
+			return nil
+		})
 	}
 feed:
 	for lo := 0; lo < len(work); lo += size {
@@ -298,16 +282,11 @@ feed:
 		}
 	}
 	close(chunks)
-	wg.Wait()
-
-	if firstErr != nil {
-		return firstErr
+	if err := g.Wait(); err != nil {
+		return err
 	}
 	// The parent context may have been canceled after the last chunk was
 	// fed but before workers drained; surface that as an error rather than
 	// returning a partially-filled batch.
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return nil
+	return ctx.Err()
 }

@@ -5,13 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/landscape"
 	"repro/internal/obs"
 	"repro/internal/qpu"
+	"repro/internal/shard"
 )
 
 // Partial records one interim reconstruction of a streaming run.
@@ -291,12 +291,13 @@ func (s *Scheduler) evaluate(ctx context.Context, g *landscape.Grid, groups []gr
 		evals[d] = exec.FromEvaluator(s.devices[d].Eval)
 	}
 
-	cctx, cancel := context.WithCancel(ctx)
+	// base is cancelled on a merge failure, cctx also on a pool failure.
+	base, cancel := context.WithCancel(ctx)
 	defer cancel()
+	pool, cctx := shard.WithContext(base)
 	sem := make(chan struct{}, workers)
 	done := make([]chan struct{}, len(groups))
 	errs := make([]error, len(groups))
-	var wg sync.WaitGroup
 	for i := range groups {
 		gr := &groups[i]
 		if gr.Device < 0 {
@@ -304,43 +305,44 @@ func (s *Scheduler) evaluate(ctx context.Context, g *landscape.Grid, groups []gr
 		}
 		ch := make(chan struct{})
 		done[i] = ch
-		wg.Add(1)
-		go func(i int, gr *group) {
-			defer wg.Done()
+		pool.Go(func() error {
 			defer close(ch)
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-cctx.Done():
-				errs[i] = cctx.Err()
-				return
-			}
-			bspan, bctx := obs.Start(cctx, "fleet.batch")
-			bspan.SetAttr("device", s.devices[gr.Device].Name)
-			bspan.SetAttr("size", gr.Size)
-			bspan.SetVirtual(gr.Start, gr.Done)
-			if qs := bspan.Child("queue"); qs != nil {
-				qs.SetVirtual(gr.Start, gr.Start+gr.Queue)
-				qs.End()
-			}
-			if xs := bspan.Child("exec"); xs != nil {
-				xs.SetVirtual(gr.Start+gr.Queue, gr.Done)
-				xs.End()
-			}
-			vals, err := evals[gr.Device].EvaluateBatch(bctx, g.Points(gr.indices))
-			bspan.SetError(err)
-			bspan.End()
-			if err != nil {
-				errs[i] = fmt.Errorf("fleet: device %q failed: %w", s.devices[gr.Device].Name, err)
-				cancel()
-				return
-			}
-			gr.values = vals
-		}(i, gr)
+			// The merge loop reads errs[i] once ch closes, so a panic must
+			// land there too, not only in the pool.
+			errs[i] = shard.Try(func() error {
+				select {
+				case sem <- struct{}{}:
+					defer func() { <-sem }()
+				case <-cctx.Done():
+					return cctx.Err()
+				}
+				bspan, bctx := obs.Start(cctx, "fleet.batch")
+				bspan.SetAttr("device", s.devices[gr.Device].Name)
+				bspan.SetAttr("size", gr.Size)
+				bspan.SetVirtual(gr.Start, gr.Done)
+				if qs := bspan.Child("queue"); qs != nil {
+					qs.SetVirtual(gr.Start, gr.Start+gr.Queue)
+					qs.End()
+				}
+				if xs := bspan.Child("exec"); xs != nil {
+					xs.SetVirtual(gr.Start+gr.Queue, gr.Done)
+					xs.End()
+				}
+				vals, err := evals[gr.Device].EvaluateBatch(bctx, g.Points(gr.indices))
+				bspan.SetError(err)
+				bspan.End()
+				if err != nil {
+					return fmt.Errorf("fleet: device %q failed: %w", s.devices[gr.Device].Name, err)
+				}
+				gr.values = vals
+				return nil
+			})
+			return errs[i]
+		})
 	}
 	// Wait for every in-flight evaluation before returning, so no
 	// goroutine outlives an error path.
-	defer wg.Wait()
+	defer pool.Wait()
 
 	for i := range groups {
 		gr := &groups[i]
@@ -353,7 +355,7 @@ func (s *Scheduler) evaluate(ctx context.Context, g *landscape.Grid, groups []gr
 			// index alone could surface one of those first and misreport
 			// a device error as a cancellation. Wait everything out and
 			// prefer the first non-context error.
-			wg.Wait()
+			pool.Wait()
 			for _, e := range errs {
 				if e != nil && !errors.Is(e, context.Canceled) && !errors.Is(e, context.DeadlineExceeded) {
 					return e

@@ -3,13 +3,13 @@ package interp
 import (
 	"fmt"
 
-	"repro/internal/exec"
+	"repro/internal/shard"
 )
 
 // SetWorkers sets the worker budget for the batch methods (0 = GOMAXPROCS,
 // 1 = serial) and returns the receiver for chaining. Results are
 // bit-identical for every worker count: points shard contiguously via
-// exec.ForRange and each output element depends only on its own input.
+// shard.ForRange and each output element depends only on its own input.
 func (b *Bicubic) SetWorkers(w int) *Bicubic {
 	b.workers = w
 	return b
@@ -60,7 +60,7 @@ func (b *Bicubic) AtPoints(dst []float64, pts [][]float64) error {
 	if err := checkBatch(len(dst), pts, 2); err != nil {
 		return err
 	}
-	exec.ForRange(b.workers, len(pts), func(lo, hi int) {
+	shard.ForRange(b.workers, len(pts), func(_, lo, hi int) {
 		s := b.newScratch()
 		for i := lo; i < hi; i++ {
 			dst[i] = b.at(pts[i][0], pts[i][1], s)
@@ -76,7 +76,7 @@ func (b *Bicubic) GradientAtPoints(dst [][]float64, pts [][]float64) error {
 	if err := checkGradBatch(dst, pts, 2); err != nil {
 		return err
 	}
-	exec.ForRange(b.workers, len(pts), func(lo, hi int) {
+	shard.ForRange(b.workers, len(pts), func(_, lo, hi int) {
 		s := b.newScratch()
 		for i := lo; i < hi; i++ {
 			dst[i][0], dst[i][1] = b.grad(pts[i][0], pts[i][1], s)
@@ -92,7 +92,7 @@ func (s *NDSpline) AtPoints(dst []float64, pts [][]float64) error {
 	if err := checkBatch(len(dst), pts, s.Arity()); err != nil {
 		return err
 	}
-	exec.ForRange(s.workers, len(pts), func(lo, hi int) {
+	shard.ForRange(s.workers, len(pts), func(_, lo, hi int) {
 		sc := s.newScratch()
 		for i := lo; i < hi; i++ {
 			dst[i] = s.at(pts[i], sc)
@@ -108,7 +108,7 @@ func (s *NDSpline) GradientAtPoints(dst [][]float64, pts [][]float64) error {
 	if err := checkGradBatch(dst, pts, s.Arity()); err != nil {
 		return err
 	}
-	exec.ForRange(s.workers, len(pts), func(lo, hi int) {
+	shard.ForRange(s.workers, len(pts), func(_, lo, hi int) {
 		sc := s.newScratch()
 		for i := lo; i < hi; i++ {
 			s.grad(pts[i], dst[i], sc)

@@ -17,7 +17,7 @@
 // in particular the vectorized AtPoints/GradientAtPoints batch read path —
 // never re-run the Thomas elimination on the matrix, only the O(n)
 // substitution for the right-hand side. The batch methods shard across
-// workers via exec.ForRange with the engine's usual determinism convention:
+// workers via shard.ForRange with the engine's usual determinism convention:
 // results are bit-identical for every worker count.
 package interp
 

@@ -70,10 +70,15 @@ func NewGrid(axes ...Axis) (*Grid, error) {
 	if len(axes) == 0 {
 		return nil, errors.New("landscape: grid needs at least one axis")
 	}
+	size := 1
 	for _, a := range axes {
 		if err := a.validate(); err != nil {
 			return nil, err
 		}
+		if size > math.MaxInt/a.N {
+			return nil, errors.New("landscape: grid point count overflows int")
+		}
+		size *= a.N
 	}
 	return &Grid{Axes: axes}, nil
 }
@@ -186,47 +191,6 @@ func (l *Landscape) Clone() *Landscape {
 // over Data expects. For a classic 2-axis landscape it returns the historical
 // {rows, cols} pair.
 func (l *Landscape) Shape() []int { return l.Grid.Dims() }
-
-// Shape2D returns (rows, cols) for a 2-axis landscape.
-//
-// Deprecated: use Shape, which handles any axis count; Shape2D remains for
-// callers hard-wired to the paper's 2-D (beta, gamma) layout and errors on
-// anything else.
-func (l *Landscape) Shape2D() (rows, cols int, err error) {
-	if len(l.Grid.Axes) != 2 {
-		return 0, 0, fmt.Errorf("landscape: %d axes, want 2", len(l.Grid.Axes))
-	}
-	return l.Grid.Axes[0].N, l.Grid.Axes[1].N, nil
-}
-
-// Reshape4DTo2D converts a 4-axis landscape with axes (b1, b2, g1, g2) into
-// the (b1*b2) x (g1*g2) 2-D landscape the paper reconstructs for depth-2
-// QAOA. Because flat indices are row-major with the last axis fastest, the
-// data layout is unchanged — only the axes metadata is rewritten; the
-// resulting synthetic axes record index positions rather than parameter
-// values.
-//
-// Deprecated: the concatenation reshape predates N-dimensional
-// reconstruction. Depth-2 grids now solve directly as 4-D tensors
-// (cs.ReconstructND via core.Reconstruct), which preserves the real axes and
-// their parameter values; nothing in the pipeline needs the 2-D relabeling
-// anymore. Kept only so pre-ND analysis code keeps compiling.
-func (l *Landscape) Reshape4DTo2D() (*Landscape, error) {
-	if len(l.Grid.Axes) != 4 {
-		return nil, fmt.Errorf("landscape: reshape needs 4 axes, got %d", len(l.Grid.Axes))
-	}
-	a := l.Grid.Axes
-	rows := a[0].N * a[1].N
-	cols := a[2].N * a[3].N
-	g, err := NewGrid(
-		Axis{Name: a[0].Name + "*" + a[1].Name, Min: 0, Max: float64(rows - 1), N: rows},
-		Axis{Name: a[2].Name + "*" + a[3].Name, Min: 0, Max: float64(cols - 1), N: cols},
-	)
-	if err != nil {
-		return nil, err
-	}
-	return &Landscape{Grid: g, Data: l.Data}, nil
-}
 
 // EvalFunc computes the cost at a parameter vector. Implementations must be
 // safe for concurrent use (landscape generation fans out across workers).

@@ -66,6 +66,10 @@ func TestGridValidation(t *testing.T) {
 	if _, err := NewGrid(Axis{Name: "x", Min: 1, Max: 0, N: 5}); err == nil {
 		t.Error("want error for inverted range")
 	}
+	huge := Axis{Name: "x", Min: 0, Max: 1, N: 1 << 32}
+	if _, err := NewGrid(huge, huge); err == nil {
+		t.Error("want error for a point count that overflows int")
+	}
 }
 
 func TestGenerate(t *testing.T) {
@@ -169,37 +173,6 @@ func TestSampleMatchesGenerate(t *testing.T) {
 		if math.Abs(vals[j]-full.Data[i]) > 1e-12 {
 			t.Fatalf("sample[%d]=%g want %g", j, vals[j], full.Data[i])
 		}
-	}
-}
-
-func TestReshape4DTo2DPreservesLayout(t *testing.T) {
-	g := mustGrid(t,
-		Axis{Name: "b1", Min: 0, Max: 1, N: 2},
-		Axis{Name: "b2", Min: 0, Max: 1, N: 3},
-		Axis{Name: "g1", Min: 0, Max: 1, N: 4},
-		Axis{Name: "g2", Min: 0, Max: 1, N: 5},
-	)
-	l := New(g)
-	for i := range l.Data {
-		l.Data[i] = float64(i)
-	}
-	r, err := l.Reshape4DTo2D()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, cols, err := r.Shape2D()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows != 6 || cols != 20 {
-		t.Fatalf("shape %dx%d want 6x20", rows, cols)
-	}
-	// (b1,b2,g1,g2) = (1,2,3,4) maps to row 1*3+2=5, col 3*5+4=19.
-	if got := r.At(5, 19); got != float64(l.Grid.Index(1, 2, 3, 4)) {
-		t.Fatalf("reshaped value %g", got)
-	}
-	if _, err := New(mustGrid(t, Axis{Name: "x", Min: 0, Max: 1, N: 3}, Axis{Name: "y", Min: 0, Max: 1, N: 3})).Reshape4DTo2D(); err == nil {
-		t.Error("want error reshaping 2-D landscape")
 	}
 }
 

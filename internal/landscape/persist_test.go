@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-func testArtifact(t *testing.T) *Artifact {
+func testArtifact(t testing.TB) *Artifact {
 	t.Helper()
 	g, err := NewGrid(
 		Axis{Name: "gamma", Min: 0, Max: math.Pi, N: 5},

@@ -67,6 +67,9 @@ func MaxCut(name string, g *graph.Graph) (*Problem, error) {
 
 // Random3RegularMaxCut builds MaxCut on a random 3-regular graph.
 func Random3RegularMaxCut(n int, rng *rand.Rand) (*Problem, error) {
+	if n > 30 {
+		return nil, fmt.Errorf("problem: %d qubits exceeds simulator limit", n)
+	}
 	g, err := graph.Random3Regular(n, rng)
 	if err != nil {
 		return nil, err
@@ -76,6 +79,9 @@ func Random3RegularMaxCut(n int, rng *rand.Rand) (*Problem, error) {
 
 // MeshMaxCut builds MaxCut on a rows×cols mesh graph.
 func MeshMaxCut(rows, cols int) (*Problem, error) {
+	if rows > 30 || cols > 30 {
+		return nil, fmt.Errorf("problem: %dx%d mesh exceeds simulator limit", rows, cols)
+	}
 	g, err := graph.Mesh(rows, cols)
 	if err != nil {
 		return nil, err
@@ -87,12 +93,12 @@ func MeshMaxCut(rows, cols int) (*Problem, error) {
 // H = sum_{i<j} J_ij Z_i Z_j with J_ij = ±1 (normalized by 1/sqrt(n) is left
 // to callers; the paper's landscapes use unnormalized couplings).
 func SK(n int, rng *rand.Rand) (*Problem, error) {
+	if n > 30 {
+		return nil, fmt.Errorf("problem: %d qubits exceeds simulator limit", n)
+	}
 	g, err := graph.SK(n, rng)
 	if err != nil {
 		return nil, err
-	}
-	if n > 30 {
-		return nil, fmt.Errorf("problem: %d qubits exceeds simulator limit", n)
 	}
 	h := pauli.NewHamiltonian(n)
 	for _, e := range g.Edges {

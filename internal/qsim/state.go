@@ -196,13 +196,13 @@ func (s *State) apply1Q(q int, m [2][2]complex128) {
 	switch {
 	case m[0][1] == 0 && m[1][0] == 0 && m[0][0] == 1:
 		if w > 1 {
-			shard.ForRange(w, half, func(lo, hi int) { s.phase1Q(lo, hi, bit, lm, m[1][1]) })
+			shard.ForRange(w, half, func(_, lo, hi int) { s.phase1Q(lo, hi, bit, lm, m[1][1]) })
 			return
 		}
 		s.phase1Q(0, half, bit, lm, m[1][1])
 	case m[0][1] == 0 && m[1][0] == 0:
 		if w > 1 {
-			shard.ForRange(w, half, func(lo, hi int) { s.diag1Q(lo, hi, bit, lm, m[0][0], m[1][1]) })
+			shard.ForRange(w, half, func(_, lo, hi int) { s.diag1Q(lo, hi, bit, lm, m[0][0], m[1][1]) })
 			return
 		}
 		s.diag1Q(0, half, bit, lm, m[0][0], m[1][1])
@@ -210,7 +210,7 @@ func (s *State) apply1Q(q int, m [2][2]complex128) {
 		// All-real matrix (H, X, RY).
 		r00, r01, r10, r11 := real(m[0][0]), real(m[0][1]), real(m[1][0]), real(m[1][1])
 		if w > 1 {
-			shard.ForRange(w, half, func(lo, hi int) { s.realDense1Q(lo, hi, bit, lm, r00, r01, r10, r11) })
+			shard.ForRange(w, half, func(_, lo, hi int) { s.realDense1Q(lo, hi, bit, lm, r00, r01, r10, r11) })
 			return
 		}
 		s.realDense1Q(0, half, bit, lm, r00, r01, r10, r11)
@@ -218,13 +218,13 @@ func (s *State) apply1Q(q int, m [2][2]complex128) {
 		// Real diagonal with imaginary off-diagonal (RX, Y).
 		r00, i01, i10, r11 := real(m[0][0]), imag(m[0][1]), imag(m[1][0]), real(m[1][1])
 		if w > 1 {
-			shard.ForRange(w, half, func(lo, hi int) { s.mixedDense1Q(lo, hi, bit, lm, r00, i01, i10, r11) })
+			shard.ForRange(w, half, func(_, lo, hi int) { s.mixedDense1Q(lo, hi, bit, lm, r00, i01, i10, r11) })
 			return
 		}
 		s.mixedDense1Q(0, half, bit, lm, r00, i01, i10, r11)
 	default:
 		if w > 1 {
-			shard.ForRange(w, half, func(lo, hi int) {
+			shard.ForRange(w, half, func(_, lo, hi int) {
 				s.dense1Q(lo, hi, bit, lm, m[0][0], m[0][1], m[1][0], m[1][1])
 			})
 			return
@@ -249,7 +249,7 @@ func (s *State) applyCNOT(ctl, tgt int) {
 	lm, hm := masks2(cb, tb)
 	quarter := len(s.amp) >> 2
 	if w := s.kernelWorkers(quarter); w > 1 {
-		shard.ForRange(w, quarter, func(lo, hi int) { s.cnotRange(lo, hi, lm, hm, cb, tb) })
+		shard.ForRange(w, quarter, func(_, lo, hi int) { s.cnotRange(lo, hi, lm, hm, cb, tb) })
 		return
 	}
 	s.cnotRange(0, quarter, lm, hm, cb, tb)
@@ -269,7 +269,7 @@ func (s *State) applyCZ(a, b int) {
 	lm, hm := masks2(ab, bb)
 	quarter := len(s.amp) >> 2
 	if w := s.kernelWorkers(quarter); w > 1 {
-		shard.ForRange(w, quarter, func(lo, hi int) { s.czRange(lo, hi, lm, hm, ab|bb) })
+		shard.ForRange(w, quarter, func(_, lo, hi int) { s.czRange(lo, hi, lm, hm, ab|bb) })
 		return
 	}
 	s.czRange(0, quarter, lm, hm, ab|bb)
@@ -290,7 +290,7 @@ func (s *State) applySWAP(a, b int) {
 	lm, hm := masks2(ab, bb)
 	quarter := len(s.amp) >> 2
 	if w := s.kernelWorkers(quarter); w > 1 {
-		shard.ForRange(w, quarter, func(lo, hi int) { s.swapRange(lo, hi, lm, hm, ab, bb) })
+		shard.ForRange(w, quarter, func(_, lo, hi int) { s.swapRange(lo, hi, lm, hm, ab, bb) })
 		return
 	}
 	s.swapRange(0, quarter, lm, hm, ab, bb)
@@ -316,7 +316,7 @@ func (s *State) applyRZZ(a, b int, theta float64) {
 	pMinus := complex(math.Cos(theta/2), math.Sin(theta/2)) // parity odd
 	quarter := len(s.amp) >> 2
 	if w := s.kernelWorkers(quarter); w > 1 {
-		shard.ForRange(w, quarter, func(lo, hi int) { s.rzzRange(lo, hi, lm, hm, ab, bb, pPlus, pMinus) })
+		shard.ForRange(w, quarter, func(_, lo, hi int) { s.rzzRange(lo, hi, lm, hm, ab, bb, pPlus, pMinus) })
 		return
 	}
 	s.rzzRange(0, quarter, lm, hm, ab, bb, pPlus, pMinus)
@@ -363,7 +363,7 @@ func (s *State) applyPhaseTable(t *PhaseTable, theta float64) {
 		lut := s.lutScratch(len(unique))
 		buildPhaseLUT(lut, theta, unique)
 		if w := s.kernelWorkers(n); w > 1 {
-			shard.ForRange(w, n, func(lo, hi int) { s.phaseLUTRange(lo, hi, idx, lut) })
+			shard.ForRange(w, n, func(_, lo, hi int) { s.phaseLUTRange(lo, hi, idx, lut) })
 			return
 		}
 		s.phaseLUTRange(0, n, idx, lut)
@@ -371,7 +371,7 @@ func (s *State) applyPhaseTable(t *PhaseTable, theta float64) {
 	}
 	vals := t.Values()
 	if w := s.kernelWorkers(n); w > 1 {
-		shard.ForRange(w, n, func(lo, hi int) { s.phaseDirectRange(lo, hi, theta, vals) })
+		shard.ForRange(w, n, func(_, lo, hi int) { s.phaseDirectRange(lo, hi, theta, vals) })
 		return
 	}
 	s.phaseDirectRange(0, n, theta, vals)
@@ -416,7 +416,7 @@ func (s *State) applyPauliRot(p pauli.String, theta float64) {
 		phaseMinus := cosT + minusISin*iPow*complex(-1, 0)
 		n := len(s.amp)
 		if w := s.kernelWorkers(n); w > 1 {
-			shard.ForRange(w, n, func(lo, hi int) { s.rotDiagRange(lo, hi, z, phasePlus, phaseMinus) })
+			shard.ForRange(w, n, func(_, lo, hi int) { s.rotDiagRange(lo, hi, z, phasePlus, phaseMinus) })
 			return
 		}
 		s.rotDiagRange(0, n, z, phasePlus, phaseMinus)
@@ -431,7 +431,7 @@ func (s *State) applyPauliRot(p pauli.String, theta float64) {
 	hm := 1<<(63-bits.LeadingZeros64(x)) - 1
 	half := len(s.amp) >> 1
 	if w := s.kernelWorkers(half); w > 1 {
-		shard.ForRange(w, half, func(lo, hi int) { s.rotPairRange(lo, hi, xi, hm, z, iPow, cosT, minusISin) })
+		shard.ForRange(w, half, func(_, lo, hi int) { s.rotPairRange(lo, hi, xi, hm, z, iPow, cosT, minusISin) })
 		return
 	}
 	s.rotPairRange(0, half, xi, hm, z, iPow, cosT, minusISin)

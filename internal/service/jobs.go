@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"strings"
 	"time"
@@ -13,6 +12,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/landscape"
 	"repro/internal/obs"
+	"repro/internal/shard"
 )
 
 // JobState is the lifecycle of a submitted job.
@@ -167,14 +167,10 @@ type JobResult struct {
 	Fleet *FleetResult `json:"fleet,omitempty"`
 }
 
-// panicError marks a recovered internal panic (HTTP 500).
-type panicError struct{ msg string }
-
-func (e *panicError) Error() string { return e.msg }
-
 // runJob drives a job to completion: wait for a worker slot, execute, and
-// record the outcome. It never panics — internal panics from dct/qsim/
-// landscape surface as a failed job, not a dead process.
+// record the outcome. It never panics: a panic anywhere below it — on the
+// job goroutine or on any shard worker, however deeply nested — arrives as
+// one *shard.PanicError and fails the job with a 500.
 func (s *Server) runJob(ctx context.Context, j *Job) {
 	defer s.wg.Done()
 	// Release the job's context resources once it finishes; without this,
@@ -200,21 +196,22 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	}
 	s.mu.Unlock()
 	rspan, ctx := obs.Start(ctx, "run")
-	res, err := s.execute(ctx, j)
+	var res *JobResult
+	err := shard.Try(func() (err error) { res, err = s.execute(ctx, j); return err })
+	var pe *shard.PanicError
+	if errors.As(err, &pe) {
+		s.panics.Add(1)
+		rspan.SetAttr("stack", string(pe.Stack))
+		s.log.Error("job panicked", "trace_id", j.trace.ID(), "job_id", j.id,
+			"error", err.Error(), "stack", string(pe.Stack))
+	}
 	rspan.SetError(err)
 	rspan.End()
 	s.finishJob(j, res, err)
 }
 
-// execute runs the OSCAR pipeline for a job inside a panic-recovery
-// boundary.
-func (s *Server) execute(ctx context.Context, j *Job) (res *JobResult, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			s.panics.Add(1)
-			err = &panicError{msg: fmt.Sprintf("internal panic: %v", p)}
-		}
-	}()
+// execute runs the OSCAR pipeline for a job.
+func (s *Server) execute(ctx context.Context, j *Job) (*JobResult, error) {
 	opt := j.built.opts
 	opt.Workers = s.cfg.JobWorkers
 	var h0, m0 int64
@@ -433,7 +430,7 @@ func (s *Server) finishJob(j *Job, res *JobResult, err error) {
 	default:
 		j.state = StateFailed
 		j.errMsg = err.Error()
-		var pe *panicError
+		var pe *shard.PanicError
 		if errors.As(err, &pe) {
 			j.httpStatus = http.StatusInternalServerError
 		} else {

@@ -49,9 +49,10 @@
 //
 // Every job runs under its own context.Context: client disconnects (for
 // wait-mode submissions), DELETE, and server shutdown all cancel the solve
-// through the engine's existing cancellation plumbing. A panic-recovery
-// boundary around each job and each request converts internal panics into
-// HTTP errors instead of process death.
+// through the engine's existing cancellation plumbing. A shard.Try boundary
+// around each job and each request converts internal panics — on the job
+// goroutine or on any shard worker below it — into HTTP errors instead of
+// process death.
 package service
 
 import (
@@ -72,6 +73,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/obs"
+	"repro/internal/shard"
 )
 
 // Config bounds the server.
@@ -223,18 +225,16 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// ServeHTTP implements http.Handler with a request-level panic-recovery
-// boundary: a handler panic answers 500 (best effort) instead of killing
-// the connection handler goroutine with a stack dump.
+// ServeHTTP implements http.Handler with a request-level panic boundary: a
+// handler panic answers 500 (best effort) and logs its stack instead of
+// killing the connection handler goroutine with a stack dump.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	defer func() {
-		if p := recover(); p != nil {
-			s.panics.Add(1)
-			writeJSON(w, http.StatusInternalServerError,
-				map[string]any{"error": fmt.Sprintf("internal panic: %v", p)})
-		}
-	}()
-	s.mux.ServeHTTP(w, r)
+	if err := shard.Try(func() error { s.mux.ServeHTTP(w, r); return nil }); err != nil {
+		s.panics.Add(1)
+		s.log.Error("request panicked", "method", r.Method, "path", r.URL.Path,
+			"error", err.Error(), "stack", string(err.(*shard.PanicError).Stack))
+		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
+	}
 }
 
 // Close cancels every in-flight job and waits for them to drain. The server
@@ -274,11 +274,8 @@ func (s *Server) cacheFor(configKey string) *exec.Cache {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	spec := new(JobSpec)
-	if err := dec.Decode(spec); err != nil {
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "malformed job: " + err.Error()})
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/backend"
+	"repro/internal/obs"
+	"repro/internal/shard"
 )
 
 // smallJob is a fast analytic reconstruction: 8-qubit 3-regular MaxCut on a
@@ -33,7 +38,7 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
-func do(t *testing.T, s *Server, method, path, body string) (*httptest.ResponseRecorder, map[string]any) {
+func do(t testing.TB, s *Server, method, path, body string) (*httptest.ResponseRecorder, map[string]any) {
 	t.Helper()
 	req := httptest.NewRequest(method, path, strings.NewReader(body))
 	rec := httptest.NewRecorder()
@@ -171,24 +176,32 @@ func TestMalformedJSON(t *testing.T) {
 	}
 }
 
+// badSpecCases are job specs validation must answer with 400; they also
+// seed FuzzJobSpec.
+var badSpecCases = map[string]string{
+	"unknown problem":         `{"problem":{"kind":"nope"},"backend":{"kind":"analytic"},"grid":{"beta_n":4,"gamma_n":4},"options":{"sampling_fraction":0.5}}`,
+	"oversized grid":          `{"problem":{"kind":"maxcut3","n":8},"backend":{"kind":"analytic"},"grid":{"beta_n":50,"gamma_n":50},"options":{"sampling_fraction":0.1}}`,
+	"too many qubits":         `{"problem":{"kind":"maxcut3","n":14},"backend":{"kind":"statevector"},"grid":{"beta_n":4,"gamma_n":4},"options":{"sampling_fraction":0.5}}`,
+	"bad fraction":            `{"problem":{"kind":"maxcut3","n":8},"backend":{"kind":"analytic"},"grid":{"beta_n":4,"gamma_n":4},"options":{"sampling_fraction":1.5}}`,
+	"arity mismatch":          `{"problem":{"kind":"maxcut3","n":8},"backend":{"kind":"statevector","depth":2},"grid":{"beta_n":4,"gamma_n":4},"options":{"sampling_fraction":0.5}}`,
+	"1 axis, 2-param backend": `{"problem":{"kind":"maxcut3","n":8},"backend":{"kind":"analytic"},"grid":{"axes":[{"name":"x","min":0,"max":1,"n":4}]},"options":{"sampling_fraction":0.5}}`,
+	"negative p":              `{"problem":{"kind":"maxcut3","n":8},"backend":{"kind":"analytic"},"grid":{"beta_n":4,"gamma_n":4,"p":-1},"options":{"sampling_fraction":0.5}}`,
+	"p with explicit axes":    `{"problem":{"kind":"maxcut3","n":8},"backend":{"kind":"analytic"},"grid":{"p":2,"axes":[{"name":"x","min":0,"max":1,"n":4},{"name":"y","min":0,"max":1,"n":4}]},"options":{"sampling_fraction":0.5}}`,
+	"p=2 vs depth-1 backend":  `{"problem":{"kind":"maxcut3","n":8},"backend":{"kind":"analytic"},"grid":{"beta_n":4,"gamma_n":4,"p":2},"options":{"sampling_fraction":0.5}}`,
+	"density too big":         `{"problem":{"kind":"sk","n":14},"backend":{"kind":"density"},"grid":{"beta_n":4,"gamma_n":4},"options":{"sampling_fraction":0.5}}`,
+	"non-graph qaoa":          `{"problem":{"kind":"h2"},"backend":{"kind":"analytic"},"grid":{"beta_n":4,"gamma_n":4},"options":{"sampling_fraction":0.5}}`,
+	"odd maxcut3 n":           `{"problem":{"kind":"maxcut3","n":5},"backend":{"kind":"analytic"},"grid":{"beta_n":4,"gamma_n":4},"options":{"sampling_fraction":0.5}}`,
+	"degenerate mesh":         `{"problem":{"kind":"mesh","rows":0,"cols":0},"backend":{"kind":"analytic"},"grid":{"beta_n":4,"gamma_n":4},"options":{"sampling_fraction":0.5}}`,
+	// Huge sizes must be rejected before anything of that size is built.
+	"huge p":       `{"problem":{"kind":"maxcut3","n":8},"backend":{"kind":"analytic"},"grid":{"beta_n":2,"gamma_n":2,"p":1000000000},"options":{"sampling_fraction":0.5}}`,
+	"huge sk":      `{"problem":{"kind":"sk","n":1000000000},"backend":{"kind":"analytic"},"grid":{"beta_n":4,"gamma_n":4},"options":{"sampling_fraction":0.5}}`,
+	"huge maxcut3": `{"problem":{"kind":"maxcut3","n":1000000000},"backend":{"kind":"analytic"},"grid":{"beta_n":4,"gamma_n":4},"options":{"sampling_fraction":0.5}}`,
+	"huge mesh":    `{"problem":{"kind":"mesh","rows":100000,"cols":100000},"backend":{"kind":"analytic"},"grid":{"beta_n":4,"gamma_n":4},"options":{"sampling_fraction":0.5}}`,
+}
+
 func TestBadSpecs(t *testing.T) {
 	s := newTestServer(t, Config{MaxGridPoints: 1000, MaxQubits: 12})
-	cases := map[string]string{
-		"unknown problem":         `{"problem":{"kind":"nope"},"backend":{"kind":"analytic"},"grid":{"beta_n":4,"gamma_n":4},"options":{"sampling_fraction":0.5}}`,
-		"oversized grid":          `{"problem":{"kind":"maxcut3","n":8},"backend":{"kind":"analytic"},"grid":{"beta_n":50,"gamma_n":50},"options":{"sampling_fraction":0.1}}`,
-		"too many qubits":         `{"problem":{"kind":"maxcut3","n":14},"backend":{"kind":"statevector"},"grid":{"beta_n":4,"gamma_n":4},"options":{"sampling_fraction":0.5}}`,
-		"bad fraction":            `{"problem":{"kind":"maxcut3","n":8},"backend":{"kind":"analytic"},"grid":{"beta_n":4,"gamma_n":4},"options":{"sampling_fraction":1.5}}`,
-		"arity mismatch":          `{"problem":{"kind":"maxcut3","n":8},"backend":{"kind":"statevector","depth":2},"grid":{"beta_n":4,"gamma_n":4},"options":{"sampling_fraction":0.5}}`,
-		"1 axis, 2-param backend": `{"problem":{"kind":"maxcut3","n":8},"backend":{"kind":"analytic"},"grid":{"axes":[{"name":"x","min":0,"max":1,"n":4}]},"options":{"sampling_fraction":0.5}}`,
-		"negative p":              `{"problem":{"kind":"maxcut3","n":8},"backend":{"kind":"analytic"},"grid":{"beta_n":4,"gamma_n":4,"p":-1},"options":{"sampling_fraction":0.5}}`,
-		"p with explicit axes":    `{"problem":{"kind":"maxcut3","n":8},"backend":{"kind":"analytic"},"grid":{"p":2,"axes":[{"name":"x","min":0,"max":1,"n":4},{"name":"y","min":0,"max":1,"n":4}]},"options":{"sampling_fraction":0.5}}`,
-		"p=2 vs depth-1 backend":  `{"problem":{"kind":"maxcut3","n":8},"backend":{"kind":"analytic"},"grid":{"beta_n":4,"gamma_n":4,"p":2},"options":{"sampling_fraction":0.5}}`,
-		"density too big":         `{"problem":{"kind":"sk","n":14},"backend":{"kind":"density"},"grid":{"beta_n":4,"gamma_n":4},"options":{"sampling_fraction":0.5}}`,
-		"non-graph qaoa":          `{"problem":{"kind":"h2"},"backend":{"kind":"analytic"},"grid":{"beta_n":4,"gamma_n":4},"options":{"sampling_fraction":0.5}}`,
-		"odd maxcut3 n":           `{"problem":{"kind":"maxcut3","n":5},"backend":{"kind":"analytic"},"grid":{"beta_n":4,"gamma_n":4},"options":{"sampling_fraction":0.5}}`,
-		"degenerate mesh":         `{"problem":{"kind":"mesh","rows":0,"cols":0},"backend":{"kind":"analytic"},"grid":{"beta_n":4,"gamma_n":4},"options":{"sampling_fraction":0.5}}`,
-	}
-	for name, body := range cases {
+	for name, body := range badSpecCases {
 		rec, out := do(t, s, "POST", "/jobs", body)
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d (%v), want 400", name, rec.Code, out["error"])
@@ -308,56 +321,112 @@ func TestUnknownJob(t *testing.T) {
 	}
 }
 
-// TestJobPanicIsContained injects a panicking evaluator directly (no spec
-// can build one) and checks the worker boundary converts it into a failed
-// job with a 5xx status instead of killing the process.
+// TestJobPanicIsContained injects panics through test-only evaluators (no
+// spec can build one) at three depths — directly in the evaluator, in a
+// nested shard.ForRange shard the evaluator starts, and on one device of a
+// fleet job — under several engine worker budgets, and checks each becomes
+// one failed job with a 500, a closed run span carrying the error and the
+// panicking frame's stack, one ERROR log line, one count in the panics
+// counter, and a server that keeps serving.
 func TestJobPanicIsContained(t *testing.T) {
-	s := newTestServer(t, Config{})
-	spec := new(JobSpec)
-	if err := json.Unmarshal([]byte(smallJob()), spec); err != nil {
+	cases := []struct {
+		name, job string
+		inject    func(*builtJob)
+		frame     string // a function the recorded stack must contain
+	}{
+		{"evaluator", smallJob(), func(b *builtJob) { b.eval = panicEvaluator{} },
+			"panicEvaluator.EvaluateBatch"},
+		{"nested-shard", smallJob(), func(b *builtJob) { b.eval = nestedPanicEvaluator{} },
+			"panicInKernelShard"},
+		{"fleet-device", fleetJob(""), func(b *builtJob) {
+			b.fleetDevices[1].Eval = panicDevice{b.fleetDevices[1].Eval}
+		}, "panicDevice.Evaluate"},
+	}
+	for _, workers := range []int{1, 2, 8} {
+		for _, c := range cases {
+			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
+				var logs bytes.Buffer
+				s := newTestServer(t, Config{
+					JobWorkers: workers,
+					Logger:     slog.New(slog.NewTextHandler(&logs, nil)),
+				})
+				j := newInjectedJob(t, s, c.job, c.inject)
+				s.runJob(obs.ContextWithSpan(context.Background(), j.root), j)
+
+				s.mu.Lock()
+				state, status, msg := j.state, j.httpStatus, j.errMsg
+				s.mu.Unlock()
+				if state != StateFailed {
+					t.Fatalf("state %v (%q), want failed", state, msg)
+				}
+				if status != http.StatusInternalServerError {
+					t.Fatalf("status %d, want 500", status)
+				}
+				if !strings.Contains(msg, "internal panic") {
+					t.Fatalf("error %q", msg)
+				}
+				run := findSpan(j.trace.Snapshot().Spans, "run")
+				if run == nil || run.Open {
+					t.Fatalf("run span missing or left open: %+v", run)
+				}
+				if e, _ := run.Attrs["error"].(string); !strings.Contains(e, "internal panic") {
+					t.Fatalf("run span error attr %q", e)
+				}
+				if st, _ := run.Attrs["stack"].(string); !strings.Contains(st, c.frame) {
+					t.Fatalf("run span stack lacks %s:\n%s", c.frame, st)
+				}
+				line := logs.String()
+				if strings.Count(line, "level=ERROR") != 1 ||
+					!strings.Contains(line, "trace_id="+j.trace.ID()) ||
+					!strings.Contains(line, "job_id="+j.id) || !strings.Contains(line, c.frame) {
+					t.Fatalf("want one ERROR line with trace_id, job_id and stack, got:\n%s", line)
+				}
+				if got := s.panics.Load(); got != 1 {
+					t.Fatalf("panics counter %d, want 1", got)
+				}
+				// The server still serves requests afterwards.
+				if rec, _ := do(t, s, "GET", "/healthz", ""); rec.Code != http.StatusOK {
+					t.Fatalf("healthz after panic: %d", rec.Code)
+				}
+				if _, stats := do(t, s, "GET", "/stats", ""); stats["panics"].(float64) != 1 {
+					t.Fatalf("/stats panics %v, want 1", stats["panics"])
+				}
+			})
+		}
+	}
+}
+
+// newInjectedJob builds and registers a job from spec the way handleSubmit
+// does, with a trace, after inject has swapped in a test-only evaluator.
+func newInjectedJob(t *testing.T, s *Server, spec string, inject func(*builtJob)) *Job {
+	t.Helper()
+	js := new(JobSpec)
+	if err := json.Unmarshal([]byte(spec), js); err != nil {
 		t.Fatal(err)
 	}
-	built, err := buildJob(spec, s.cfg)
+	built, err := buildJob(js, s.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	built.eval = panicEvaluator{}
+	inject(built)
+	tr := s.newTracer()
 	j := &Job{
 		id:        "jpanic",
-		spec:      spec,
+		spec:      js,
 		built:     built,
 		state:     StateQueued,
 		submitted: time.Now(),
 		done:      make(chan struct{}),
+		trace:     tr,
+		root:      tr.Start("job"),
+		cancel:    func() {},
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	j.cancel = cancel
 	s.mu.Lock()
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.mu.Unlock()
 	s.wg.Add(1)
-	s.runJob(ctx, j)
-
-	s.mu.Lock()
-	state, status, msg := j.state, j.httpStatus, j.errMsg
-	s.mu.Unlock()
-	if state != StateFailed {
-		t.Fatalf("state %v, want failed", state)
-	}
-	if status != http.StatusInternalServerError {
-		t.Fatalf("status %d, want 500", status)
-	}
-	if !strings.Contains(msg, "internal panic") {
-		t.Fatalf("error %q", msg)
-	}
-	if s.panics.Load() != 1 {
-		t.Fatalf("panics counter %d", s.panics.Load())
-	}
-	// The server still serves requests afterwards.
-	if rec, _ := do(t, s, "GET", "/healthz", ""); rec.Code != http.StatusOK {
-		t.Fatalf("healthz after panic: %d", rec.Code)
-	}
+	return j
 }
 
 type panicEvaluator struct{}
@@ -365,6 +434,26 @@ type panicEvaluator struct{}
 func (panicEvaluator) EvaluateBatch(ctx context.Context, params [][]float64) ([]float64, error) {
 	panic("qsim blew up")
 }
+
+// nestedPanicEvaluator fans every batch out over two kernel shards, the
+// second of which panics — a panic one goroutine below the engine worker.
+type nestedPanicEvaluator struct{}
+
+func (nestedPanicEvaluator) EvaluateBatch(ctx context.Context, params [][]float64) ([]float64, error) {
+	shard.ForRange(2, 2, func(slot, _, _ int) {
+		if slot == 1 {
+			panicInKernelShard()
+		}
+	})
+	return make([]float64, len(params)), nil
+}
+
+func panicInKernelShard() { panic("kernel shard blew up") }
+
+// panicDevice is a fleet device whose circuit evaluations panic.
+type panicDevice struct{ backend.Evaluator }
+
+func (panicDevice) Evaluate([]float64) (float64, error) { panic("device blew up") }
 
 func TestSnapshotRestoreAcrossRestart(t *testing.T) {
 	cfg := Config{}

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -403,6 +404,11 @@ func buildGrid(gs GridSpec, maxPoints int) (*landscape.Grid, error) {
 		if p == 0 {
 			p = 1
 		}
+		// Each of the 2p axes at least doubles the point count: reject a
+		// depth past the limit before building its axes.
+		if p > 31 || 1<<(2*p) > maxPoints {
+			return nil, specErrorf("grid: more than the maximum %d points", maxPoints)
+		}
 		bMin, bMax, gMin, gMax := ansatz.QAOAGridAxes(p)
 		if p == 1 {
 			axes = []landscape.Axis{
@@ -632,6 +638,15 @@ func buildFleet(fs *FleetSpec, eval backend.Evaluator, samplingSeed int64) ([]qp
 		return nil, nil, &specError{msg: err.Error()}
 	}
 	return devices, opts, nil
+}
+
+// decodeSpec reads one job spec, rejecting unknown fields. Defaults are
+// applied and the spec validated afterwards, by buildJob.
+func decodeSpec(r io.Reader) (*JobSpec, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	spec := new(JobSpec)
+	return spec, dec.Decode(spec)
 }
 
 // buildJob validates a spec against the server limits and assembles the
