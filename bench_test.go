@@ -565,8 +565,44 @@ func BenchmarkGenerateEngine(b *testing.B) {
 // expectation, and deterministic point shards. allocs/point must sit at
 // zero in steady state — run with -benchmem; the reported allocations per
 // op are for a whole 5000-point batch, and the explicit allocs/point metric
-// divides them out.
+// divides them out. The n16-p1 case is the sv-cold kernel: 500 points (every
+// tenth) of the 50x100 grid on a 16-qubit 3-regular MaxCut, serial, with
+// us/circuit covering one circuit run plus its expectation.
 func BenchmarkStateVectorBatch(b *testing.B) {
+	b.Run("n16-p1", func(b *testing.B) {
+		p, err := problem.Random3RegularMaxCut(16, rand.New(rand.NewSource(1)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		a, err := QAOAAnsatz(p, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		grid, err := QAOAGrid(1, 50, 100)
+		if err != nil {
+			b.Fatal(err)
+		}
+		all := grid.AllPoints()
+		pts := make([][]float64, 0, len(all)/10)
+		for i := 0; i < len(all); i += 10 {
+			pts = append(pts, all[i])
+		}
+		sv, err := backend.NewStateVector(p, a)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sv.EvaluateBatch(context.Background(), pts[:1]); err != nil {
+			b.Fatal(err) // warm the scratch pool and the phase-table compression
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sv.EvaluateBatch(context.Background(), pts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(pts)), "us/circuit")
+	})
+
 	rng := rand.New(rand.NewSource(79))
 	p, err := problem.Random3RegularMaxCut(12, rng)
 	if err != nil {

@@ -249,3 +249,78 @@ func TestDensityBatchMatchesEvaluate(t *testing.T) {
 		}
 	}
 }
+
+// TestStateVectorBatchMatchesGateByGate runs the QAOA shapes of the
+// repository benchmark — the sv-cold job (n=16, p=1, 50x100 grid axes) and
+// the fleet-p2 job (n=10, p=2) — through EvaluateBatch and requires every
+// cost to equal a gate-by-gate evaluation of the same fused circuit
+// (ApplyGate per gate from |0...0>, then the diagonal expectation). RunInto
+// prepares the state in one pass and pairs the mixer gates, so this pins
+// both against the one-kernel-per-gate path end to end. Equality is exact:
+// the amplitudes agree up to the sign of exact zeros, and the expectation
+// sums in the same order. The 3-point batch on 8 workers takes the
+// kernel-sharding branch at n=16.
+func TestStateVectorBatchMatchesGateByGate(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		n, depth int
+		points   int
+	}{
+		{"sv-cold", 16, 1, 6},
+		{"fleet-p2", 10, 2, 12},
+	} {
+		p, err := problem.Random3RegularMaxCut(tc.n, rand.New(rand.NewSource(int64(tc.n))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := ansatz.QAOA(p.Graph, tc.depth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diag, err := p.DiagonalTable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		betaMin, betaMax, gammaMin, gammaMax := ansatz.QAOAGridAxes(tc.depth)
+		rng := rand.New(rand.NewSource(int64(77 + tc.n)))
+		pts := make([][]float64, tc.points)
+		for i := range pts {
+			pts[i] = make([]float64, a.NumParams)
+			for l := 0; l < tc.depth; l++ {
+				pts[i][l] = betaMin + rng.Float64()*(betaMax-betaMin)
+				pts[i][tc.depth+l] = gammaMin + rng.Float64()*(gammaMax-gammaMin)
+			}
+		}
+		circ := a.Circuit.FuseDiagonals()
+		want := make([]float64, len(pts))
+		for i, params := range pts {
+			s := qsim.NewState(tc.n)
+			for _, g := range circ.Gates() {
+				if err := s.ApplyGate(g, params); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if want[i], err = s.ExpectationDiagonal(diag); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sv, err := NewStateVector(p, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 8} {
+			for lo := 0; lo < len(pts); lo += 3 {
+				got, err := sv.SetWorkers(workers).EvaluateBatch(context.Background(), pts[lo:lo+3])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, v := range got {
+					if v != want[lo+i] {
+						t.Fatalf("%s workers=%d point %d: batch %v, gate-by-gate %v",
+							tc.name, workers, lo+i, v, want[lo+i])
+					}
+				}
+			}
+		}
+	}
+}

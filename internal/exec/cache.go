@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
@@ -30,11 +31,18 @@ const maxEntries = 1 << 20
 // use and only meaningful for evaluators that are pure functions of their
 // parameters. Storage is capped at maxEntries (hits keep working; new
 // points simply stop being stored); call Reset to reclaim a full cache.
+//
+// Engines sharing a Cache also share executions in flight: a point one batch
+// is executing is not executed again by a concurrent batch, which waits for
+// the result instead. An evaluator run by such an engine must therefore not
+// evaluate through an engine on the same Cache itself — the inner batch
+// could wait on the outer batch's flight.
 type Cache struct {
 	quantum float64
 
-	mu sync.RWMutex
-	m  map[string]float64
+	mu       sync.RWMutex
+	m        map[string]float64
+	inflight map[string]slot // points a running engine batch is executing
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -47,7 +55,55 @@ func NewCache(quantum float64) *Cache {
 	if quantum <= 0 {
 		quantum = DefaultQuantum
 	}
-	return &Cache{quantum: quantum, m: make(map[string]float64)}
+	return &Cache{quantum: quantum, m: make(map[string]float64), inflight: make(map[string]slot)}
+}
+
+// flight is one engine batch's execution of the points it claimed. When the
+// execution ends, values holds the results (unless failed: the batch
+// errored, was cancelled or panicked) and done is closed.
+type flight struct {
+	done   chan struct{}
+	values []float64
+	failed bool
+}
+
+// slot locates one claimed point: its index in a flight's values.
+type slot struct {
+	f *flight
+	i int
+}
+
+// wait blocks until the slot's flight ends and returns its value; ok is
+// false when the flight failed and the point is still unexecuted.
+func (s slot) wait(ctx context.Context) (v float64, ok bool, err error) {
+	select {
+	case <-s.f.done:
+	case <-ctx.Done():
+		return 0, false, ctx.Err()
+	}
+	if s.f.failed {
+		return 0, false, nil
+	}
+	return s.f.values[s.i], true, nil
+}
+
+// land ends flight f, which owned keys (index-aligned with f.values): on
+// success the values are stored, and in every case the keys are released
+// and waiters woken.
+func (c *Cache) land(f *flight, keys []string, ok bool) {
+	c.mu.Lock()
+	for j, k := range keys {
+		if k == "" {
+			continue // uncacheable point, never claimed
+		}
+		if ok && len(c.m) < maxEntries {
+			c.m[k] = f.values[j]
+		}
+		delete(c.inflight, k)
+	}
+	c.mu.Unlock()
+	f.failed = !ok
+	close(f.done)
 }
 
 // maxQuantized bounds the quantized coordinate magnitude the key encoding
@@ -76,17 +132,11 @@ func (c *Cache) key(params []float64) (_ string, ok bool) {
 	return string(buf), true
 }
 
-// peek returns the cached value for a key without touching the counters.
-func (c *Cache) peek(k string) (float64, bool) {
+// lookup returns the cached value for a key, counting the hit or miss.
+func (c *Cache) lookup(k string) (float64, bool) {
 	c.mu.RLock()
 	v, ok := c.m[k]
 	c.mu.RUnlock()
-	return v, ok
-}
-
-// lookup returns the cached value for a key, counting the hit or miss.
-func (c *Cache) lookup(k string) (float64, bool) {
-	v, ok := c.peek(k)
 	if ok {
 		c.hits.Add(1)
 	} else {
@@ -128,7 +178,8 @@ func (c *Cache) Store(params []float64, v float64) {
 }
 
 // Hits returns the number of lookups served without an execution — stored
-// entries plus intra-batch duplicates of a pending point.
+// entries, intra-batch duplicates of a pending point, and points another
+// batch was executing.
 func (c *Cache) Hits() int64 { return c.hits.Load() }
 
 // Misses returns the number of lookups that fell through to execution.

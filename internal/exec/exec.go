@@ -15,8 +15,9 @@
 //   - Context cancellation: a canceled ctx stops the run between chunks and
 //     the engine returns ctx.Err().
 //   - Optional memoization: with a Cache, quantized parameter vectors are
-//     executed at most once — across calls and within a batch — so
-//     optimizers re-visiting stencil points and ZNE sweeps never pay twice.
+//     executed at most once — across calls, within a batch, and across
+//     concurrent batches — so optimizers re-visiting stencil points and ZNE
+//     sweeps never pay twice.
 package exec
 
 import (
@@ -149,66 +150,132 @@ func (e *Engine) EvaluateBatch(ctx context.Context, params [][]float64) ([]float
 		return results, nil
 	}
 
-	// Cache pass: satisfy hits immediately and deduplicate the misses so
-	// each distinct point is executed once even within a single batch.
-	// Points whose coordinates cannot be quantized into a collision-free
-	// key (NaN, ±Inf, beyond the int64-safe range) bypass the cache: they
-	// always execute and are never stored or deduplicated, so a degenerate
-	// coordinate can never alias a legitimate cached point.
-	work := make([][]float64, 0, n)  // unique points to execute
-	workPos := make([][]int, 0, n)   // result positions per unique point
-	workKeys := make([]string, 0, n) // cache keys per unique point
-	workOK := make([]bool, 0, n)     // whether the point is cacheable
-	seen := make(map[string]int, n)
-	for i, p := range params {
-		k, kok := c.key(p)
-		if !kok {
-			c.misses.Add(1)
-			work = append(work, p)
-			workPos = append(workPos, []int{i})
-			workKeys = append(workKeys, "")
-			workOK = append(workOK, false)
-			continue
-		}
-		if v, ok := c.peek(k); ok {
-			c.hits.Add(1)
-			results[i] = v
-			continue
-		}
-		if j, ok := seen[k]; ok {
-			// Duplicate of a pending point in this batch: served by its
-			// single execution, so it counts as a hit.
-			c.hits.Add(1)
-			workPos[j] = append(workPos[j], i)
-			continue
-		}
-		c.misses.Add(1)
-		seen[k] = len(work)
-		work = append(work, p)
-		workPos = append(workPos, []int{i})
-		workKeys = append(workKeys, k)
-		workOK = append(workOK, true)
-	}
-	span.SetAttr("cache_hits", n-len(work))
-	span.SetAttr("executed", len(work))
-	if len(work) == 0 {
-		return results, nil
-	}
-
-	values := make([]float64, len(work))
-	if err := e.run(ctx, work, values); err != nil {
+	executed, err := e.evaluateCached(ctx, c, params, results)
+	span.SetAttr("cache_hits", n-executed)
+	span.SetAttr("executed", executed)
+	if err != nil {
 		span.SetError(err)
 		return nil, err
 	}
-	for j, v := range values {
-		if workOK[j] {
-			c.store(workKeys[j], v)
+	return results, nil
+}
+
+// evaluateCached fills results through the cache and returns how many
+// points it executed. Hits are served immediately, and the misses are
+// deduplicated so each distinct point executes once even within a single
+// batch. A point another batch is already executing is not executed again:
+// this batch first runs its own work, then waits for that batch's value,
+// which counts as a hit. If the other batch fails, its points go round
+// again, and this batch executes the ones still unclaimed. Because a batch
+// waits only after its own execution has ended, no two batches can wait on
+// each other.
+//
+// Points whose coordinates cannot be quantized into a collision-free key
+// (NaN, ±Inf, beyond the int64-safe range) bypass the cache: they always
+// execute and are never stored or deduplicated, so a degenerate coordinate
+// can never alias a legitimate cached point.
+func (e *Engine) evaluateCached(ctx context.Context, c *Cache, params [][]float64, results []float64) (executed int, err error) {
+	keys := make([]string, len(params))
+	cacheable := make([]bool, len(params))
+	todo := make([]int, len(params))
+	for i, p := range params {
+		keys[i], cacheable[i] = c.key(p)
+		todo[i] = i
+	}
+	for len(todo) > 0 {
+		f := &flight{done: make(chan struct{})}
+		var (
+			work     [][]float64 // points this batch executes
+			workKeys []string    // their keys ("" when uncacheable)
+			workPos  [][]int     // result positions per executed point
+			waits    []slot      // other batches' executions to wait on
+			waitPos  [][]int     // result positions per waited point
+		)
+		owned := make(map[string]int)  // key -> index in work
+		waited := make(map[string]int) // key -> index in waits
+		c.mu.Lock()
+		for _, i := range todo {
+			k := keys[i]
+			if !cacheable[i] {
+				c.misses.Add(1)
+				work = append(work, params[i])
+				workKeys = append(workKeys, "")
+				workPos = append(workPos, []int{i})
+				continue
+			}
+			if j, ok := owned[k]; ok {
+				// Duplicate of a point this batch executes: served by
+				// its single execution, so it counts as a hit.
+				c.hits.Add(1)
+				workPos[j] = append(workPos[j], i)
+				continue
+			}
+			if j, ok := waited[k]; ok {
+				waitPos[j] = append(waitPos[j], i)
+				continue
+			}
+			if v, ok := c.m[k]; ok {
+				c.hits.Add(1)
+				results[i] = v
+			} else if s, ok := c.inflight[k]; ok {
+				waited[k] = len(waits)
+				waits = append(waits, s)
+				waitPos = append(waitPos, []int{i})
+			} else {
+				// Claim the point for this batch's flight, which
+				// runFlight must land.
+				c.misses.Add(1)
+				c.inflight[k] = slot{f, len(work)}
+				owned[k] = len(work)
+				work = append(work, params[i])
+				workKeys = append(workKeys, k)
+				workPos = append(workPos, []int{i})
+			}
 		}
-		for _, i := range workPos[j] {
-			results[i] = v
+		c.mu.Unlock()
+
+		f.values = make([]float64, len(work))
+		if err := e.runFlight(ctx, c, f, work, workKeys); err != nil {
+			return executed, err
+		}
+		executed += len(work)
+		for j, v := range f.values {
+			for _, i := range workPos[j] {
+				results[i] = v
+			}
+		}
+
+		todo = todo[:0]
+		for j, s := range waits {
+			v, ok, err := s.wait(ctx)
+			if err != nil {
+				return executed, err
+			}
+			if !ok {
+				todo = append(todo, waitPos[j]...)
+				continue
+			}
+			c.hits.Add(int64(len(waitPos[j])))
+			for _, i := range waitPos[j] {
+				results[i] = v
+			}
 		}
 	}
-	return results, nil
+	return executed, nil
+}
+
+// runFlight executes work as flight f and lands it, also when the run
+// errors or panics, so batches waiting on f never hang.
+func (e *Engine) runFlight(ctx context.Context, c *Cache, f *flight, work [][]float64, keys []string) error {
+	ok := false
+	defer func() { c.land(f, keys, ok) }()
+	if len(work) > 0 {
+		if err := e.run(ctx, work, f.values); err != nil {
+			return err
+		}
+	}
+	ok = true
+	return nil
 }
 
 // run executes work into values (index-aligned) on the worker pool.

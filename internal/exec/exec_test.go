@@ -245,3 +245,121 @@ func TestChunkSize(t *testing.T) {
 		}
 	}
 }
+
+// sharedPointFixture runs the in-flight dedup scenario: batch A claims the
+// shared point x and blocks inside its execution; batch B, submitted with x
+// plus a point y of its own, must find x in flight. Once B's own execution
+// of y has started (so B has classified x), A is released with the outcome
+// fail decides. It returns both batches' results and errors and the number
+// of executions of x.
+func sharedPointFixture(t *testing.T, bctx context.Context, fail bool) (outA, outB []float64, errA, errB error, xExecs int64) {
+	t.Helper()
+	x, y := []float64{0.5, 0.25}, []float64{-1, 2}
+	var execs atomic.Int64
+	aStarted, bRunning, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	en := New(Lift(func(p []float64) (float64, error) {
+		if p[0] == y[0] {
+			close(bRunning)
+			return costOf(p), nil
+		}
+		if execs.Add(1) == 1 {
+			close(aStarted)
+			<-release
+			if fail {
+				return 0, errors.New("device lost")
+			}
+		}
+		return costOf(p), nil
+	}), Options{Workers: 1, Cache: NewCache(0)})
+
+	doneA, doneB := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(doneA)
+		outA, errA = en.EvaluateBatch(context.Background(), [][]float64{x})
+	}()
+	<-aStarted
+	go func() {
+		defer close(doneB)
+		outB, errB = en.EvaluateBatch(bctx, [][]float64{x, y})
+	}()
+	<-bRunning
+	close(release)
+	<-doneA
+	<-doneB
+	return outA, outB, errA, errB, execs.Load()
+}
+
+// TestEngineCacheDedupAcrossConcurrentBatches: two concurrent batches on one
+// cache that share a point execute it once; the batch that found it in
+// flight waits for the value and counts it as a hit.
+func TestEngineCacheDedupAcrossConcurrentBatches(t *testing.T) {
+	outA, outB, errA, errB, xExecs := sharedPointFixture(t, context.Background(), false)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if xExecs != 1 {
+		t.Fatalf("shared point executed %d times, want 1", xExecs)
+	}
+	if want := costOf([]float64{0.5, 0.25}); outA[0] != want || outB[0] != want {
+		t.Fatalf("shared point values %v and %v, want %v", outA[0], outB[0], want)
+	}
+	if want := costOf([]float64{-1, 2}); outB[1] != want {
+		t.Fatalf("own point value %v, want %v", outB[1], want)
+	}
+}
+
+// TestEngineCacheWaiterExecutesAfterOwnerFails: when the batch executing a
+// shared point fails, the batch waiting on it executes the point itself.
+func TestEngineCacheWaiterExecutesAfterOwnerFails(t *testing.T) {
+	_, outB, errA, errB, xExecs := sharedPointFixture(t, context.Background(), true)
+	if errA == nil {
+		t.Fatal("owner batch: want its execution error")
+	}
+	if errB != nil {
+		t.Fatalf("waiting batch: %v", errB)
+	}
+	if xExecs != 2 {
+		t.Fatalf("shared point executed %d times, want 2 (owner failed, waiter retried)", xExecs)
+	}
+	if want := costOf([]float64{0.5, 0.25}); outB[0] != want {
+		t.Fatalf("shared point value %v, want %v", outB[0], want)
+	}
+}
+
+// TestEngineCacheWaiterCancellation: a batch waiting on another batch's
+// execution returns its context error as soon as it is cancelled, and the
+// owner still completes and stores the point.
+func TestEngineCacheWaiterCancellation(t *testing.T) {
+	cache := NewCache(0)
+	x, y := []float64{0.5, 0.25}, []float64{-1, 2}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	started, release := make(chan struct{}), make(chan struct{})
+	en := New(Lift(func(p []float64) (float64, error) {
+		if p[0] == y[0] {
+			// B has classified x as in flight and is running its own
+			// point: cancel it before it starts waiting.
+			cancel()
+			return costOf(p), nil
+		}
+		close(started)
+		<-release
+		return costOf(p), nil
+	}), Options{Workers: 1, Cache: cache})
+	doneA := make(chan error)
+	go func() {
+		_, err := en.EvaluateBatch(context.Background(), [][]float64{x})
+		doneA <- err
+	}()
+	<-started
+	if _, err := en.EvaluateBatch(ctx, [][]float64{x, y}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("waiting batch: %v, want context.Canceled", err)
+	}
+	close(release)
+	if err := <-doneA; err != nil {
+		t.Fatalf("owner batch: %v", err)
+	}
+	if v, ok := cache.Lookup(x); !ok || v != costOf(x) {
+		t.Fatalf("owner's value not stored: %v %v", v, ok)
+	}
+}

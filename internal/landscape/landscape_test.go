@@ -1,7 +1,6 @@
 package landscape
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -347,41 +346,14 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	g := mustGrid(t,
-		Axis{Name: "beta", Min: -1, Max: 1, N: 5},
-		Axis{Name: "gamma", Min: -2, Max: 2, N: 7},
-	)
-	l := New(g)
-	for i := range l.Data {
-		l.Data[i] = float64(i) * 0.5
-	}
-	var buf bytes.Buffer
-	if err := l.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Grid.Axes) != 2 || back.Grid.Axes[0].Name != "beta" {
-		t.Fatalf("axes lost: %+v", back.Grid.Axes)
-	}
-	for i := range l.Data {
-		if back.Data[i] != l.Data[i] {
-			t.Fatalf("data[%d] %g want %g", i, back.Data[i], l.Data[i])
-		}
-	}
-}
-
 func TestLoadRejectsCorruptInput(t *testing.T) {
-	if _, err := Load(strings.NewReader("not json")); err == nil {
+	if _, err := LoadArtifact(strings.NewReader("not json")); err == nil {
 		t.Error("want error for bad json")
 	}
-	if _, err := Load(strings.NewReader(`{"axes":[{"Name":"x","Min":0,"Max":1,"N":4}],"data":[1,2]}`)); err == nil {
+	if _, err := LoadArtifact(strings.NewReader(`{"axes":[{"Name":"x","Min":0,"Max":1,"N":4}],"data":[1,2]}`)); err == nil {
 		t.Error("want error for shape mismatch")
 	}
-	if _, err := Load(strings.NewReader(`{"axes":[],"data":[]}`)); err == nil {
+	if _, err := LoadArtifact(strings.NewReader(`{"axes":[],"data":[]}`)); err == nil {
 		t.Error("want error for no axes")
 	}
 }

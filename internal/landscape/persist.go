@@ -213,7 +213,7 @@ func SaveArtifact(w io.Writer, a *Artifact) error {
 // LoadArtifact reads an artifact written by SaveArtifact, verifying the
 // format version, shape consistency, and content checksum; damaged or
 // unknown-version input fails with an error wrapping ErrBadArtifact. Legacy
-// pre-versioning files (bare JSON, as written by Landscape.Save) still load,
+// pre-versioning files (bare JSON) still load,
 // as Version 1 with unknown NRMSE and no provenance.
 func LoadArtifact(r io.Reader) (*Artifact, error) {
 	br := bufio.NewReader(r)
@@ -337,29 +337,9 @@ func LoadArtifactFile(path string) (*Artifact, error) {
 	return a, nil
 }
 
-// serialized is the legacy (version 1) on-disk JSON form of a landscape.
+// serialized is the legacy (version 1) on-disk JSON form of a landscape,
+// written before artifacts had a header or metadata.
 type serialized struct {
 	Axes []Axis    `json:"axes"`
 	Data []float64 `json:"data"`
-}
-
-// Save writes the landscape in the legacy bare-JSON form.
-//
-// Deprecated: use SaveArtifact, which adds a format version, provenance
-// metadata, and a content checksum. Save remains for tooling pinned to the
-// old format; LoadArtifact (and Load) read both.
-func (l *Landscape) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(serialized{Axes: l.Grid.Axes, Data: l.Data})
-}
-
-// Load reads a landscape written by Save or SaveArtifact (either format
-// version), validating shape consistency. Artifact metadata, if present, is
-// dropped; use LoadArtifact to keep it.
-func Load(r io.Reader) (*Landscape, error) {
-	a, err := LoadArtifact(r)
-	if err != nil {
-		return nil, err
-	}
-	return a.Landscape()
 }

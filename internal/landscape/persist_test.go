@@ -95,19 +95,12 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 }
 
-// TestArtifactLegacyLoad: bare-JSON files written by the deprecated
-// Landscape.Save still load, as format version 1 with unknown NRMSE.
+// TestArtifactLegacyLoad: pre-versioning bare-JSON files still load, as
+// format version 1 with unknown NRMSE and no provenance.
 func TestArtifactLegacyLoad(t *testing.T) {
-	a := testArtifact(t)
-	l, err := a.Landscape()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := l.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadArtifact(&buf)
+	const legacy = `{"axes":[{"Name":"gamma","Min":0,"Max":3.141592653589793,"N":2},` +
+		`{"Name":"beta","Min":0,"Max":1.5,"N":3}],"data":[-1,-0.75,-0.5,-0.25,0,0.25]}` + "\n"
+	got, err := LoadArtifact(strings.NewReader(legacy))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +110,16 @@ func TestArtifactLegacyLoad(t *testing.T) {
 	if !math.IsNaN(got.NRMSE) || got.Fingerprint != "" {
 		t.Errorf("legacy load invented metadata: nrmse=%v fingerprint=%q", got.NRMSE, got.Fingerprint)
 	}
-	if len(got.Data) != len(a.Data) {
-		t.Fatalf("legacy data length %d, want %d", len(got.Data), len(a.Data))
+	if len(got.Axes) != 2 || got.Axes[0].Name != "gamma" || got.Axes[1].Max != 1.5 || got.Axes[1].N != 3 {
+		t.Fatalf("legacy axes %+v", got.Axes)
 	}
-	for i := range a.Data {
-		if got.Data[i] != a.Data[i] {
-			t.Fatalf("legacy data[%d] = %g, want %g", i, got.Data[i], a.Data[i])
+	want := []float64{-1, -0.75, -0.5, -0.25, 0, 0.25}
+	if len(got.Data) != len(want) {
+		t.Fatalf("legacy data length %d, want %d", len(got.Data), len(want))
+	}
+	for i := range want {
+		if got.Data[i] != want[i] {
+			t.Fatalf("legacy data[%d] = %g, want %g", i, got.Data[i], want[i])
 		}
 	}
 }

@@ -148,6 +148,8 @@ func refApplyGate(amp []complex128, g Gate, params []float64) {
 		refApplyRZZ(amp, g.Qubits[0], g.Qubits[1], theta)
 	case GatePauliRot:
 		refApplyPauliRot(amp, g.Pauli, theta)
+	case GateDiagonal:
+		refApplyPhaseTable(amp, g.Diag.Values(), theta)
 	default:
 		refApply1Q(amp, g.Qubits[0], gateMatrix(g.Kind, theta))
 	}
@@ -619,6 +621,113 @@ func TestDensityDiagonalPrecomputeBitIdentical(t *testing.T) {
 			diff := d.rho[i*dim+j] - want
 			if math.Hypot(real(diff), imag(diff)) > 1e-12 {
 				t.Fatalf("rho[%d,%d] = %v, |psi><psi| %v", i, j, d.rho[i*dim+j], want)
+			}
+		}
+	}
+}
+
+// --- one-pass preparation and paired mixer pins ---
+
+// runGatesCase is one circuit shape for TestRunIntoMatchesSeedGateByGate.
+type runGatesCase struct {
+	name string
+	c    *Circuit
+}
+
+// runGatesCases builds the circuit shapes the preparation pass and the
+// paired mixer kernel must reproduce: full, partial, repeated-qubit and
+// missing H prefixes; a prefix followed by a compressed or a direct phase
+// table; and RX/Y runs on distinct and repeated qubits with odd lengths,
+// including an RX(0) that dispatches to the phase kernel instead.
+func runGatesCases(n int, rng *rand.Rand) []runGatesCase {
+	dim := 1 << uint(n)
+	few := make([]float64, dim)  // two distinct values: LUT path from n = 4
+	many := make([]float64, dim) // all distinct: direct path
+	for b := range few {
+		few[b] = float64(rng.Intn(2)*3 - 1)
+		many[b] = rng.NormFloat64() * 3
+	}
+	lutTable, directTable := NewPhaseTable(few), NewPhaseTable(many)
+	perm := rng.Perm(n)
+
+	// mixer appends a QAOA-style RX layer (odd length when n is odd) and a
+	// run of RX/Y gates with repeats and an RX(0).
+	mixer := func(c *Circuit, param int) *Circuit {
+		for _, q := range perm {
+			c.RXP(q, param, 2)
+		}
+		c.RX(0, 0.3).RX(0, -0.7).Y(n - 1)
+		if n > 1 {
+			c.RX(1, 0).RX(0, 1.1).Y(1).RX(n-2, 0.4)
+		}
+		return c
+	}
+	hLayer := func(c *Circuit, qs []int) *Circuit {
+		for _, q := range qs {
+			c.H(q)
+		}
+		return c
+	}
+
+	var cases []runGatesCase
+	add := func(name string, c *Circuit) { cases = append(cases, runGatesCase{name, c}) }
+
+	c := hLayer(NewCircuit(n), perm).DiagonalP(lutTable, 1, 1)
+	add("full-prefix-lut", mixer(c, 0).DiagonalP(lutTable, 1, 0.5))
+	c = hLayer(NewCircuit(n), perm).DiagonalP(directTable, 1, 1)
+	add("full-prefix-direct", mixer(c, 0).DiagonalP(directTable, 1, -1))
+	add("full-prefix-no-diagonal", mixer(hLayer(NewCircuit(n), perm), 0))
+	c = hLayer(NewCircuit(n), perm[:(n+1)/2]).DiagonalP(lutTable, 1, 1)
+	add("partial-prefix-lut", mixer(c, 0))
+	c = hLayer(NewCircuit(n), perm[:(n+1)/2]).DiagonalP(directTable, 1, 1)
+	add("partial-prefix-direct", mixer(c, 0))
+	c = NewCircuit(n).H(perm[0]).H(perm[0])
+	add("repeated-h", mixer(hLayer(c, perm).DiagonalP(lutTable, 1, 1), 0))
+	add("no-prefix", mixer(NewCircuit(n).X(0).DiagonalP(directTable, 1, 1), 0).H(0))
+	add("empty", NewCircuit(n))
+	return cases
+}
+
+// TestRunIntoMatchesSeedGateByGate pins RunInto — the one-pass preparation
+// with its folded phase table, and the paired mixer kernel — against the
+// seed kernels applied one gate at a time, after the whole circuit, for
+// every circuit shape of runGatesCases and several worker counts (n = 15
+// makes every kernel shard). RunInto starts from a state full of garbage, so
+// the preparation must write every amplitude. Equality is exact up to the
+// sign of exact zeros, which == ignores.
+func TestRunIntoMatchesSeedGateByGate(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 10, 15} {
+		rng := rand.New(rand.NewSource(int64(500 + n)))
+		params := []float64{rng.Float64() - 0.5, rng.Float64()*2 - 1}
+		cases := runGatesCases(n, rng)
+		if n >= 4 {
+			// The fixture's first two shapes must cover both table paths.
+			_, _, lut := cases[0].c.Gates()[n].Diag.compressed()
+			_, _, direct := cases[1].c.Gates()[n].Diag.compressed()
+			if !lut || direct {
+				t.Fatalf("n=%d: two-valued table compressed %v, distinct table %v", n, lut, direct)
+			}
+		}
+		for _, tc := range cases {
+			ref := make([]complex128, 1<<uint(n))
+			ref[0] = 1
+			for _, g := range tc.c.Gates() {
+				refApplyGate(ref, g, params)
+			}
+			for _, workers := range []int{1, 2, 3, 8} {
+				s := NewState(n).SetWorkers(workers)
+				for i := range s.amp {
+					s.amp[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+				}
+				if err := RunInto(s, tc.c, params); err != nil {
+					t.Fatal(err)
+				}
+				for i := range ref {
+					if s.amp[i] != ref[i] {
+						t.Fatalf("n=%d %s workers=%d: amp[%d] = %v, seed %v",
+							n, tc.name, workers, i, s.amp[i], ref[i])
+					}
+				}
 			}
 		}
 	}

@@ -120,7 +120,10 @@ func masks2(a, b int) (lm, hm int) {
 // that runs the whole range inline when serial or fans shards out across
 // goroutines when the state is large and SetWorkers allows. Closures are
 // only created on the parallel path, so the serial hot path (the batch
-// evaluators' per-point regime) allocates nothing.
+// evaluators' per-point regime) allocates nothing. Two passes serve more
+// than one gate at a time — the preparation pass (prepare) and the paired
+// mixer kernel (mixedPairRange) — and both give every amplitude exactly the
+// arithmetic the one-gate kernels would.
 
 // phase1Q multiplies the |1> half by m11 (Z, S, Sdg, T: m00 = 1).
 func (s *State) phase1Q(klo, khi, bit, lm int, m11 complex128) {
@@ -172,17 +175,87 @@ func (s *State) realDense1Q(klo, khi, bit, lm int, m00, m01, m10, m11 float64) {
 // mixedDense1Q applies a matrix with real diagonal and purely imaginary
 // off-diagonal entries (RX, Y), again performing exactly the generic
 // path's nonzero-component operations.
-func (s *State) mixedDense1Q(klo, khi, bit, lm int, m00, m01i, m10i, m11 float64) {
+func (s *State) mixedDense1Q(klo, khi, bit, lm int, m mixedMatrix) {
 	amp := s.amp
 	for k := klo; k < khi; k++ {
 		i := (k&^lm)<<1 | k&lm
 		j := i | bit
-		a0, a1 := amp[i], amp[j]
-		a0r, a0i := real(a0), imag(a0)
-		a1r, a1i := real(a1), imag(a1)
-		amp[i] = complex(m00*a0r-m01i*a1i, m00*a0i+m01i*a1r)
-		amp[j] = complex(m11*a1r-m10i*a0i, m10i*a0r+m11*a1i)
+		amp[i], amp[j] = m.apply(amp[i], amp[j])
 	}
+}
+
+// mixedMatrix holds the nonzero components of a mixed-class matrix: the
+// real diagonal and the imaginary parts of the off-diagonal.
+type mixedMatrix struct{ m00, m01i, m10i, m11 float64 }
+
+// apply returns the matrix applied to the pair (a0, a1).
+func (m mixedMatrix) apply(a0, a1 complex128) (complex128, complex128) {
+	a0r, a0i := real(a0), imag(a0)
+	a1r, a1i := real(a1), imag(a1)
+	return complex(m.m00*a0r-m.m01i*a1i, m.m00*a0i+m.m01i*a1r),
+		complex(m.m11*a1r-m.m10i*a0i, m.m10i*a0r+m.m11*a1i)
+}
+
+// mixedPairRange applies two mixed-class gates, on qubit bits ab then bb,
+// in one pass: each 4-amplitude group gets gate A on both of its ab-pairs,
+// then gate B on both of its bb-pairs. Every amplitude sees exactly the
+// operations, in exactly the order, of two mixedDense1Q sweeps.
+func (s *State) mixedPairRange(klo, khi, lm, hm, ab, bb int, ma, mb mixedMatrix) {
+	amp := s.amp
+	for k := klo; k < khi; k++ {
+		i0 := base2(k, lm, hm)
+		i1, i2, i3 := i0|ab, i0|bb, i0|ab|bb
+		x0, x1 := ma.apply(amp[i0], amp[i1])
+		x2, x3 := ma.apply(amp[i2], amp[i3])
+		amp[i0], amp[i2] = mb.apply(x0, x2)
+		amp[i1], amp[i3] = mb.apply(x1, x3)
+	}
+}
+
+// applyMixedPair runs mixedPairRange over all 2^n/4 groups of the distinct
+// qubits a and b.
+func (s *State) applyMixedPair(a, b int, ma, mb mixedMatrix) {
+	ab, bb := 1<<uint(a), 1<<uint(b)
+	lm, hm := masks2(ab, bb)
+	quarter := len(s.amp) >> 2
+	if w := s.kernelWorkers(quarter); w > 1 {
+		shard.ForRange(w, quarter, func(_, lo, hi int) { s.mixedPairRange(lo, hi, lm, hm, ab, bb, ma, mb) })
+		return
+	}
+	s.mixedPairRange(0, quarter, lm, hm, ab, bb, ma, mb)
+}
+
+// kernelClass names the apply1Q kernel a 2x2 matrix dispatches to.
+type kernelClass uint8
+
+const (
+	classPhase kernelClass = iota // m00 = 1, zero off-diagonal (Z, S, Sdg, T)
+	classDiag                     // zero off-diagonal (RZ)
+	classReal                     // all-real (H, X, RY)
+	classMixed                    // real diagonal, imaginary off-diagonal (RX, Y)
+	classDense                    // anything else
+)
+
+// classify picks the kernel for m. The order of the tests is the dispatch
+// rule: a matrix in two classes takes the earlier one.
+func classify(m [2][2]complex128) kernelClass {
+	switch {
+	case m[0][1] == 0 && m[1][0] == 0 && m[0][0] == 1:
+		return classPhase
+	case m[0][1] == 0 && m[1][0] == 0:
+		return classDiag
+	case imag(m[0][0]) == 0 && imag(m[0][1]) == 0 && imag(m[1][0]) == 0 && imag(m[1][1]) == 0:
+		return classReal
+	case imag(m[0][0]) == 0 && imag(m[1][1]) == 0 && real(m[0][1]) == 0 && real(m[1][0]) == 0:
+		return classMixed
+	default:
+		return classDense
+	}
+}
+
+// mixedOf extracts the mixed-class components of m.
+func mixedOf(m [2][2]complex128) mixedMatrix {
+	return mixedMatrix{real(m[0][0]), imag(m[0][1]), imag(m[1][0]), real(m[1][1])}
 }
 
 // apply1Q applies the 2x2 matrix m to qubit q as a strided two-level loop
@@ -193,35 +266,33 @@ func (s *State) apply1Q(q int, m [2][2]complex128) {
 	lm := bit - 1
 	half := len(s.amp) >> 1
 	w := s.kernelWorkers(half)
-	switch {
-	case m[0][1] == 0 && m[1][0] == 0 && m[0][0] == 1:
+	switch classify(m) {
+	case classPhase:
 		if w > 1 {
 			shard.ForRange(w, half, func(_, lo, hi int) { s.phase1Q(lo, hi, bit, lm, m[1][1]) })
 			return
 		}
 		s.phase1Q(0, half, bit, lm, m[1][1])
-	case m[0][1] == 0 && m[1][0] == 0:
+	case classDiag:
 		if w > 1 {
 			shard.ForRange(w, half, func(_, lo, hi int) { s.diag1Q(lo, hi, bit, lm, m[0][0], m[1][1]) })
 			return
 		}
 		s.diag1Q(0, half, bit, lm, m[0][0], m[1][1])
-	case imag(m[0][0]) == 0 && imag(m[0][1]) == 0 && imag(m[1][0]) == 0 && imag(m[1][1]) == 0:
-		// All-real matrix (H, X, RY).
+	case classReal:
 		r00, r01, r10, r11 := real(m[0][0]), real(m[0][1]), real(m[1][0]), real(m[1][1])
 		if w > 1 {
 			shard.ForRange(w, half, func(_, lo, hi int) { s.realDense1Q(lo, hi, bit, lm, r00, r01, r10, r11) })
 			return
 		}
 		s.realDense1Q(0, half, bit, lm, r00, r01, r10, r11)
-	case imag(m[0][0]) == 0 && imag(m[1][1]) == 0 && real(m[0][1]) == 0 && real(m[1][0]) == 0:
-		// Real diagonal with imaginary off-diagonal (RX, Y).
-		r00, i01, i10, r11 := real(m[0][0]), imag(m[0][1]), imag(m[1][0]), real(m[1][1])
+	case classMixed:
+		mm := mixedOf(m)
 		if w > 1 {
-			shard.ForRange(w, half, func(_, lo, hi int) { s.mixedDense1Q(lo, hi, bit, lm, r00, i01, i10, r11) })
+			shard.ForRange(w, half, func(_, lo, hi int) { s.mixedDense1Q(lo, hi, bit, lm, mm) })
 			return
 		}
-		s.mixedDense1Q(0, half, bit, lm, r00, i01, i10, r11)
+		s.mixedDense1Q(0, half, bit, lm, mm)
 	default:
 		if w > 1 {
 			shard.ForRange(w, half, func(_, lo, hi int) {
@@ -525,13 +596,126 @@ func (s *State) ApplyGate(g Gate, params []float64) error {
 	return nil
 }
 
-// runGates applies every gate of a validated circuit. Validate has already
-// checked parameter arity and finiteness, so angle resolution cannot fail
-// and the per-gate error path is skipped entirely.
+// runGates runs every gate of a validated circuit from |0...0>, whatever
+// the state held before. Validate has already checked parameter arity and
+// finiteness, so angle resolution cannot fail and the per-gate error path is
+// skipped entirely. prepare consumes the leading H run (and a phase table
+// right after it); of the rest, two consecutive mixed-class gates (RX, Y) on
+// distinct qubits share one paired pass, and every other gate takes its own
+// kernel.
 func (s *State) runGates(c *Circuit, params []float64) {
-	for i := range c.gates {
-		g := &c.gates[i]
-		s.applyKind(g, g.resolveAngle(params))
+	gates := c.gates
+	for i := s.prepare(gates, params); i < len(gates); i++ {
+		g := &gates[i]
+		theta := g.resolveAngle(params)
+		if g.Kind.qubitCount() != 1 {
+			s.applyKind(g, theta)
+			continue
+		}
+		m := gateMatrix(g.Kind, theta)
+		if i+1 < len(gates) && classify(m) == classMixed {
+			h := &gates[i+1]
+			if h.Kind.qubitCount() == 1 && h.Qubits[0] != g.Qubits[0] {
+				if mh := gateMatrix(h.Kind, h.resolveAngle(params)); classify(mh) == classMixed {
+					s.applyMixedPair(g.Qubits[0], h.Qubits[0], mixedOf(m), mixedOf(mh))
+					i++
+					continue
+				}
+			}
+		}
+		s.apply1Q(g.Qubits[0], m)
+	}
+}
+
+// prepare writes the state that resetting to |0...0> and then applying the
+// circuit's leading run of H gates on distinct qubits would leave, in one
+// pass, and returns how many gates it consumed. The H kernel's arithmetic
+// from |0...0> gives every amplitude in the span of those qubits the same
+// value, v_k = inv*v_{k-1} + inv*0 with v_0 = 1, and leaves every other
+// amplitude zero. When a GateDiagonal follows the run, the same pass also
+// applies it, with the exact complex multiply of phaseLUTRange or
+// phaseDirectRange. A circuit that does not open with H just resets.
+func (s *State) prepare(gates []Gate, params []float64) int {
+	span, k := 0, 0
+	for ; k < len(gates) && gates[k].Kind == GateH; k++ {
+		bit := 1 << uint(gates[k].Qubits[0])
+		if span&bit != 0 {
+			break
+		}
+		span |= bit
+	}
+	if k == 0 {
+		s.Reset()
+		return 0
+	}
+	v := 1.0
+	for j := 0; j < k; j++ {
+		v *= 1 / math.Sqrt2
+	}
+	p := prepPass{span: span, v: complex(v, 0)}
+	if k < len(gates) && gates[k].Kind == GateDiagonal {
+		g := &gates[k]
+		p.theta = g.resolveAngle(params)
+		if idx, unique, ok := g.Diag.compressed(); ok {
+			p.idx, p.lut = idx, s.lutScratch(len(unique))
+			buildPhaseLUT(p.lut, p.theta, unique)
+		} else {
+			p.vals = g.Diag.Values()
+		}
+		k++
+	}
+	n := len(s.amp)
+	if w := s.kernelWorkers(n); w > 1 {
+		shard.ForRange(w, n, func(_, lo, hi int) { p.run(s.amp, lo, hi) })
+	} else {
+		p.run(s.amp, 0, n)
+	}
+	return k
+}
+
+// prepPass is one preparation write: v on the span of the folded H qubits
+// and zero elsewhere, times the folded phase table if there is one (idx/lut
+// when compressed, vals when direct).
+type prepPass struct {
+	span  int
+	v     complex128
+	theta float64
+	idx   []uint32
+	lut   []complex128
+	vals  []float64
+}
+
+// run writes amplitudes [lo, hi).
+func (p prepPass) run(amp []complex128, lo, hi int) {
+	span, v := p.span, p.v
+	switch {
+	case p.idx != nil:
+		idx, lut := p.idx, p.lut
+		for b := lo; b < hi; b++ {
+			a := v
+			if b&^span != 0 {
+				a = 0
+			}
+			amp[b] = a * lut[idx[b]]
+		}
+	case p.vals != nil:
+		theta, vals := p.theta, p.vals
+		for b := lo; b < hi; b++ {
+			a := v
+			if b&^span != 0 {
+				a = 0
+			}
+			sn, cs := math.Sincos(theta * vals[b])
+			amp[b] = a * complex(cs, -sn)
+		}
+	default:
+		for b := lo; b < hi; b++ {
+			if b&^span != 0 {
+				amp[b] = 0
+			} else {
+				amp[b] = v
+			}
+		}
 	}
 }
 
@@ -548,7 +732,11 @@ func Run(c *Circuit, params []float64) (*State, error) {
 // RunInto executes a circuit from |0...0> into dst, reusing its amplitude
 // buffer — the zero-allocation path batch evaluators re-run circuits
 // through. dst keeps its worker setting, so large states can shard their
-// gate kernels across goroutines.
+// gate kernels across goroutines. A depth-p QAOA circuit (H layer, p fused
+// phase tables, p RX layers) costs 1 pass for preparation plus the first
+// phase table, p-1 more phase passes and p*ceil(n/2) paired mixer passes;
+// with the caller's expectation pass that is 10 sweeps at n=16, p=1, where
+// one sweep per gate took 35.
 func RunInto(dst *State, c *Circuit, params []float64) error {
 	if dst.n != c.N() {
 		return fmt.Errorf("qsim: %d-qubit circuit into %d-qubit state", c.N(), dst.n)
@@ -556,7 +744,6 @@ func RunInto(dst *State, c *Circuit, params []float64) error {
 	if err := c.Validate(params); err != nil {
 		return err
 	}
-	dst.Reset()
 	dst.runGates(c, params)
 	return nil
 }
