@@ -1,10 +1,10 @@
 package oscar
 
 // bench_test.go regenerates every paper table and figure as a testing.B
-// benchmark (the timing is the cost of the full experiment), plus the
-// ablation benchmarks called out in DESIGN.md. Custom metrics (NRMSE,
-// speedup) are attached via b.ReportMetric so `go test -bench` output
-// records the reproduced numbers next to the runtimes.
+// benchmark (the timing is the cost of the full experiment), plus five
+// BenchmarkAblation* design ablations. Custom metrics (NRMSE, speedup) are
+// attached via b.ReportMetric so `go test -bench` output records the
+// reproduced numbers next to the runtimes.
 
 import (
 	"context"
@@ -227,7 +227,7 @@ func benchLandscape(b *testing.B, gridB, gridG int) (*landscape.Grid, *landscape
 }
 
 // BenchmarkAblationSolver compares the three sparse-recovery algorithms
-// (DESIGN.md ablation 1) at a fixed 8% sampling fraction, reporting each
+// (FISTA, ISTA, OMP) at a fixed 8% sampling fraction, reporting each
 // solver's NRMSE alongside its runtime.
 func BenchmarkAblationSolver(b *testing.B) {
 	grid, truth, eval := benchLandscape(b, 30, 60)
@@ -260,7 +260,7 @@ func BenchmarkAblationSolver(b *testing.B) {
 }
 
 // BenchmarkAblationDCT compares the O(N log N) FFT-based DCT against the
-// direct O(N^2) reference (DESIGN.md ablation 2).
+// direct O(N^2) reference.
 func BenchmarkAblationDCT(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	x := make([]float64, 1500)
@@ -284,7 +284,7 @@ func BenchmarkAblationDCT(b *testing.B) {
 
 // BenchmarkAblationReshape compares the paper's (b1*b2)x(g1*g2)
 // concatenation against the (b1*g1)x(b2*g2) axis pairing at the same sample
-// budget (DESIGN.md ablation 3). The result shows the pairing choice is a
+// budget. The result shows the pairing choice is a
 // first-order design decision: grouping axes that co-vary in the cost (here
 // each layer's own beta/gamma pair) is an order of magnitude more accurate
 // than the lexicographic layout, because it avoids the artificial repeating
@@ -370,7 +370,7 @@ func BenchmarkAblationReshape(b *testing.B) {
 }
 
 // BenchmarkAblationSampling compares uniform-random against stratified
-// parameter sampling (DESIGN.md ablation 4).
+// parameter sampling.
 func BenchmarkAblationSampling(b *testing.B) {
 	grid, truth, eval := benchLandscape(b, 30, 60)
 	for _, stratified := range []bool{false, true} {
@@ -396,8 +396,8 @@ func BenchmarkAblationSampling(b *testing.B) {
 }
 
 // BenchmarkAblationEngine compares the closed-form depth-1 QAOA engine
-// against full state-vector simulation for the same expectation
-// (DESIGN.md ablation 5) — identical answers, orders of magnitude apart.
+// against full state-vector simulation for the same expectation: identical
+// answers, orders of magnitude apart.
 func BenchmarkAblationEngine(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	p, err := problem.Random3RegularMaxCut(16, rng)
@@ -744,7 +744,7 @@ func BenchmarkReconstructMany(b *testing.B) {
 	b.Run("serial-loop", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, j := range jobs {
-				if _, err := cs.Reconstruct2D(j.Rows, j.Cols, j.Idx, j.Y, j.Opt); err != nil {
+				if _, err := cs.ReconstructND([]int{j.Rows, j.Cols}, j.Idx, j.Y, j.Opt); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -31,8 +31,7 @@ type Ansatz struct {
 //
 // Each cost layer is emitted as one adjacent run of RZZ gates bound to the
 // same gamma — exactly the shape Circuit.FuseDiagonals collapses into a
-// single phase-table gate. The simulator backends fuse automatically; use
-// QAOAFused to hand other consumers a pre-fused circuit.
+// single phase-table gate, which the simulator backends do automatically.
 func QAOA(g *graph.Graph, p int) (*Ansatz, error) {
 	if g == nil || g.N < 2 {
 		return nil, fmt.Errorf("ansatz: invalid graph")
@@ -58,22 +57,6 @@ func QAOA(g *graph.Graph, p int) (*Ansatz, error) {
 		Name:      fmt.Sprintf("qaoa-p%d", p),
 		Circuit:   c,
 		NumParams: 2 * p,
-	}, nil
-}
-
-// QAOAFused builds the depth-p QAOA circuit with its cost layers already
-// collapsed into phase-table gates: one O(2^n) diagonal pass per layer
-// instead of one RZZ kernel sweep per edge, with all p layers sharing one
-// interned table. The parameter layout is identical to QAOA.
-func QAOAFused(g *graph.Graph, p int) (*Ansatz, error) {
-	a, err := QAOA(g, p)
-	if err != nil {
-		return nil, err
-	}
-	return &Ansatz{
-		Name:      fmt.Sprintf("qaoa-fused-p%d", p),
-		Circuit:   a.Circuit.FuseDiagonals(),
-		NumParams: a.NumParams,
 	}, nil
 }
 

@@ -164,51 +164,3 @@ func TestUCCSDLiHStructure(t *testing.T) {
 		t.Fatalf("HF energy %g not LiH-scale", e)
 	}
 }
-
-func TestQAOAFusedMatchesQAOA(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	g, err := graph.Random3Regular(8, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []int{1, 2} {
-		plain, err := QAOA(g, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fused, err := QAOAFused(g, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fused.NumParams != plain.NumParams {
-			t.Fatalf("p=%d: fused NumParams %d, plain %d", p, fused.NumParams, plain.NumParams)
-		}
-		// Each cost layer (|E| two-qubit RZZ gates) becomes one table gate.
-		if got := fused.Circuit.TwoQubitCount(); got != 0 {
-			t.Fatalf("p=%d: fused TwoQubitCount %d, want 0", p, got)
-		}
-		wantGates := g.N + p*(1+g.N)
-		if got := len(fused.Circuit.Gates()); got != wantGates {
-			t.Fatalf("p=%d: fused gate count %d, want %d", p, got, wantGates)
-		}
-		params := make([]float64, 2*p)
-		for i := range params {
-			params[i] = (rng.Float64() - 0.5) * math.Pi
-		}
-		sp, err := qsim.Run(plain.Circuit, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sf, err := qsim.Run(fused.Circuit, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for b, want := range sp.Amplitudes() {
-			got := sf.Amplitudes()[b]
-			d := got - want
-			if math.Hypot(real(d), imag(d)) > 1e-12 {
-				t.Fatalf("p=%d: amp[%d] fused %v, plain %v", p, b, got, want)
-			}
-		}
-	}
-}

@@ -22,7 +22,7 @@ func sparseLandscape(rng *rand.Rand, rows, cols, k int) ([]float64, []float64) {
 		coeffs[r*cols+c] = 2*rng.Float64() + 1
 	}
 	x := make([]float64, n)
-	dct.NewPlan2D(rows, cols).Inverse(x, coeffs)
+	dct.NewPlanND([]int{rows, cols}).Inverse(x, coeffs)
 	return x, coeffs
 }
 
@@ -51,7 +51,7 @@ func TestReconstructExactSparse(t *testing.T) {
 	for j, i := range idx {
 		y[j] = x[i]
 	}
-	res, err := Reconstruct2D(rows, cols, idx, y, DefaultOptions())
+	res, err := ReconstructND([]int{rows, cols}, idx, y, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestReconstructMethods(t *testing.T) {
 		if m == OMP {
 			opt.OMPSparsity = 16
 		}
-		res, err := Reconstruct2D(rows, cols, idx, y, opt)
+		res, err := ReconstructND([]int{rows, cols}, idx, y, opt)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -99,7 +99,7 @@ func TestReconstructNoisy(t *testing.T) {
 	}
 	opt := DefaultOptions()
 	opt.LambdaRel = 0.02
-	res, err := Reconstruct2D(rows, cols, idx, y, opt)
+	res, err := ReconstructND([]int{rows, cols}, idx, y, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +121,11 @@ func TestReconstructDebias(t *testing.T) {
 	plain.Debias = false
 	deb := DefaultOptions()
 	deb.Debias = true
-	r1, err := Reconstruct2D(rows, cols, idx, y, plain)
+	r1, err := ReconstructND([]int{rows, cols}, idx, y, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Reconstruct2D(rows, cols, idx, y, deb)
+	r2, err := ReconstructND([]int{rows, cols}, idx, y, deb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestReconstructValidation(t *testing.T) {
 		{"duplicate", 4, 4, []int{3, 3}, []float64{1, 1}},
 	}
 	for _, tc := range cases {
-		if _, err := Reconstruct2D(tc.rows, tc.cols, tc.idx, tc.y, DefaultOptions()); err == nil {
+		if _, err := ReconstructND([]int{tc.rows, tc.cols}, tc.idx, tc.y, DefaultOptions()); err == nil {
 			t.Errorf("%s: want error, got nil", tc.name)
 		}
 	}
@@ -159,7 +159,7 @@ func TestReconstructValidation(t *testing.T) {
 func TestReconstructZeroSignal(t *testing.T) {
 	idx := []int{0, 5, 10, 15}
 	y := []float64{0, 0, 0, 0}
-	res, err := Reconstruct2D(4, 4, idx, y, DefaultOptions())
+	res, err := ReconstructND([]int{4, 4}, idx, y, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,14 +402,14 @@ func TestReconstructParallelBitIdentical(t *testing.T) {
 		}
 		serialOpt := base
 		serialOpt.Workers = 1
-		want, err := Reconstruct2D(rows, cols, idx, y, serialOpt)
+		want, err := ReconstructND([]int{rows, cols}, idx, y, serialOpt)
 		if err != nil {
 			t.Fatalf("%v serial: %v", m, err)
 		}
 		for _, workers := range []int{0, 2, 3, 8} {
 			opt := base
 			opt.Workers = workers
-			got, err := Reconstruct2D(rows, cols, idx, y, opt)
+			got, err := ReconstructND([]int{rows, cols}, idx, y, opt)
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", m, workers, err)
 			}
@@ -431,8 +431,8 @@ func TestReconstructParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestReconstruct1DParallelBitIdentical covers the degenerate 1xN shape,
-// where only the column pass and the vector kernels can shard.
+// TestReconstruct1DParallelBitIdentical covers a one-axis shape, where only
+// the single DCT pass and the vector kernels can shard.
 func TestReconstruct1DParallelBitIdentical(t *testing.T) {
 	n := 8192
 	x := make([]float64, n)
@@ -452,7 +452,7 @@ func TestReconstruct1DParallelBitIdentical(t *testing.T) {
 	serialOpt := DefaultOptions()
 	serialOpt.Workers = 1
 	serialOpt.MaxIter = 120
-	want, err := Reconstruct1D(n, idx, y, serialOpt)
+	want, err := ReconstructND([]int{n}, idx, y, serialOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +462,7 @@ func TestReconstruct1DParallelBitIdentical(t *testing.T) {
 	for _, workers := range []int{0, 3, 8} {
 		opt := serialOpt
 		opt.Workers = workers
-		got, err := Reconstruct1D(n, idx, y, opt)
+		got, err := ReconstructND([]int{n}, idx, y, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -488,7 +488,7 @@ func TestReconstructCanceledContext(t *testing.T) {
 	for _, m := range []Method{FISTA, OMP} {
 		opt := DefaultOptions()
 		opt.Method = m
-		if _, err := Reconstruct2DContext(ctx, rows, cols, idx, y, opt); !errors.Is(err, context.Canceled) {
+		if _, err := ReconstructNDContext(ctx, []int{rows, cols}, idx, y, opt); !errors.Is(err, context.Canceled) {
 			t.Errorf("%v: err = %v, want context.Canceled", m, err)
 		}
 	}
@@ -512,7 +512,7 @@ func TestReconstructManyMatchesIndividual(t *testing.T) {
 		jobs = append(jobs, Job{Rows: rows, Cols: cols, Idx: idx, Y: y, Opt: DefaultOptions()})
 		opt := DefaultOptions()
 		opt.Workers = 1 // ReconstructMany solves zero-Workers jobs serially
-		res, err := Reconstruct2D(rows, cols, idx, y, opt)
+		res, err := ReconstructND([]int{rows, cols}, idx, y, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -547,7 +547,7 @@ func TestReconstructManyZeroOptUsesDefaults(t *testing.T) {
 	}
 	opt := DefaultOptions()
 	opt.Workers = 1
-	want, err := Reconstruct2D(rows, cols, idx, y, opt)
+	want, err := ReconstructND([]int{rows, cols}, idx, y, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -660,7 +660,7 @@ func TestRecoveryImprovesWithSamples(t *testing.T) {
 		for j, i := range idx {
 			y[j] = x[i]
 		}
-		res, err := Reconstruct2D(rows, cols, idx, y, DefaultOptions())
+		res, err := ReconstructND([]int{rows, cols}, idx, y, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -691,7 +691,7 @@ func TestReconstruct1D(t *testing.T) {
 	for j, i := range idx {
 		y[j] = x[i]
 	}
-	res, err := Reconstruct1D(n, idx, y, DefaultOptions())
+	res, err := ReconstructND([]int{n}, idx, y, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -703,15 +703,16 @@ func TestReconstruct1D(t *testing.T) {
 	}
 }
 
-// TestReconstruct1DValidation: the 1-D entry point inherits 2-D validation.
+// TestReconstruct1DValidation: one-axis shapes get the same validation as
+// any other.
 func TestReconstruct1DValidation(t *testing.T) {
-	if _, err := Reconstruct1D(0, []int{0}, []float64{1}, DefaultOptions()); err == nil {
+	if _, err := ReconstructND([]int{0}, []int{0}, []float64{1}, DefaultOptions()); err == nil {
 		t.Error("want error for n=0")
 	}
-	if _, err := Reconstruct1D(10, []int{10}, []float64{1}, DefaultOptions()); err == nil {
+	if _, err := ReconstructND([]int{10}, []int{10}, []float64{1}, DefaultOptions()); err == nil {
 		t.Error("want error for out-of-range index")
 	}
-	if _, err := Reconstruct1D(10, []int{1, 1}, []float64{1, 1}, DefaultOptions()); err == nil {
+	if _, err := ReconstructND([]int{10}, []int{1, 1}, []float64{1, 1}, DefaultOptions()); err == nil {
 		t.Error("want error for duplicate index")
 	}
 }

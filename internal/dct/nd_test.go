@@ -6,9 +6,51 @@ import (
 	"testing"
 )
 
+// directDCT is the O(n^2) orthonormal DCT-II (forward) or DCT-III (inverse)
+// of in by direct summation, like ForwardDirect/InverseDirect but reading
+// every cosine from a 4n-entry table: cos(pi*(2i+1)k/(2n)) is
+// cos(pi*m/(2n)) for the exact integer m = (2i+1)k mod 4n, which keeps the
+// reference fast enough for 8192-point lines.
+func directDCT(out, in []float64, forward bool) {
+	n := len(in)
+	table := make([]float64, 4*n)
+	for m := range table {
+		table[m] = math.Cos(math.Pi * float64(m) / float64(2*n))
+	}
+	c := make([]float64, n)
+	for k := range c {
+		c[k] = math.Sqrt(2 / float64(n))
+	}
+	c[0] = math.Sqrt(1 / float64(n))
+	for o := range out {
+		// Forward sums samples i for coefficient k=o: m = (2i+1)o steps by
+		// 2o. Inverse sums coefficients k for sample i=o: m = (2o+1)k steps
+		// by 2o+1.
+		m, step := o, 2*o
+		if !forward {
+			m, step = 0, 2*o+1
+		}
+		var s float64
+		for j, v := range in {
+			if forward {
+				s += v * table[m]
+			} else {
+				s += c[j] * v * table[m]
+			}
+			if m += step; m >= 4*n {
+				m -= 4 * n
+			}
+		}
+		if forward {
+			s *= c[o]
+		}
+		out[o] = s
+	}
+}
+
 // applyAxisDirect transforms every line of x along axis k of dims with the
-// direct O(n^2) reference transform, using the same strided line enumeration
-// PlanND documents.
+// direct reference transform, using the same strided line enumeration PlanND
+// documents.
 func applyAxisDirect(x []float64, dims []int, k int, forward bool) {
 	n := dims[k]
 	stride := 1
@@ -18,17 +60,13 @@ func applyAxisDirect(x []float64, dims []int, k int, forward bool) {
 	size := len(x)
 	lines := size / n
 	buf := make([]float64, n)
+	out := make([]float64, n)
 	for l := 0; l < lines; l++ {
 		base := (l/stride)*stride*n + l%stride
 		for i := 0; i < n; i++ {
 			buf[i] = x[base+i*stride]
 		}
-		var out []float64
-		if forward {
-			out = ForwardDirect(buf)
-		} else {
-			out = InverseDirect(buf)
-		}
+		directDCT(out, buf, forward)
 		for i := 0; i < n; i++ {
 			x[base+i*stride] = out[i]
 		}
@@ -45,8 +83,8 @@ func ndDirect(src []float64, dims []int, forward bool) []float64 {
 	return out
 }
 
-// ndShapes enumerates 1- to 4-axis shapes over the {1, 8, 64} axis lengths
-// the issue calls out, trimmed to keep the direct reference fast.
+// ndShapes enumerates 1- to 4-axis shapes over the radix-2 axis lengths
+// {1, 8, 64}, trimmed to keep the direct reference fast.
 func ndShapes() [][]int {
 	return [][]int{
 		{1}, {8}, {64},
@@ -56,16 +94,28 @@ func ndShapes() [][]int {
 	}
 }
 
-// TestPlanNDMatchesSeparableDirect pins PlanND to the axis-by-axis direct
-// reference on 1- to 4-axis shapes, forward and inverse.
-func TestPlanNDMatchesSeparableDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, dims := range ndShapes() {
+// shapes2D are the 2-axis landscape grids: Table 1's 50x100 and the other
+// non-power-of-two shapes whose axis passes take the Bluestein path, plus
+// degenerate single-line grids above the serial floor.
+func shapes2D() [][]int {
+	return [][]int{{50, 100}, {70, 90}, {144, 225}, {1, 8192}, {4096, 1}}
+}
+
+func randND(rng *rand.Rand, dims []int) []float64 {
+	size := 1
+	for _, d := range dims {
+		size *= d
+	}
+	return randVec(rng, size)
+}
+
+// checkSeparableDirect pins PlanND to the axis-by-axis direct reference,
+// forward and inverse.
+func checkSeparableDirect(t *testing.T, rng *rand.Rand, shapes [][]int) {
+	t.Helper()
+	for _, dims := range shapes {
 		p := NewPlanND(dims)
-		src := make([]float64, p.Size())
-		for i := range src {
-			src[i] = rng.NormFloat64()
-		}
+		src := randND(rng, dims)
 		for _, forward := range []bool{true, false} {
 			got := make([]float64, len(src))
 			want := ndDirect(src, dims, forward)
@@ -75,7 +125,7 @@ func TestPlanNDMatchesSeparableDirect(t *testing.T) {
 				p.Inverse(got, src)
 			}
 			for i := range got {
-				if !approxEq(got[i], want[i], 1e-9*float64(len(src))) {
+				if !approxEq(got[i], want[i], 1e-9) {
 					t.Fatalf("dims %v forward=%v: [%d] = %g, want %g", dims, forward, i, got[i], want[i])
 				}
 			}
@@ -83,15 +133,12 @@ func TestPlanNDMatchesSeparableDirect(t *testing.T) {
 	}
 }
 
-// TestPlanNDRoundTrip: Inverse(Forward(x)) == x on every shape.
-func TestPlanNDRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for _, dims := range ndShapes() {
+// checkRoundTrip: Inverse(Forward(x)) == x.
+func checkRoundTrip(t *testing.T, rng *rand.Rand, shapes [][]int) {
+	t.Helper()
+	for _, dims := range shapes {
 		p := NewPlanND(dims)
-		x := make([]float64, p.Size())
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
+		x := randND(rng, dims)
 		fwd := make([]float64, len(x))
 		p.Forward(fwd, x)
 		back := make([]float64, len(x))
@@ -104,81 +151,173 @@ func TestPlanNDRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPlanNDMatchesPlan2D: the 2-axis PlanND and Plan2D are the same
-// transform bit for bit (Plan2D delegates, so this pins the wiring).
-func TestPlanNDMatchesPlan2D(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	rows, cols := 48, 96 // above the serial floor so workers engage
-	src := make([]float64, rows*cols)
-	for i := range src {
-		src[i] = rng.NormFloat64()
+// checkIsometry: the orthonormal ND DCT preserves the l2 norm, which the CS
+// solver relies on for its unit step size.
+func checkIsometry(t *testing.T, rng *rand.Rand, shapes [][]int) {
+	t.Helper()
+	for _, dims := range shapes {
+		p := NewPlanND(dims)
+		x := randND(rng, dims)
+		y := make([]float64, len(x))
+		p.Forward(y, x)
+		var nx, ny float64
+		for i := range x {
+			nx += x[i] * x[i]
+			ny += y[i] * y[i]
+		}
+		if math.Abs(nx-ny) > 1e-8*nx {
+			t.Fatalf("dims %v: norm changed: %g -> %g", dims, nx, ny)
+		}
 	}
-	for _, workers := range []int{1, 3} {
-		nd := NewPlanNDWorkers([]int{rows, cols}, workers)
-		p2 := NewPlan2DWorkers(rows, cols, workers)
-		a := make([]float64, len(src))
-		b := make([]float64, len(src))
-		nd.Forward(a, src)
-		p2.Forward(b, src)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("workers %d: forward [%d] %g != %g", workers, i, a[i], b[i])
+}
+
+// checkParallelBitIdentical is the sharded-solver contract: a parallel plan
+// produces bit-for-bit the serial plan's output for every worker count, both
+// directions, on grids above and below the serial fallback.
+func checkParallelBitIdentical(t *testing.T, rng *rand.Rand, shapes [][]int) {
+	t.Helper()
+	for _, dims := range shapes {
+		x := randND(rng, dims)
+		serial := NewPlanND(dims)
+		wantF := make([]float64, len(x))
+		serial.Forward(wantF, x)
+		wantI := make([]float64, len(x))
+		serial.Inverse(wantI, x)
+		for _, workers := range []int{0, 2, 3, 4, 5, 8} {
+			par := NewPlanNDWorkers(dims, workers)
+			gotF := make([]float64, len(x))
+			par.Forward(gotF, x)
+			gotI := make([]float64, len(x))
+			par.Inverse(gotI, x)
+			for i := range wantF {
+				if gotF[i] != wantF[i] {
+					t.Fatalf("dims %v workers=%d: Forward[%d] %x, serial %x", dims, workers, i,
+						math.Float64bits(gotF[i]), math.Float64bits(wantF[i]))
+				}
+				if gotI[i] != wantI[i] {
+					t.Fatalf("dims %v workers=%d: Inverse[%d] %x, serial %x", dims, workers, i,
+						math.Float64bits(gotI[i]), math.Float64bits(wantI[i]))
+				}
 			}
 		}
 	}
 }
 
-// TestPlanNDParallelBitIdentical: every worker count produces bit-identical
-// output on a 3-axis grid above the serial floor.
-func TestPlanNDParallelBitIdentical(t *testing.T) {
-	dims := []int{24, 16, 20}
-	rng := rand.New(rand.NewSource(44))
-	src := make([]float64, 24*16*20)
-	for i := range src {
-		src[i] = rng.NormFloat64()
-	}
-	ref := make([]float64, len(src))
-	NewPlanND(dims).Forward(ref, src)
-	refInv := make([]float64, len(src))
-	NewPlanND(dims).Inverse(refInv, src)
-	for _, workers := range []int{2, 3, 5, 8, 0} {
-		p := NewPlanNDWorkers(dims, workers)
-		got := make([]float64, len(src))
-		p.Forward(got, src)
-		for i := range got {
-			if got[i] != ref[i] {
-				t.Fatalf("workers %d: forward [%d] %x != %x", workers, i,
-					math.Float64bits(got[i]), math.Float64bits(ref[i]))
-			}
-		}
-		p.Inverse(got, src)
-		for i := range got {
-			if got[i] != refInv[i] {
-				t.Fatalf("workers %d: inverse [%d] differs", workers, i)
-			}
-		}
-	}
+func TestPlanNDMatchesSeparableDirect(t *testing.T) {
+	checkSeparableDirect(t, rand.New(rand.NewSource(41)), ndShapes())
 }
 
-// TestPlanNDIsometry: the orthonormal ND DCT preserves the l2 norm.
+func TestPlan2DMatchesSeparableDirect(t *testing.T) {
+	checkSeparableDirect(t, rand.New(rand.NewSource(8)), append([][]int{{6, 9}}, shapes2D()...))
+}
+
+func TestPlanNDRoundTrip(t *testing.T) {
+	checkRoundTrip(t, rand.New(rand.NewSource(42)), ndShapes())
+}
+
+func TestPlan2DRoundTrip(t *testing.T) {
+	checkRoundTrip(t, rand.New(rand.NewSource(7)), append([][]int{{1, 1}, {3, 5}, {12, 15}}, shapes2D()...))
+}
+
 func TestPlanNDIsometry(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	dims := []int{6, 10, 7}
-	p := NewPlanND(dims)
-	x := make([]float64, p.Size())
-	for i := range x {
-		x[i] = rng.NormFloat64()
+	checkIsometry(t, rand.New(rand.NewSource(45)), append([][]int{{6, 10, 7}}, ndShapes()...))
+}
+
+func TestPlan2DIsometry(t *testing.T) {
+	checkIsometry(t, rand.New(rand.NewSource(9)), append([][]int{{17, 23}}, shapes2D()...))
+}
+
+func TestPlanNDParallelBitIdentical(t *testing.T) {
+	checkParallelBitIdentical(t, rand.New(rand.NewSource(44)), [][]int{{24, 16, 20}, {64, 8, 8}, {8, 8, 8, 8}})
+}
+
+func TestPlan2DParallelBitIdentical(t *testing.T) {
+	checkParallelBitIdentical(t, rand.New(rand.NewSource(21)), append([][]int{{64, 64}, {3, 5}}, shapes2D()...))
+}
+
+// TestPlan2DDegenerateAxisMatches1D: a 1xN (or Nx1) plan must equal the 1-D
+// plan bitwise — the length-1 pass on the degenerate axis is the exact
+// identity and is skipped.
+func TestPlan2DDegenerateAxisMatches1D(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range []int{1, 7, 100, 5000} {
+		x := randVec(rng, n)
+		want := make([]float64, n)
+		NewPlan(n).Forward(want, x)
+		for _, dims := range [][]int{{1, n}, {n, 1}} {
+			p := NewPlanND(dims)
+			got := make([]float64, n)
+			p.Forward(got, x)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("dims %v: Forward[%d]=%v, 1-D plan %v", dims, i, got[i], want[i])
+				}
+			}
+			back := make([]float64, n)
+			p.Inverse(back, got)
+			for i := range back {
+				if !approxEq(back[i], x[i], 1e-9) {
+					t.Fatalf("dims %v: roundtrip[%d]=%g want %g", dims, i, back[i], x[i])
+				}
+			}
+		}
 	}
-	y := make([]float64, len(x))
-	p.Forward(y, x)
-	var nx, ny float64
-	for i := range x {
-		nx += x[i] * x[i]
-		ny += y[i] * y[i]
+}
+
+// TestPlan2DSerialFallback pins the small-grid rule: under 4096 points a
+// parallel plan degrades to one worker.
+func TestPlan2DSerialFallback(t *testing.T) {
+	cases := []struct {
+		dims    []int
+		workers int
+		want    int
+	}{
+		{[]int{10, 10}, 8, 1},
+		{[]int{63, 65}, 8, 1}, // 4095 points
+		{[]int{64, 64}, 8, 8},
+		{[]int{8, 8, 8, 8}, 8, 8},
 	}
-	if math.Abs(nx-ny) > 1e-8*nx {
-		t.Fatalf("norm changed: %g -> %g", nx, ny)
+	for _, c := range cases {
+		if w := NewPlanNDWorkers(c.dims, c.workers).Workers(); w != c.want {
+			t.Errorf("dims %v plan reports %d workers, want %d", c.dims, w, c.want)
+		}
 	}
+	// Worker count never exceeds the busiest pass's line count.
+	if w := NewPlanNDWorkers([]int{2, 4096}, 16384).Workers(); w > 4096 {
+		t.Errorf("2x4096 plan reports %d workers, want <= 4096", w)
+	}
+	if NewPlanNDWorkers([]int{64, 64}, 0).Workers() < 1 {
+		t.Error("workers=0 must resolve to at least one worker")
+	}
+}
+
+// TestPlan2DParallelReuse exercises a parallel plan repeatedly (the FISTA
+// loop's access pattern) to shake out scratch-buffer sharing bugs under the
+// race detector.
+func TestPlan2DParallelReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	p := NewPlanNDWorkers([]int{50, 100}, 4)
+	x := randVec(rng, 5000)
+	first := make([]float64, 5000)
+	p.Forward(first, x)
+	for trial := 0; trial < 10; trial++ {
+		got := make([]float64, 5000)
+		p.Forward(got, x)
+		for i := range got {
+			if got[i] != first[i] {
+				t.Fatalf("trial %d: Forward[%d] drifted: %v vs %v", trial, i, got[i], first[i])
+			}
+		}
+	}
+}
+
+func TestPlan2DPanicsOnBadShape(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for shape 0x5")
+		}
+	}()
+	NewPlanND([]int{0, 5})
 }
 
 // TestPlanNDValidation: bad shapes panic, mismatched lengths panic.

@@ -82,7 +82,7 @@ func fig4Sweep(t *Table, label string, instances int, fractions []float64, mkEva
 
 // p2Eval builds a depth-2 QAOA evaluator on the state-vector simulator,
 // optionally with the global depolarizing damping model (the substitution
-// for the paper's 45-55 GPU-hour noisy p=2 simulations; see DESIGN.md).
+// for the paper's 45-55 GPU-hour noisy p=2 density-matrix simulations).
 func p2Eval(p *problem.Problem, prof noise.Profile) (landscape.EvalFunc, error) {
 	a, err := ansatz.QAOA(p.Graph, 2)
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 )
 
 // hwSynth generates a "hardware" landscape standing in for the Google
-// Sycamore dataset (see the substitution table in DESIGN.md): the exact
+// Sycamore dataset, which this reproduction does not ship: the exact
 // analytic landscape, damped by device noise, overlaid with a smooth
 // spatially-correlated drift field (calibration drift across the grid scan)
 // and per-point shot noise — the three non-idealities that make hardware

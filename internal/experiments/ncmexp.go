@@ -138,7 +138,8 @@ func Fig8(cfg Config) (*Table, error) {
 
 // Table5 reproduces the paper's Table 5: reconstruction error for different
 // device pairs and mixing ratios, with and without NCM. The IBM devices are
-// substituted by perth-like and lagos-like simulator profiles (DESIGN.md).
+// substituted by perth-like and lagos-like simulator profiles
+// (noise.PerthLike, noise.LagosLike).
 func Table5(cfg Config) (*Table, error) {
 	n := 12
 	gridB, gridG := 40, 80

@@ -10,13 +10,6 @@ import (
 // 1 = serial) and returns the receiver for chaining. Results are
 // bit-identical for every worker count: points shard contiguously via
 // shard.ForRange and each output element depends only on its own input.
-func (b *Bicubic) SetWorkers(w int) *Bicubic {
-	b.workers = w
-	return b
-}
-
-// SetWorkers sets the worker budget for the batch methods (0 = GOMAXPROCS,
-// 1 = serial) and returns the receiver for chaining; see Bicubic.SetWorkers.
 func (s *NDSpline) SetWorkers(w int) *NDSpline {
 	s.workers = w
 	return s
@@ -51,43 +44,10 @@ func checkGradBatch(dst [][]float64, pts [][]float64, arity int) error {
 	return nil
 }
 
-// AtPoints evaluates the surface at every pts[i] = (x, y) into dst[i],
-// sharded across the worker budget. Each worker reuses one scratch for its
-// whole contiguous shard, so the hot path allocates nothing per point, and
-// results are bit-identical to calling At point by point — for any worker
-// count.
-func (b *Bicubic) AtPoints(dst []float64, pts [][]float64) error {
-	if err := checkBatch(len(dst), pts, 2); err != nil {
-		return err
-	}
-	shard.ForRange(b.workers, len(pts), func(_, lo, hi int) {
-		s := b.newScratch()
-		for i := lo; i < hi; i++ {
-			dst[i] = b.at(pts[i][0], pts[i][1], s)
-		}
-	})
-	return nil
-}
-
-// GradientAtPoints estimates the gradient at every pts[i] into dst[i] (each
-// a caller-allocated 2-vector), under the same sharding and determinism
-// contract as AtPoints.
-func (b *Bicubic) GradientAtPoints(dst [][]float64, pts [][]float64) error {
-	if err := checkGradBatch(dst, pts, 2); err != nil {
-		return err
-	}
-	shard.ForRange(b.workers, len(pts), func(_, lo, hi int) {
-		s := b.newScratch()
-		for i := lo; i < hi; i++ {
-			dst[i][0], dst[i][1] = b.grad(pts[i][0], pts[i][1], s)
-		}
-	})
-	return nil
-}
-
 // AtPoints evaluates the interpolant at every pts[i] into dst[i], sharded
-// across the worker budget with per-shard scratch reuse; see
-// Bicubic.AtPoints for the determinism and allocation contract.
+// across the worker budget. Each worker reuses one scratch for its whole
+// contiguous shard, so the hot path allocates nothing per point, and results
+// are bit-identical to calling At point by point — for any worker count.
 func (s *NDSpline) AtPoints(dst []float64, pts [][]float64) error {
 	if err := checkBatch(len(dst), pts, s.Arity()); err != nil {
 		return err

@@ -213,16 +213,16 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
-// TestFitChoosesByArity: Fit returns the Bicubic fast path for 2 axes and
-// NDSpline otherwise, both satisfying Interpolator.
+// TestFitChoosesByArity: Fit returns an NDSpline of the axis count's arity,
+// 2 axes included.
 func TestFitChoosesByArity(t *testing.T) {
 	xs := knots(0, 1, 4)
 	ip2, err := Fit([][]float64{xs, xs}, make([]float64, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ip2.(*Bicubic); !ok {
-		t.Fatalf("2-axis fit is %T, want *Bicubic", ip2)
+	if _, ok := ip2.(*NDSpline); !ok {
+		t.Fatalf("2-axis fit is %T, want *NDSpline", ip2)
 	}
 	ip3, err := Fit([][]float64{xs, xs, xs}, make([]float64, 64))
 	if err != nil {

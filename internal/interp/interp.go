@@ -163,94 +163,41 @@ func (s *Spline) At(x float64) float64 {
 }
 
 // Bicubic is a tensor-product natural cubic spline on a rectangular grid,
-// the "rectangular bivariate spline" of the paper's Section 7. Queries
-// outside the grid clamp to the hull coordinate-wise. The zero worker budget
-// means GOMAXPROCS for the batch methods; see SetWorkers.
+// the "rectangular bivariate spline" of the paper's Section 7. It is a
+// 2-axis NDSpline under an (x, y) signature: the batch and Interpolator
+// methods are NDSpline's own, and At, Gradient, and SetWorkers delegate to
+// it. Queries outside the grid clamp to the hull coordinate-wise.
 type Bicubic struct {
-	xs, ys  []float64 // row coordinates (len rows), column coordinates (len cols)
-	rows    []*Spline // one spline per grid row, along the column axis
-	cross   *tri      // factorized row-axis system, shared by every query
-	workers int
+	*NDSpline
 }
 
 // NewBicubic fits a bicubic interpolant to row-major data of shape
 // len(xs) x len(ys). xs are the row-axis coordinates and ys the column-axis
-// coordinates, both strictly increasing.
+// coordinates, both strictly increasing with at least 2 knots.
 func NewBicubic(xs, ys, data []float64) (*Bicubic, error) {
-	rows, cols := len(xs), len(ys)
-	if rows*cols != len(data) {
-		return nil, fmt.Errorf("interp: %d values for %dx%d grid", len(data), rows, cols)
+	nd, err := NewNDSpline([][]float64{xs, ys}, data)
+	if err != nil {
+		return nil, err
 	}
-	if rows < 2 || cols < 2 {
-		return nil, fmt.Errorf("interp: grid must be at least 2x2, got %dx%d", rows, cols)
-	}
-	b := &Bicubic{
-		xs:   append([]float64(nil), xs...),
-		ys:   append([]float64(nil), ys...),
-		rows: make([]*Spline, rows),
-	}
-	for r := 0; r < rows; r++ {
-		sp, err := NewSpline(ys, data[r*cols:(r+1)*cols])
-		if err != nil {
-			return nil, err
-		}
-		b.rows[r] = sp
-	}
-	for i := 1; i < rows; i++ {
-		if !(xs[i] > xs[i-1]) {
-			return nil, fmt.Errorf("interp: xs not strictly increasing at %d", i)
-		}
-	}
-	b.cross = newTri(b.xs)
-	return b, nil
-}
-
-// bicubicScratch is the per-worker evaluation state of a Bicubic: the
-// column-collapse vector plus the cross-spline fit buffers. One scratch
-// serves any number of sequential queries with zero allocations.
-type bicubicScratch struct {
-	col, m, d []float64
-}
-
-func (b *Bicubic) newScratch() *bicubicScratch {
-	n := len(b.rows)
-	return &bicubicScratch{
-		col: make([]float64, n),
-		m:   make([]float64, n),
-		d:   make([]float64, n),
-	}
-}
-
-// at evaluates the surface at (x, y) using s for scratch: spline along
-// columns within each row, then the prefactorized cross spline across rows.
-func (b *Bicubic) at(x, y float64, s *bicubicScratch) float64 {
-	for r, sp := range b.rows {
-		s.col[r] = sp.At(y)
-	}
-	b.cross.fit(s.col, s.m, s.d)
-	return evalClamped(b.xs, s.col, s.m, x)
+	return &Bicubic{nd}, nil
 }
 
 // At evaluates the surface at (x, y), clamping out-of-domain coordinates to
 // the grid hull.
 func (b *Bicubic) At(x, y float64) float64 {
-	return b.at(x, y, b.newScratch())
-}
-
-// grad estimates the gradient at (x, y) by central differences with steps
-// proportional to the grid spacing, reusing s for every probe. Because
-// evaluation clamps to the hull, the estimate degrades gracefully to a
-// one-sided difference at the boundary (and to zero outside it).
-func (b *Bicubic) grad(x, y float64, s *bicubicScratch) (dx, dy float64) {
-	hx := (b.xs[len(b.xs)-1] - b.xs[0]) / float64(len(b.xs)-1) / 10
-	hy := (b.ys[len(b.ys)-1] - b.ys[0]) / float64(len(b.ys)-1) / 10
-	dx = (b.at(x+hx, y, s) - b.at(x-hx, y, s)) / (2 * hx)
-	dy = (b.at(x, y+hy, s) - b.at(x, y-hy, s)) / (2 * hy)
-	return dx, dy
+	return b.NDSpline.At([]float64{x, y})
 }
 
 // Gradient estimates the surface gradient at (x, y) by central differences
-// with steps proportional to the grid spacing.
+// with steps proportional to the grid spacing; see NDSpline.Gradient.
 func (b *Bicubic) Gradient(x, y float64) (dx, dy float64) {
-	return b.grad(x, y, b.newScratch())
+	g := b.NDSpline.Gradient([]float64{x, y})
+	return g[0], g[1]
+}
+
+// SetWorkers sets the worker budget for the batch methods and returns the
+// receiver for chaining; see NDSpline.SetWorkers.
+func (b *Bicubic) SetWorkers(w int) *Bicubic {
+	b.NDSpline.SetWorkers(w)
+	return b
 }

@@ -3,15 +3,12 @@ package interp
 import "fmt"
 
 // NDSpline is a tensor-product natural cubic spline on an N-dimensional
-// rectangular grid — the ND generalization of Bicubic. Evaluation collapses
-// one axis at a time from the last to the first: prefitted splines along the
-// last axis reduce the data to an (N-1)-dimensional slab, and each remaining
-// axis is collapsed with a cross spline fitted through that axis's
-// prefactorized tridiagonal system, exactly the "column splines, then a row
-// spline" scheme Bicubic uses. On a 2-axis grid every operation matches
-// Bicubic step for step, so the two agree bit-for-bit; Bicubic remains the
-// 2-D fast path with its (x, y) signature. Queries outside the grid clamp to
-// the hull coordinate-wise.
+// rectangular grid. Evaluation collapses one axis at a time from the last to
+// the first: prefitted splines along the last axis reduce the data to an
+// (N-1)-dimensional slab, and each remaining axis is collapsed with a cross
+// spline fitted through that axis's prefactorized tridiagonal system — on 2
+// axes, the paper's "column splines, then a row spline" bicubic scheme.
+// Queries outside the grid clamp to the hull coordinate-wise.
 type NDSpline struct {
 	axes    [][]float64
 	last    []*Spline // one prefit spline per line along the last axis
@@ -30,6 +27,9 @@ func NewNDSpline(axes [][]float64, data []float64) (*NDSpline, error) {
 	}
 	size := 1
 	for _, ax := range axes {
+		if len(ax) < 2 {
+			return nil, fmt.Errorf("interp: need >= 2 knots, got %d", len(ax))
+		}
 		size *= len(ax)
 	}
 	if size != len(data) {
@@ -53,9 +53,6 @@ func NewNDSpline(axes [][]float64, data []float64) (*NDSpline, error) {
 	s.cross = make([]*tri, len(axes)-1)
 	for k := 0; k < len(axes)-1; k++ {
 		ax := s.axes[k]
-		if len(ax) < 2 {
-			return nil, fmt.Errorf("interp: need >= 2 knots, got %d", len(ax))
-		}
 		for i := 1; i < len(ax); i++ {
 			if !(ax[i] > ax[i-1]) {
 				return nil, fmt.Errorf("interp: xs not strictly increasing at %d", i)
@@ -92,8 +89,9 @@ func (s *NDSpline) newScratch() *ndScratch {
 func (s *NDSpline) at(p []float64, sc *ndScratch) float64 {
 	k := len(s.axes)
 	cur := sc.cur[:len(s.last)]
+	x := p[k-1]
 	for l, sp := range s.last {
-		cur[l] = sp.At(p[k-1])
+		cur[l] = sp.At(x)
 	}
 	for ax := k - 2; ax >= 0; ax-- {
 		d := len(s.axes[ax])
@@ -129,11 +127,10 @@ func (s *NDSpline) grad(p, g []float64, sc *ndScratch) {
 	}
 }
 
-// Gradient estimates the gradient at p by central differences with steps
-// proportional to each axis's grid spacing — the same step rule as
-// Bicubic.Gradient, so the two agree exactly on 2-axis grids. Near the hull
-// boundary the clamped probes degrade the estimate to a one-sided
-// difference; outside the hull it is zero along the clamped axes.
+// Gradient estimates the gradient at p by central differences with steps of
+// one tenth of each axis's mean knot spacing. Near the hull boundary the
+// clamped probes degrade the estimate to a one-sided difference; outside the
+// hull it is zero along the clamped axes.
 func (s *NDSpline) Gradient(p []float64) []float64 {
 	g := make([]float64, len(s.axes))
 	s.grad(p, g, s.newScratch())
@@ -147,23 +144,9 @@ func (s *NDSpline) AtPoint(p []float64) float64 { return s.At(p) }
 // GradientAt is Gradient under the Interpolator interface name.
 func (s *NDSpline) GradientAt(p []float64) []float64 { return s.Gradient(p) }
 
-// Arity reports the number of parameter axes (always 2), making Bicubic
-// satisfy the Interpolator interface alongside NDSpline.
-func (b *Bicubic) Arity() int { return 2 }
-
-// AtPoint evaluates the surface at p = (x, y).
-func (b *Bicubic) AtPoint(p []float64) float64 { return b.At(p[0], p[1]) }
-
-// GradientAt estimates the gradient at p = (x, y).
-func (b *Bicubic) GradientAt(p []float64) []float64 {
-	dx, dy := b.Gradient(p[0], p[1])
-	return []float64{dx, dy}
-}
-
 // Interpolator is a continuously queryable surrogate of a fitted landscape,
-// independent of its dimensionality. Bicubic (2-D fast path) and NDSpline
-// (any arity) both satisfy it; Fit picks between them by axis count.
-// Out-of-domain queries clamp to the grid hull on every method.
+// independent of its dimensionality. NDSpline (and Bicubic, which embeds it)
+// satisfies it. Out-of-domain queries clamp to the grid hull on every method.
 type Interpolator interface {
 	// Arity reports the number of parameter axes.
 	Arity() int
@@ -184,13 +167,13 @@ type Interpolator interface {
 	GradientAtPoints(dst [][]float64, pts [][]float64) error
 }
 
-// Fit fits the canonical surrogate for an axis count: the paper's
-// rectangular bivariate spline (Bicubic) for 2 axes — the historical fast
-// path — and the tensor-product NDSpline for any other arity. data is
-// row-major with the last axis fastest, matching landscape.Grid's layout.
+// Fit fits the tensor-product NDSpline surrogate for any axis count — on 2
+// axes, the paper's rectangular bivariate spline. data is row-major with the
+// last axis fastest, matching landscape.Grid's layout.
 func Fit(axes [][]float64, data []float64) (Interpolator, error) {
-	if len(axes) == 2 {
-		return NewBicubic(axes[0], axes[1], data)
+	s, err := NewNDSpline(axes, data)
+	if err != nil {
+		return nil, err
 	}
-	return NewNDSpline(axes, data)
+	return s, nil
 }

@@ -38,51 +38,6 @@ func TestNDSplineMatchesSpline1D(t *testing.T) {
 	}
 }
 
-// TestNDSplineMatchesBicubic2D: on a 2-axis grid NDSpline and Bicubic are
-// the same operation sequence, so values and gradients agree bit for bit.
-func TestNDSplineMatchesBicubic2D(t *testing.T) {
-	rng := rand.New(rand.NewSource(52))
-	xs := knots(0, 3, 11)
-	ys := knots(-2, 2, 14)
-	data := make([]float64, len(xs)*len(ys))
-	for i := range data {
-		data[i] = rng.NormFloat64()
-	}
-	bi, err := NewBicubic(xs, ys, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nd, err := NewNDSpline([][]float64{xs, ys}, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nd.Arity() != 2 || bi.Arity() != 2 {
-		t.Fatalf("arity %d/%d, want 2/2", nd.Arity(), bi.Arity())
-	}
-	rq := rand.New(rand.NewSource(53))
-	for trial := 0; trial < 200; trial++ {
-		x := -0.5 + 4*rq.Float64()
-		y := -2.5 + 5*rq.Float64()
-		a, b := bi.At(x, y), nd.At([]float64{x, y})
-		if math.Float64bits(a) != math.Float64bits(b) {
-			t.Fatalf("at (%g, %g): bicubic %g != ndspline %g", x, y, a, b)
-		}
-		gx, gy := bi.Gradient(x, y)
-		g := nd.Gradient([]float64{x, y})
-		if math.Float64bits(gx) != math.Float64bits(g[0]) || math.Float64bits(gy) != math.Float64bits(g[1]) {
-			t.Fatalf("gradient at (%g, %g): (%g,%g) != %v", x, y, gx, gy, g)
-		}
-		// The Interpolator-shaped adapters agree too.
-		if bi.AtPoint([]float64{x, y}) != a || nd.AtPoint([]float64{x, y}) != a {
-			t.Fatal("AtPoint adapter disagrees with At")
-		}
-		bg := bi.GradientAt([]float64{x, y})
-		if bg[0] != gx || bg[1] != gy {
-			t.Fatal("GradientAt adapter disagrees with Gradient")
-		}
-	}
-}
-
 // TestNDSplineReproducesKnots3D: the interpolant passes through every knot
 // of a 3-axis grid and recovers a smooth separable function between knots.
 func TestNDSplineReproducesKnots3D(t *testing.T) {
@@ -151,6 +106,7 @@ func TestNDSplineValidation(t *testing.T) {
 		{"one knot", [][]float64{{0}}, 1},
 		{"non-increasing", [][]float64{{0, 1, 1, 2}}, 4},
 		{"bad inner axis", [][]float64{{0, 0}, good}, 8},
+		{"empty last axis", [][]float64{good, {}}, 0},
 	}
 	for _, c := range cases {
 		if _, err := NewNDSpline(c.axes, make([]float64, c.n)); err == nil {

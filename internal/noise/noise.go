@@ -40,8 +40,8 @@ func QPU1() Profile { return Profile{Name: "qpu1", P1: 0.001, P2: 0.005} }
 // QPU2 is the second simulated device of Section 5.1: 1q 0.3%, 2q 0.7%.
 func QPU2() Profile { return Profile{Name: "qpu2", P1: 0.003, P2: 0.007} }
 
-// PerthLike is a device profile standing in for IBM Perth (see the
-// substitution table in DESIGN.md): comparatively high two-qubit and readout
+// PerthLike is a device profile standing in for the IBM Perth hardware of
+// the paper's NCM experiments: comparatively high two-qubit and readout
 // error.
 func PerthLike() Profile {
 	return Profile{Name: "perth-like", P1: 0.0023, P2: 0.0121, Readout01: 0.02, Readout10: 0.035}

@@ -123,11 +123,11 @@ func H2() *Problem {
 
 // LiH returns a 4-qubit lithium-hydride-like Hamiltonian.
 //
-// Substitution note (see DESIGN.md): the paper used a chemistry package to
-// produce the frozen-core 4-qubit LiH Hamiltonian. We build a documented
-// Pauli-sum with the same structure — a dominant identity offset, single-Z
-// terms with LiH-scale coefficients, ZZ couplings, and weak XX/YY/XZ exchange
-// terms — which yields the same kind of smooth, DCT-sparse landscape that
+// Substitution note: the paper used a chemistry package to produce the
+// frozen-core 4-qubit LiH Hamiltonian. We build a documented Pauli-sum with
+// the same structure — a dominant identity offset, single-Z terms with
+// LiH-scale coefficients, ZZ couplings, and weak XX/YY/XZ exchange terms —
+// which yields the same kind of smooth, DCT-sparse landscape that
 // Tables 3 and 4 measure.
 func LiH() *Problem {
 	h := pauli.NewHamiltonian(4)

@@ -217,17 +217,11 @@ func fitArtifact(a *landscape.Artifact, workers int) (interp.Interpolator, error
 	for i, ax := range l.Grid.Axes {
 		axes[i] = ax.Values()
 	}
-	ip, err := interp.Fit(axes, l.Data)
+	s, err := interp.NewNDSpline(axes, l.Data)
 	if err != nil {
 		return nil, err
 	}
-	switch t := ip.(type) {
-	case *interp.Bicubic:
-		t.SetWorkers(workers)
-	case *interp.NDSpline:
-		t.SetWorkers(workers)
-	}
-	return ip, nil
+	return s.SetWorkers(workers), nil
 }
 
 // artifactJSON is the wire metadata of a stored artifact.

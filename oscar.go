@@ -77,24 +77,23 @@ type (
 	// NCModel is a fitted noise-compensation model.
 	NCModel = ncm.Model
 	// Bicubic is an interpolated 2-D landscape surface, the paper's
-	// rectangular bivariate spline. It satisfies Interpolator (Arity 2)
-	// and remains the fast path Interpolate picks for 2-axis landscapes.
+	// rectangular bivariate spline: a 2-axis NDSpline with (x, y) At and
+	// Gradient methods. It satisfies Interpolator (Arity 2).
 	Bicubic = interp.Bicubic
 	// NDSpline is an interpolated N-dimensional landscape surface — the
-	// tensor-product cubic spline Interpolate fits when a landscape has
-	// more (or fewer) than 2 axes, e.g. the 2p axes of depth-p QAOA. On
-	// 2-axis grids it agrees with Bicubic bit for bit.
+	// tensor-product cubic spline Interpolate fits for any axis count, from
+	// the paper's 2-axis grids to the 2p axes of depth-p QAOA.
 	NDSpline = interp.NDSpline
 )
 
 // Interpolator is a continuously queryable surrogate of a reconstructed
-// landscape, independent of its dimensionality. Bicubic (2-D fast path) and
-// NDSpline (any arity) both satisfy it; Interpolate picks between them by
-// the landscape's axis count. Beyond pointwise AtPoint/GradientAt it carries
-// the allocation-free batch read path — AtPoints/GradientAtPoints evaluate
-// whole batches sharded across workers, bit-identically to pointwise calls
-// for every worker count. Out-of-domain queries clamp to the grid hull on
-// every method: the surrogate never extrapolates beyond the fitted data.
+// landscape, independent of its dimensionality. NDSpline (any arity) and
+// Bicubic (2 axes) both satisfy it. Beyond pointwise AtPoint/GradientAt it
+// carries the allocation-free batch read path — AtPoints/GradientAtPoints
+// evaluate whole batches sharded across workers, bit-identically to
+// pointwise calls for every worker count. Out-of-domain queries clamp to the
+// grid hull on every method: the surrogate never extrapolates beyond the
+// fitted data.
 type Interpolator = interp.Interpolator
 
 // Landscape artifacts: the self-describing persisted form of a landscape —
@@ -368,10 +367,10 @@ func DepolarizingNoise(name string, p1, p2 float64) NoiseProfile {
 // Interpolation and optimization on reconstructed landscapes.
 
 // Interpolate fits a continuously queryable spline surrogate to a
-// reconstructed landscape of any dimensionality. A 2-axis landscape gets the
-// paper's rectangular bivariate spline (Bicubic — bit-identical to the
-// historical 2-D-only Interpolate); any other axis count gets the
-// tensor-product NDSpline, so p>1 QAOA landscapes interpolate the same way.
+// reconstructed landscape of any dimensionality: the tensor-product
+// NDSpline, which on a 2-axis landscape is the paper's rectangular bivariate
+// spline (bit-identical to the historical 2-D-only Interpolate) and
+// interpolates p>1 QAOA landscapes the same way.
 func Interpolate(l *Landscape) (Interpolator, error) {
 	axes := make([][]float64, len(l.Grid.Axes))
 	for i, a := range l.Grid.Axes {
@@ -418,7 +417,7 @@ type SurrogateResult struct {
 	// Stats carries the reconstruction's cost and solver diagnostics.
 	Stats *Stats
 	// Surrogate is the continuously queryable interpolant the descent ran
-	// on (Bicubic for 2 axes, NDSpline otherwise).
+	// on (an NDSpline of the grid's arity).
 	Surrogate Interpolator
 	// Optimum is the descent's outcome; Optimum.X is the refined
 	// parameter vector.
@@ -431,7 +430,7 @@ type SurrogateResult struct {
 // quantum evaluations — to refine the optimum to continuous parameters. The
 // grid's dimensionality is unrestricted: a QAOAGridP(p, ...) grid runs the
 // whole pipeline at depth p through ND reconstruction and NDSpline
-// interpolation, while classic 2-axis grids keep the Bicubic fast path.
+// interpolation, exactly as on a classic 2-axis grid.
 func OptimizeOnSurrogate(ctx context.Context, g *Grid, be BatchEvaluator, opt SurrogateOptions) (*SurrogateResult, error) {
 	l, stats, err := core.ReconstructBatch(ctx, g, be, opt.Recon)
 	if err != nil {

@@ -174,9 +174,9 @@ func TestPublicWorkflow(t *testing.T) {
 	if _, err := obj([]float64{1}); err == nil {
 		t.Fatal("want arity error from interpolated objective")
 	}
-	// The 2-axis fast path still hands back the paper's bivariate spline.
-	if _, ok := surf.(*Bicubic); !ok {
-		t.Fatalf("2-axis Interpolate returned %T, want *Bicubic", surf)
+	// A 2-axis landscape is fitted by the same NDSpline as any other.
+	if _, ok := surf.(*NDSpline); !ok {
+		t.Fatalf("2-axis Interpolate returned %T, want *NDSpline", surf)
 	}
 }
 
