@@ -1,8 +1,12 @@
 package cs
 
 import (
+	"compress/gzip"
+	"encoding/binary"
+	"io"
 	"math"
 	"math/rand"
+	"os"
 	"sort"
 	"testing"
 
@@ -27,18 +31,22 @@ func hashFloats(xs []float64) uint64 {
 	return h
 }
 
-// Golden outputs of the seed (pre-ND) 2-D and 1-D solvers, captured before
-// reconstruction went N-dimensional. ReconstructND on [rows, cols] and [n]
-// must reproduce them bit for bit.
+// Golden outputs of the 2-D and 1-D solvers. ReconstructND on [rows, cols]
+// and [n] must reproduce them bit for bit.
 //
-// 2-D fixture: the Table-1 50x100 grid, 8 modes, seed 17, 20% sampling.
-// 1-D fixture: a 5000-point line cut, 6 modes, seed 19, 10% sampling.
+// 2-D fixture: the Table-1 50x100 grid, 8 modes, seed 17, 20% sampling. Its
+// hashes were re-captured when both axes moved to the dense cosine-matrix
+// DCT; golden2DFFTFile holds the X and Coeffs of the mirrored-FFT transform
+// it replaced, which the solve must stay within 1e-9 of.
+// 1-D fixture: a 5000-point line cut, 6 modes, seed 19, 10% sampling,
+// captured from the seed (pre-ND) solver; its axis is still on the FFT path.
 const (
 	golden2DIters     = 76
 	golden2DSparsity  = 8
-	golden2DResidBits = 0x3e72c9b49ee3ba0f
-	golden2DXHash     = 0x61c34d81172abe1b
-	golden2DCoeffHash = 0xf52f66aacf3dad2a
+	golden2DResidBits = 0x3e72c9b49e9ce127
+	golden2DXHash     = 0xf6101cfda4dba51b
+	golden2DCoeffHash = 0x1bf2760126c7d50d
+	golden2DFFTFile   = "testdata/golden2d_fft.f64.gz"
 
 	golden1DIters     = 173
 	golden1DSparsity  = 6
@@ -75,6 +83,39 @@ func TestReconstruct2DGolden(t *testing.T) {
 	if h := hashFloats(res.Coeffs); h != golden2DCoeffHash {
 		t.Errorf("coeff hash %#016x, want %#016x", h, uint64(golden2DCoeffHash))
 	}
+	// The fixture is X followed by Coeffs.
+	want := readFloats(t, golden2DFFTFile, 2*rows*cols)
+	for i, v := range append(append([]float64(nil), res.X...), res.Coeffs...) {
+		if math.Abs(v-want[i]) > 1e-9 {
+			t.Fatalf("X|Coeffs[%d] = %g, FFT-path solve %g", i, v, want[i])
+		}
+	}
+}
+
+// readFloats reads n little-endian float64s from a gzipped fixture.
+func readFloats(t *testing.T, path string, n int) []float64 {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) != 8*n {
+		t.Fatalf("%s: %d bytes, want %d", path, len(raw), 8*n)
+	}
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	}
+	return out
 }
 
 // TestReconstruct1DGolden pins a one-axis ReconstructND to the seed 1-D

@@ -1,11 +1,13 @@
 // Package dct provides fast Fourier and discrete cosine transforms used as
 // the sparsifying basis for compressed-sensing landscape reconstruction.
 //
-// The package implements an iterative radix-2 Cooley-Tukey FFT for
-// power-of-two lengths and Bluestein's chirp-z algorithm for arbitrary
-// lengths, and builds orthonormal DCT-II/DCT-III transforms (1-D and N-D) on
-// top of them. All transforms allocate their twiddle tables once per size via
-// plans so the compressed-sensing solver can call them in a tight loop.
+// Orthonormal DCT-II/DCT-III transforms (1-D and N-D) take one of two paths
+// per axis length. Short axes apply the precomputed n×n cosine matrix
+// directly. Long axes mirror each line into a 2n-point complex FFT: an
+// iterative radix-2 Cooley-Tukey FFT for power-of-two sizes and Bluestein's
+// chirp-z algorithm otherwise. The two paths agree to rounding, not bit for
+// bit. All transforms allocate their tables once per size via plans so the
+// compressed-sensing solver can call them in a tight loop.
 package dct
 
 import (
@@ -57,9 +59,8 @@ func newFFTPlan(n int) *fftPlan {
 
 	p.chirp = make([]complex128, n)
 	for k := 0; k < n; k++ {
-		// k*k can overflow for huge n; sizes here are grid dimensions
-		// (<= a few thousand), so this is safe. Reduce mod 2n for
-		// numerical stability anyway.
+		// Reduce k*k mod 2n in int64 (exact for any n below 2^31) so the
+		// chirp phase stays small and accurate.
 		kk := (int64(k) * int64(k)) % int64(2*n)
 		theta := math.Pi * float64(kk) / float64(n)
 		p.chirp[k] = cmplx.Exp(complex(0, theta))

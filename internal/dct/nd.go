@@ -14,24 +14,51 @@ import (
 // sparsifying transform of the compressed-sensing solver: a landscape X is
 // represented as X = IDCT(S) with S sparse.
 //
-// A plan built with NewPlanNDWorkers shards each axis pass's independent
-// lines across a worker pool. Each worker transforms whole lines with its own
-// clone of the axis's 1-D plan, and no pass does any cross-line reduction, so
-// output is bit-identical to the serial plan for every worker count.
+// Each axis takes the path NewPlan chooses for its length. On the dense path
+// (short axes) a contiguous axis is one matrix-vector product per line, and a
+// strided axis applies the cosine matrix to a block of columns at once, as
+// axpys over contiguous rows with no gather/scatter. On the FFT path (long
+// axes) each line of a strided axis is gathered into a buffer first.
+//
+// A plan built with NewPlanNDWorkers shards each axis pass across a worker
+// pool: whole lines on the FFT path and on a contiguous axis, (outer block,
+// column range) units on a dense strided axis. Every output element is
+// computed by one worker in a fixed order, and no pass does any cross-unit
+// reduction, so output is bit-identical to the serial plan for every worker
+// count.
 type PlanND struct {
 	dims    []int
 	size    int
 	workers int
-	// axisPlans[k] holds one length-dims[k] 1-D plan per worker slot; nil
-	// for degenerate (length-1) axes, whose pass is the exact identity and
-	// is skipped.
-	axisPlans [][]*Plan
-	// axisBufs/axisOuts are per-slot gather/transform scratch for strided
-	// (non-last) axes; the last axis transforms its contiguous lines in
-	// place and needs none.
-	axisBufs [][][]float64
-	axisOuts [][][]float64
+	axes    []ndAxis
 }
+
+// ndAxis is one axis pass: its length, the distance between consecutive
+// elements of one of its lines, and per-worker-slot state. Degenerate
+// (length-1) axes are the exact identity and keep no state.
+type ndAxis struct {
+	n, stride int
+	// plans holds one length-n 1-D plan per worker slot; the clones share
+	// the read-only cosine matrices or FFT tables.
+	plans []*Plan
+	// scratch is per-slot scratch for strided axes: n*min(stride, denseCols)
+	// floats of column block on the dense path, a 2n-float gather/transform
+	// line pair on the FFT path. A contiguous axis transforms in place and
+	// needs none.
+	scratch [][]float64
+}
+
+// units is the number of independent work items in the axis pass.
+func (a *ndAxis) units(size int) int {
+	if a.stride == 1 || a.plans[0].mat == nil {
+		return size / a.n // whole lines
+	}
+	return size / (a.n * a.stride) * a.chunks()
+}
+
+// chunks is the number of column ranges a dense strided pass splits each
+// outer block into.
+func (a *ndAxis) chunks() int { return (a.stride + denseCols - 1) / denseCols }
 
 // serialMinSize is the grid size below which parallel plans fall back to a
 // single worker: per-transform work is so small there that goroutine fan-out
@@ -47,19 +74,21 @@ func NewPlanND(dims []int) *PlanND { return NewPlanNDWorkers(dims, 1) }
 // than 4096 points) fall back to a serial plan regardless of workers; the
 // result is bit-identical to NewPlanND's in every case.
 func NewPlanNDWorkers(dims []int, workers int) *PlanND {
+	return newPlanND(dims, workers, useDense)
+}
+
+// newPlanND builds the plan with dense(n) choosing each axis's path; only
+// tests and benchmarks pass anything but useDense.
+func newPlanND(dims []int, workers int, dense func(n int) bool) *PlanND {
 	if len(dims) == 0 {
 		panic("dct: empty ND DCT shape")
 	}
 	size := 1
-	maxDim := 0
 	for _, d := range dims {
 		if d <= 0 {
 			panic(fmt.Sprintf("dct: invalid ND DCT shape %v", dims))
 		}
 		size *= d
-		if d > maxDim {
-			maxDim = d
-		}
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -74,37 +103,35 @@ func NewPlanNDWorkers(dims []int, workers int) *PlanND {
 		workers = m
 	}
 	p := &PlanND{
-		dims:      append([]int(nil), dims...),
-		size:      size,
-		workers:   workers,
-		axisPlans: make([][]*Plan, len(dims)),
-		axisBufs:  make([][][]float64, len(dims)),
-		axisOuts:  make([][][]float64, len(dims)),
+		dims:    append([]int(nil), dims...),
+		size:    size,
+		workers: workers,
+		axes:    make([]ndAxis, len(dims)),
 	}
-	for k, d := range dims {
+	stride := 1
+	for k := len(dims) - 1; k >= 0; k-- {
+		d := dims[k]
+		a := &p.axes[k]
+		a.n, a.stride = d, stride
+		stride *= d
 		if d <= 1 {
 			continue // identity pass, skipped
 		}
-		lines := size / d
-		slots := workers
-		if slots > lines {
-			slots = lines
-		}
-		plans := make([]*Plan, slots)
-		plans[0] = NewPlan(d)
+		a.plans = []*Plan{newPlan(d, dense(d))}
+		slots := min(workers, a.units(size))
 		for w := 1; w < slots; w++ {
-			plans[w] = plans[0].clone()
+			a.plans = append(a.plans, a.plans[0].clone())
 		}
-		p.axisPlans[k] = plans
-		if k < len(dims)-1 {
-			bufs := make([][]float64, slots)
-			outs := make([][]float64, slots)
-			for w := 0; w < slots; w++ {
-				bufs[w] = make([]float64, d)
-				outs[w] = make([]float64, d)
-			}
-			p.axisBufs[k] = bufs
-			p.axisOuts[k] = outs
+		if a.stride == 1 {
+			continue
+		}
+		per := 2 * d
+		if a.plans[0].mat != nil {
+			per = d * min(a.stride, denseCols)
+		}
+		a.scratch = make([][]float64, slots)
+		for w := range a.scratch {
+			a.scratch[w] = make([]float64, per)
 		}
 	}
 	return p
@@ -148,16 +175,18 @@ func (p *PlanND) apply(dst, src []float64, forward bool) {
 	// last axis first, then columns), the order the bit-identity pins of the
 	// compressed-sensing solver rely on. The length-1 orthonormal DCT is the
 	// exact identity (bit-for-bit), so degenerate axes skip their pass.
-	for k := len(p.dims) - 1; k >= 0; k-- {
-		n := p.dims[k]
+	for k := len(p.axes) - 1; k >= 0; k-- {
+		a := &p.axes[k]
+		n, stride := a.n, a.stride
 		if n <= 1 {
 			continue
 		}
-		lines := p.size / n
-		if k == len(p.dims)-1 {
+		units := a.units(p.size)
+		switch {
+		case stride == 1:
 			// Contiguous lines: transform each in place.
-			shard.ForRange(p.workers, lines, func(slot, lo, hi int) {
-				plan := p.axisPlans[k][slot]
+			shard.ForRange(p.workers, units, func(slot, lo, hi int) {
+				plan := a.plans[slot]
 				for r := lo; r < hi; r++ {
 					row := dst[r*n : (r+1)*n]
 					if forward {
@@ -167,31 +196,45 @@ func (p *PlanND) apply(dst, src []float64, forward bool) {
 					}
 				}
 			})
-			continue
-		}
-		stride := 1
-		for i := k + 1; i < len(p.dims); i++ {
-			stride *= p.dims[i]
-		}
-		// Strided lines: line l starts at (l/stride)*stride*n + l%stride and
-		// steps by stride — the same enumeration landscape metrics use.
-		shard.ForRange(p.workers, lines, func(slot, lo, hi int) {
-			plan := p.axisPlans[k][slot]
-			buf, out := p.axisBufs[k][slot], p.axisOuts[k][slot]
-			for l := lo; l < hi; l++ {
-				base := (l/stride)*stride*n + l%stride
-				for i := 0; i < n; i++ {
-					buf[i] = dst[base+i*stride]
-				}
-				if forward {
-					plan.Forward(out, buf)
-				} else {
-					plan.Inverse(out, buf)
-				}
-				for i := 0; i < n; i++ {
-					dst[base+i*stride] = out[i]
-				}
+		case a.plans[0].mat != nil:
+			// Unit u covers the j-th of chunks even column ranges of outer
+			// block u/chunks, the n rows of length stride starting at
+			// (u/chunks)*n*stride.
+			m := a.plans[0].mat
+			if !forward {
+				m = a.plans[0].matT
 			}
-		})
+			chunks := a.chunks()
+			shard.ForRange(p.workers, units, func(slot, lo, hi int) {
+				tmp := a.scratch[slot]
+				for u := lo; u < hi; u++ {
+					block := dst[u/chunks*n*stride : (u/chunks+1)*n*stride]
+					j := u % chunks
+					matCols(block, m, tmp, n, stride, j*stride/chunks, (j+1)*stride/chunks)
+				}
+			})
+		default:
+			// Strided lines: line l starts at (l/stride)*stride*n + l%stride
+			// and steps by stride — the same enumeration landscape metrics
+			// use.
+			shard.ForRange(p.workers, units, func(slot, lo, hi int) {
+				plan := a.plans[slot]
+				buf, out := a.scratch[slot][:n], a.scratch[slot][n:]
+				for l := lo; l < hi; l++ {
+					base := (l/stride)*stride*n + l%stride
+					for i := 0; i < n; i++ {
+						buf[i] = dst[base+i*stride]
+					}
+					if forward {
+						plan.Forward(out, buf)
+					} else {
+						plan.Inverse(out, buf)
+					}
+					for i := 0; i < n; i++ {
+						dst[base+i*stride] = out[i]
+					}
+				}
+			})
+		}
 	}
 }

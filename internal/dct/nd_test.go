@@ -95,8 +95,9 @@ func ndShapes() [][]int {
 }
 
 // shapes2D are the 2-axis landscape grids: Table 1's 50x100 and the other
-// non-power-of-two shapes whose axis passes take the Bluestein path, plus
-// degenerate single-line grids above the serial floor.
+// non-power-of-two shapes whose axis passes take the dense path (several
+// column blocks per strided pass), plus degenerate single-line grids above
+// the serial floor on the radix-2 FFT path.
 func shapes2D() [][]int {
 	return [][]int{{50, 100}, {70, 90}, {144, 225}, {1, 8192}, {4096, 1}}
 }
@@ -203,8 +204,11 @@ func checkParallelBitIdentical(t *testing.T, rng *rand.Rand, shapes [][]int) {
 	}
 }
 
+// denseStraddle are shapes whose axes straddle the dense-path cutoffs.
+func denseStraddle() [][]int { return [][]int{{17, 16}, {257, 3}, {385, 3}, {12, 12, 12, 12}} }
+
 func TestPlanNDMatchesSeparableDirect(t *testing.T) {
-	checkSeparableDirect(t, rand.New(rand.NewSource(41)), ndShapes())
+	checkSeparableDirect(t, rand.New(rand.NewSource(41)), append(ndShapes(), denseStraddle()...))
 }
 
 func TestPlan2DMatchesSeparableDirect(t *testing.T) {
@@ -220,7 +224,7 @@ func TestPlan2DRoundTrip(t *testing.T) {
 }
 
 func TestPlanNDIsometry(t *testing.T) {
-	checkIsometry(t, rand.New(rand.NewSource(45)), append([][]int{{6, 10, 7}}, ndShapes()...))
+	checkIsometry(t, rand.New(rand.NewSource(45)), append(append([][]int{{6, 10, 7}}, ndShapes()...), denseStraddle()...))
 }
 
 func TestPlan2DIsometry(t *testing.T) {
@@ -228,7 +232,7 @@ func TestPlan2DIsometry(t *testing.T) {
 }
 
 func TestPlanNDParallelBitIdentical(t *testing.T) {
-	checkParallelBitIdentical(t, rand.New(rand.NewSource(44)), [][]int{{24, 16, 20}, {64, 8, 8}, {8, 8, 8, 8}})
+	checkParallelBitIdentical(t, rand.New(rand.NewSource(44)), append([][]int{{24, 16, 20}, {64, 8, 8}, {8, 8, 8, 8}}, denseStraddle()...))
 }
 
 func TestPlan2DParallelBitIdentical(t *testing.T) {
@@ -237,10 +241,11 @@ func TestPlan2DParallelBitIdentical(t *testing.T) {
 
 // TestPlan2DDegenerateAxisMatches1D: a 1xN (or Nx1) plan must equal the 1-D
 // plan bitwise — the length-1 pass on the degenerate axis is the exact
-// identity and is skipped.
+// identity and is skipped, and both plans choose the axis's path by the same
+// length rule. The lengths straddle both dense-path cutoffs.
 func TestPlan2DDegenerateAxisMatches1D(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, n := range []int{1, 7, 100, 5000} {
+	for _, n := range []int{1, 7, 16, 17, 32, 100, 256, 257, 384, 385, 1024, 5000} {
 		x := randVec(rng, n)
 		want := make([]float64, n)
 		NewPlan(n).Forward(want, x)
@@ -355,5 +360,60 @@ func TestPlanNDAllDegenerate(t *testing.T) {
 	p.Inverse(dst, dst)
 	if dst[0] != 3.25 {
 		t.Fatalf("degenerate inverse = %g", dst[0])
+	}
+}
+
+// TestDensePathMatchesReference pins the dense cosine-matrix path for every
+// length it could take (and beyond the cutoff): against the direct
+// reference, against the FFT path of the same length, and round trip.
+func TestDensePathMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for n := 1; n <= denseMaxLen+16; n++ {
+		dense, fft := newPlan(n, true), newPlan(n, false)
+		x := randVec(rng, n)
+		for _, forward := range []bool{true, false} {
+			want := make([]float64, n)
+			directDCT(want, x, forward)
+			got, viaFFT := make([]float64, n), make([]float64, n)
+			if forward {
+				dense.Forward(got, x)
+				fft.Forward(viaFFT, x)
+			} else {
+				dense.Inverse(got, x)
+				fft.Inverse(viaFFT, x)
+			}
+			for i := range got {
+				if !approxEq(got[i], want[i], 1e-12) {
+					t.Fatalf("n=%d forward=%v: dense[%d] = %g, direct %g", n, forward, i, got[i], want[i])
+				}
+				if !approxEq(got[i], viaFFT[i], 1e-13) {
+					t.Fatalf("n=%d forward=%v: dense[%d] = %g, FFT path %g", n, forward, i, got[i], viaFFT[i])
+				}
+			}
+		}
+		back := append([]float64(nil), x...)
+		dense.Forward(back, back)
+		dense.Inverse(back, back)
+		for i := range back {
+			if !approxEq(back[i], x[i], 1e-12) {
+				t.Fatalf("n=%d: dense round trip [%d] = %g, want %g", n, i, back[i], x[i])
+			}
+		}
+	}
+}
+
+// TestPlanNDDenseScratchBounded: a dense strided axis's per-worker scratch is
+// capped at n×denseCols floats, however long the axis's stride.
+func TestPlanNDDenseScratchBounded(t *testing.T) {
+	p := NewPlanNDWorkers([]int{20, 3, 4096}, 2)
+	for k, a := range p.axes[:2] {
+		if a.plans[0].mat == nil {
+			t.Fatalf("axis %d (n=%d) not on the dense path", k, a.n)
+		}
+		for slot, s := range a.scratch {
+			if len(s) > a.n*denseCols {
+				t.Errorf("axis %d slot %d: %d scratch floats, cap %d", k, slot, len(s), a.n*denseCols)
+			}
+		}
 	}
 }
