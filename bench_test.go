@@ -26,6 +26,7 @@ import (
 	"repro/internal/landscape"
 	"repro/internal/noise"
 	"repro/internal/obs"
+	"repro/internal/pauli"
 	"repro/internal/problem"
 	"repro/internal/qpu"
 )
@@ -567,41 +568,58 @@ func BenchmarkGenerateEngine(b *testing.B) {
 // op are for a whole 5000-point batch, and the explicit allocs/point metric
 // divides them out. The n16-p1 case is the sv-cold kernel: 500 points (every
 // tenth) of the 50x100 grid on a 16-qubit 3-regular MaxCut, serial, with
-// us/circuit covering one circuit run plus its expectation.
+// us/circuit covering one circuit run plus its expectation. Its circuit and
+// energy table are flip-symmetric, so it runs on the half-state path;
+// n16-p1-zfield adds one single-qubit Z term to the cost, which breaks the
+// symmetry and keeps the same circuit on the full-state path.
 func BenchmarkStateVectorBatch(b *testing.B) {
-	b.Run("n16-p1", func(b *testing.B) {
-		p, err := problem.Random3RegularMaxCut(16, rand.New(rand.NewSource(1)))
-		if err != nil {
-			b.Fatal(err)
+	for _, zfield := range []bool{false, true} {
+		name := "n16-p1"
+		if zfield {
+			name += "-zfield"
 		}
-		a, err := QAOAAnsatz(p, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		grid, err := QAOAGrid(1, 50, 100)
-		if err != nil {
-			b.Fatal(err)
-		}
-		all := grid.AllPoints()
-		pts := make([][]float64, 0, len(all)/10)
-		for i := 0; i < len(all); i += 10 {
-			pts = append(pts, all[i])
-		}
-		sv, err := backend.NewStateVector(p, a)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sv.EvaluateBatch(context.Background(), pts[:1]); err != nil {
-			b.Fatal(err) // warm the scratch pool and the phase-table compression
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sv.EvaluateBatch(context.Background(), pts); err != nil {
+		b.Run(name, func(b *testing.B) {
+			p, err := problem.Random3RegularMaxCut(16, rand.New(rand.NewSource(1)))
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(pts)), "us/circuit")
-	})
+			if zfield {
+				h := pauli.NewHamiltonian(16)
+				for _, t := range p.Hamiltonian.Terms() {
+					h.MustAdd(t.Coeff, t.P)
+				}
+				h.MustAdd(0.5, pauli.SingleZ(16, 0))
+				p = &problem.Problem{Name: p.Name + "+z0", Hamiltonian: h, Graph: p.Graph}
+			}
+			a, err := QAOAAnsatz(p, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			grid, err := QAOAGrid(1, 50, 100)
+			if err != nil {
+				b.Fatal(err)
+			}
+			all := grid.AllPoints()
+			pts := make([][]float64, 0, len(all)/10)
+			for i := 0; i < len(all); i += 10 {
+				pts = append(pts, all[i])
+			}
+			sv, err := backend.NewStateVector(p, a)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sv.EvaluateBatch(context.Background(), pts[:1]); err != nil {
+				b.Fatal(err) // warm the scratch pool and the phase-table compression
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sv.EvaluateBatch(context.Background(), pts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(pts)), "us/circuit")
+		})
+	}
 
 	rng := rand.New(rand.NewSource(79))
 	p, err := problem.Random3RegularMaxCut(12, rng)

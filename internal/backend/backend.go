@@ -126,14 +126,20 @@ func applyOptions(opts []Option) evalOptions {
 // because FuseDiagonals is memoized on the circuit and the pass interns
 // tables by content — all evaluators sharing the ansatz, all p layers, and
 // every gamma on a landscape grid share the same table.
+//
+// When the fused circuit and the energy table are both symmetric under
+// flipping every bit (QAOA on MaxCut or SK), points run on qsim's half-state
+// path: 2^(n-1) amplitudes per scratch state, bit-identical energies.
 type StateVector struct {
 	name    string
 	prob    *problem.Problem
 	ans     *ansatz.Ansatz
-	circ    *qsim.Circuit // ansatz circuit, diagonal-fused unless opted out
-	diag    []float64     // cached diagonal energy table; nil for off-diagonal H
+	circ    *qsim.Circuit    // ansatz circuit, diagonal-fused unless opted out
+	diag    []float64        // cached diagonal energy table; nil for off-diagonal H
+	half    *qsim.HalfEnergy // flip-symmetric half-state path; nil runs the full state
 	workers int
 	pool    sync.Pool // *qsim.State scratch, one live per concurrent shard
+	poolN   int       // qubits per scratch state: n, or n-1 on the half path
 }
 
 // NewStateVector builds an exact evaluator for an ansatz on a problem.
@@ -157,9 +163,13 @@ func NewStateVector(p *problem.Problem, a *ansatz.Ansatz, opts ...Option) (*Stat
 			return nil, err
 		}
 		e.diag = diag
+		e.half, _ = qsim.NewHalfEnergy(e.circ, diag)
 	}
-	n := a.Circuit.N()
-	e.pool.New = func() any { return qsim.NewState(n) }
+	e.poolN = a.Circuit.N()
+	if e.half != nil {
+		e.poolN = e.half.N()
+	}
+	e.pool.New = func() any { return qsim.NewState(e.poolN) }
 	return e, nil
 }
 
@@ -203,6 +213,9 @@ func resolveWorkers(configured, n int, kernelShardable bool) (points, kernels in
 // evaluateInto runs the circuit into the reused scratch state and measures
 // the cost, allocating nothing.
 func (e *StateVector) evaluateInto(s *qsim.State, params []float64) (float64, error) {
+	if e.half != nil {
+		return e.half.Energy(s, params)
+	}
 	if err := qsim.RunInto(s, e.circ, params); err != nil {
 		return 0, err
 	}
@@ -228,7 +241,7 @@ func (e *StateVector) EvaluateBatch(ctx context.Context, params [][]float64) ([]
 		ctx = context.Background()
 	}
 	out := make([]float64, len(params))
-	pw, kw := resolveWorkers(e.workers, len(params), qsim.KernelShardable(e.ans.Circuit.N()))
+	pw, kw := resolveWorkers(e.workers, len(params), qsim.KernelShardable(e.poolN))
 	err := shardRange(ctx, pw, len(params), func(ctx context.Context, lo, hi int) error {
 		s := e.pool.Get().(*qsim.State)
 		defer e.pool.Put(s)

@@ -156,6 +156,13 @@ type Result struct {
 	Coeffs []float64
 	// Iterations is the number of solver iterations performed.
 	Iterations int
+	// Transforms is the number of full-grid DCTs the solve ran, forward
+	// and inverse alike. A FISTA/ISTA solve runs one to scale the penalty,
+	// two per iteration, two per debias step and two to finish.
+	Transforms int
+	// DebiasSteps is the number of least-squares polish steps the debias
+	// pass took (0 without debias).
+	DebiasSteps int
 	// Residual is the final ||y - A s||_2.
 	Residual float64
 	// Sparsity is the number of nonzero recovered coefficients.
@@ -229,6 +236,8 @@ func ReconstructNDContext(ctx context.Context, dims []int, idx []int, y []float6
 		return nil, err
 	}
 	span.SetAttr("iterations", res.Iterations)
+	span.SetAttr("transforms", res.Transforms)
+	span.SetAttr("debias_steps", res.DebiasSteps)
 	span.SetAttr("residual", res.Residual)
 	span.SetAttr("sparsity", res.Sparsity)
 	return res, nil
@@ -237,10 +246,11 @@ func ReconstructNDContext(ctx context.Context, dims []int, idx []int, y []float6
 // partialDCT is the measurement operator A and its adjoint, sharded across
 // workers goroutines (1 = serial).
 type partialDCT struct {
-	workers int
-	idx     []int
-	plan    *dct.PlanND
-	grid    []float64 // scratch, length prod(dims)
+	workers    int
+	idx        []int
+	plan       *dct.PlanND
+	grid       []float64 // scratch, length prod(dims)
+	transforms int       // DCTs run so far, reported as Result.Transforms
 }
 
 func newPartialDCT(dims []int, idx []int, workers int) *partialDCT {
@@ -261,6 +271,7 @@ func (op *partialDCT) m() int { return len(op.idx) }
 
 // forward computes A s = subsample(IDCT(s)) into out (length m).
 func (op *partialDCT) forward(out, s []float64) {
+	op.transforms++
 	op.plan.Inverse(op.grid, s)
 	for j, gi := range op.idx {
 		out[j] = op.grid[gi]
@@ -271,6 +282,7 @@ func (op *partialDCT) forward(out, s []float64) {
 // stays serial: it compiles to a memclr that is far cheaper than goroutine
 // fan-out at these grid sizes.
 func (op *partialDCT) adjoint(out, r []float64) {
+	op.transforms++
 	for i := range op.grid {
 		op.grid[i] = 0
 	}
@@ -278,6 +290,12 @@ func (op *partialDCT) adjoint(out, r []float64) {
 		op.grid[gi] = r[j]
 	}
 	op.plan.Forward(out, op.grid)
+}
+
+// synthesize computes the full landscape IDCT(s) into x (length n).
+func (op *partialDCT) synthesize(x, s []float64) {
+	op.transforms++
+	op.plan.Inverse(x, s)
 }
 
 func norm2(v []float64) float64 {
@@ -309,7 +327,7 @@ func solveProx(ctx context.Context, op *partialDCT, y []float64, opt Options) (*
 	}
 	if maxAbs == 0 {
 		// All-zero measurements: the zero landscape is exact.
-		return &Result{X: make([]float64, n), Coeffs: make([]float64, n)}, nil
+		return &Result{X: make([]float64, n), Coeffs: make([]float64, n), Transforms: op.transforms}, nil
 	}
 
 	s := make([]float64, n)     // current iterate
@@ -399,8 +417,9 @@ func solveProx(ctx context.Context, op *partialDCT, y []float64, opt Options) (*
 		}
 	}
 
+	steps := 0
 	if opt.Debias {
-		debias(op, s, y)
+		steps = debias(op, s, y)
 	}
 
 	op.forward(az, s)
@@ -408,13 +427,15 @@ func solveProx(ctx context.Context, op *partialDCT, y []float64, opt Options) (*
 		resid[j] = az[j] - y[j]
 	}
 	x := make([]float64, n)
-	op.plan.Inverse(x, s)
+	op.synthesize(x, s)
 	return &Result{
-		X:          x,
-		Coeffs:     s,
-		Iterations: iters,
-		Residual:   norm2(resid),
-		Sparsity:   countNonzero(s),
+		X:           x,
+		Coeffs:      s,
+		Iterations:  iters,
+		Transforms:  op.transforms,
+		DebiasSteps: steps,
+		Residual:    norm2(resid),
+		Sparsity:    countNonzero(s),
 	}, nil
 }
 
@@ -428,9 +449,13 @@ func countNonzero(s []float64) int {
 	return c
 }
 
+// debiasMaxSteps caps the debias polish.
+const debiasMaxSteps = 50
+
 // debias polishes the solution with conjugate-gradient least squares
-// restricted to the recovered support.
-func debias(op *partialDCT, s, y []float64) {
+// restricted to the recovered support, and returns how many steps (one
+// forward and one adjoint each) it ran.
+func debias(op *partialDCT, s, y []float64) int {
 	support := make([]int, 0, 64)
 	for i, v := range s {
 		if v != 0 {
@@ -438,7 +463,7 @@ func debias(op *partialDCT, s, y []float64) {
 		}
 	}
 	if len(support) == 0 || len(support) > op.m() {
-		return
+		return 0
 	}
 	// Solve min over coefficients on the support via gradient descent with
 	// a fixed number of CG-like steps (the operator restricted to the
@@ -446,7 +471,7 @@ func debias(op *partialDCT, s, y []float64) {
 	grad := make([]float64, op.n())
 	resid := make([]float64, op.m())
 	as := make([]float64, op.m())
-	for it := 0; it < 50; it++ {
+	for it := 0; it < debiasMaxSteps; it++ {
 		op.forward(as, s)
 		for j := range resid {
 			resid[j] = as[j] - y[j]
@@ -457,12 +482,13 @@ func debias(op *partialDCT, s, y []float64) {
 			gnorm += grad[i] * grad[i]
 		}
 		if gnorm < 1e-24 {
-			return
+			return it + 1
 		}
 		for _, i := range support {
 			s[i] -= grad[i]
 		}
 	}
+	return debiasMaxSteps
 }
 
 // solveOMP runs orthogonal matching pursuit: greedily grow the support,
@@ -543,11 +569,12 @@ func solveOMP(ctx context.Context, op *partialDCT, y []float64, opt Options) (*R
 		resid[j] = as[j] - y[j]
 	}
 	x := make([]float64, n)
-	op.plan.Inverse(x, s)
+	op.synthesize(x, s)
 	return &Result{
 		X:          x,
 		Coeffs:     s,
 		Iterations: iters,
+		Transforms: op.transforms,
 		Residual:   norm2(resid),
 		Sparsity:   countNonzero(s),
 	}, nil

@@ -67,6 +67,11 @@ func ReconstructMany(ctx context.Context, jobs ...Job) []JobResult {
 	return out
 }
 
+// solveHook, when set, runs at the start of every ReconstructMany solve,
+// inside the job's panic guard. It exists for tests that inject faults and
+// is nil otherwise.
+var solveHook func(Job)
+
 // solveJob runs one job of ReconstructMany; a panic in the solve becomes
 // only this job's Err, as a *shard.PanicError.
 func solveJob(ctx context.Context, job Job) JobResult {
@@ -79,6 +84,9 @@ func solveJob(ctx context.Context, job Job) JobResult {
 	}
 	var res *Result
 	err := shard.Try(func() (err error) {
+		if solveHook != nil {
+			solveHook(job)
+		}
 		res, err = ReconstructNDContext(ctx, []int{job.Rows, job.Cols}, job.Idx, job.Y, opt)
 		return err
 	})

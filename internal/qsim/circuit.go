@@ -122,6 +122,11 @@ type Circuit struct {
 	// (the landscape-batch regime) shares one fused copy and its tables.
 	fuseOnce sync.Once
 	fused    *Circuit
+
+	// flipSym memoizes flipSymmetric, the half-state path's structural
+	// check.
+	flipOnce sync.Once
+	flipSym  bool
 }
 
 // NewCircuit creates an empty circuit on n qubits.

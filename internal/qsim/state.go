@@ -174,14 +174,26 @@ func (s *State) realDense1Q(klo, khi, bit, lm int, m00, m01, m10, m11 float64) {
 
 // mixedDense1Q applies a matrix with real diagonal and purely imaginary
 // off-diagonal entries (RX, Y), again performing exactly the generic
-// path's nonzero-component operations.
-func (s *State) mixedDense1Q(klo, khi, bit, lm int, m mixedMatrix) {
+// path's nonzero-component operations. Each index i with pivot bit lm+1
+// clear pairs with i^d: d is the qubit bit on a full state, and the
+// complement mask on a half state (see half.go).
+func (s *State) mixedDense1Q(klo, khi, d, lm int, m mixedMatrix) {
 	amp := s.amp
 	for k := klo; k < khi; k++ {
 		i := (k&^lm)<<1 | k&lm
-		j := i | bit
+		j := i ^ d
 		amp[i], amp[j] = m.apply(amp[i], amp[j])
 	}
+}
+
+// applyMixed1Q runs mixedDense1Q over all len(amp)/2 pairs.
+func (s *State) applyMixed1Q(d, lm int, m mixedMatrix) {
+	half := len(s.amp) >> 1
+	if w := s.kernelWorkers(half); w > 1 {
+		shard.ForRange(w, half, func(_, lo, hi int) { s.mixedDense1Q(lo, hi, d, lm, m) })
+		return
+	}
+	s.mixedDense1Q(0, half, d, lm, m)
 }
 
 // mixedMatrix holds the nonzero components of a mixed-class matrix: the
@@ -196,15 +208,18 @@ func (m mixedMatrix) apply(a0, a1 complex128) (complex128, complex128) {
 		complex(m.m11*a1r-m.m10i*a0i, m.m10i*a0r+m.m11*a1i)
 }
 
-// mixedPairRange applies two mixed-class gates, on qubit bits ab then bb,
-// in one pass: each 4-amplitude group gets gate A on both of its ab-pairs,
-// then gate B on both of its bb-pairs. Every amplitude sees exactly the
-// operations, in exactly the order, of two mixedDense1Q sweeps.
-func (s *State) mixedPairRange(klo, khi, lm, hm, ab, bb int, ma, mb mixedMatrix) {
+// mixedPairRange applies two mixed-class gates, flipping da then db, in
+// one pass: each 4-amplitude group {i0, i0^da, i0^db, i0^da^db} gets gate
+// A on both of its da-pairs, then gate B on both of its db-pairs. Every
+// amplitude sees exactly the operations, in exactly the order, of two
+// mixedDense1Q sweeps. On a full state da and db are the two qubit bits
+// (i0 has both clear, so ^ is |); a half state passes the complement mask
+// for the mirrored top qubit (see half.go).
+func (s *State) mixedPairRange(klo, khi, lm, hm, da, db int, ma, mb mixedMatrix) {
 	amp := s.amp
 	for k := klo; k < khi; k++ {
 		i0 := base2(k, lm, hm)
-		i1, i2, i3 := i0|ab, i0|bb, i0|ab|bb
+		i1, i2, i3 := i0^da, i0^db, i0^da^db
 		x0, x1 := ma.apply(amp[i0], amp[i1])
 		x2, x3 := ma.apply(amp[i2], amp[i3])
 		amp[i0], amp[i2] = mb.apply(x0, x2)
@@ -215,14 +230,27 @@ func (s *State) mixedPairRange(klo, khi, lm, hm, ab, bb int, ma, mb mixedMatrix)
 // applyMixedPair runs mixedPairRange over all 2^n/4 groups of the distinct
 // qubits a and b.
 func (s *State) applyMixedPair(a, b int, ma, mb mixedMatrix) {
-	ab, bb := 1<<uint(a), 1<<uint(b)
-	lm, hm := masks2(ab, bb)
+	s.applyMixedPairMasks(1<<uint(a), 1<<uint(b), ma, mb)
+}
+
+// applyMixedPairMasks runs mixedPairRange over all len(amp)/4 groups
+// spanned by the independent flip masks da and db. Each group is visited
+// once, at its member with two pivot bits clear: the top bit of da, and the
+// top bit of db once da's pivot is eliminated from it. For qubit bits the
+// pivots are the bits themselves.
+func (s *State) applyMixedPairMasks(da, db int, ma, mb mixedMatrix) {
+	pa := 1 << (bits.Len(uint(da)) - 1)
+	eb := db
+	if eb&pa != 0 {
+		eb ^= da
+	}
+	lm, hm := masks2(pa, 1<<(bits.Len(uint(eb))-1))
 	quarter := len(s.amp) >> 2
 	if w := s.kernelWorkers(quarter); w > 1 {
-		shard.ForRange(w, quarter, func(_, lo, hi int) { s.mixedPairRange(lo, hi, lm, hm, ab, bb, ma, mb) })
+		shard.ForRange(w, quarter, func(_, lo, hi int) { s.mixedPairRange(lo, hi, lm, hm, da, db, ma, mb) })
 		return
 	}
-	s.mixedPairRange(0, quarter, lm, hm, ab, bb, ma, mb)
+	s.mixedPairRange(0, quarter, lm, hm, da, db, ma, mb)
 }
 
 // kernelClass names the apply1Q kernel a 2x2 matrix dispatches to.
@@ -287,12 +315,7 @@ func (s *State) apply1Q(q int, m [2][2]complex128) {
 		}
 		s.realDense1Q(0, half, bit, lm, r00, r01, r10, r11)
 	case classMixed:
-		mm := mixedOf(m)
-		if w > 1 {
-			shard.ForRange(w, half, func(_, lo, hi int) { s.mixedDense1Q(lo, hi, bit, lm, mm) })
-			return
-		}
-		s.mixedDense1Q(0, half, bit, lm, mm)
+		s.applyMixed1Q(bit, lm, mixedOf(m))
 	default:
 		if w > 1 {
 			shard.ForRange(w, half, func(_, lo, hi int) {
@@ -613,18 +636,28 @@ func (s *State) runGates(c *Circuit, params []float64) {
 			continue
 		}
 		m := gateMatrix(g.Kind, theta)
-		if i+1 < len(gates) && classify(m) == classMixed {
-			h := &gates[i+1]
-			if h.Kind.qubitCount() == 1 && h.Qubits[0] != g.Qubits[0] {
-				if mh := gateMatrix(h.Kind, h.resolveAngle(params)); classify(mh) == classMixed {
-					s.applyMixedPair(g.Qubits[0], h.Qubits[0], mixedOf(m), mixedOf(mh))
-					i++
-					continue
-				}
-			}
+		if q, mh, ok := mixedPartner(gates, i, m, params); ok {
+			s.applyMixedPair(g.Qubits[0], q, mixedOf(m), mixedOf(mh))
+			i++
+			continue
 		}
 		s.apply1Q(g.Qubits[0], m)
 	}
+}
+
+// mixedPartner reports whether the single-qubit gate gates[i], with matrix
+// m, shares one paired pass with gates[i+1]: both must be mixed-class and
+// act on distinct qubits. It returns the partner's qubit and matrix.
+func mixedPartner(gates []Gate, i int, m [2][2]complex128, params []float64) (int, [2][2]complex128, bool) {
+	if i+1 >= len(gates) || classify(m) != classMixed {
+		return 0, m, false
+	}
+	h := &gates[i+1]
+	if h.Kind.qubitCount() != 1 || h.Qubits[0] == gates[i].Qubits[0] {
+		return 0, m, false
+	}
+	mh := gateMatrix(h.Kind, h.resolveAngle(params))
+	return h.Qubits[0], mh, classify(mh) == classMixed
 }
 
 // prepare writes the state that resetting to |0...0> and then applying the

@@ -346,6 +346,35 @@ type queryResponse struct {
 	Trace *obs.TraceTree `json:"trace,omitempty"`
 }
 
+// decodeQuery reads and validates a query body against an artifact of the
+// given arity. It returns the request, or the message of the 400 to answer.
+func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request, arity int) (queryRequest, string) {
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	var req queryRequest
+	if err := dec.Decode(&req); err != nil {
+		return req, "malformed query: " + err.Error()
+	}
+	if len(req.Points) == 0 {
+		return req, "query: no points"
+	}
+	if len(req.Points) > s.cfg.MaxQueryPoints {
+		return req, fmt.Sprintf("query: %d points exceeds the limit of %d", len(req.Points), s.cfg.MaxQueryPoints)
+	}
+	for i, p := range req.Points {
+		if len(p) != arity {
+			return req, fmt.Sprintf("query: point %d has %d coordinates, landscape has %d axes", i, len(p), arity)
+		}
+		for k, c := range p {
+			if !isFinite(c) {
+				return req, fmt.Sprintf("query: point %d coordinate %d is not finite", i, k)
+			}
+		}
+	}
+	return req, ""
+}
+
 // handleArtifactQuery evaluates a batch of points on an artifact's fitted
 // surrogate — the vectorized, backend-free read path. Validation failures are
 // 400s; the evaluation itself cannot fail (the surrogate clamps to the hull).
@@ -355,43 +384,22 @@ func (s *Server) handleArtifactQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, map[string]any{"error": "unknown landscape"})
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var req queryRequest
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "malformed query: " + err.Error()})
-		return
-	}
-	if len(req.Points) == 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "query: no points"})
-		return
-	}
-	if len(req.Points) > s.cfg.MaxQueryPoints {
-		writeJSON(w, http.StatusBadRequest, map[string]any{
-			"error": fmt.Sprintf("query: %d points exceeds the limit of %d", len(req.Points), s.cfg.MaxQueryPoints)})
-		return
-	}
-	arity := len(a.Axes)
-	for i, p := range req.Points {
-		if len(p) != arity {
-			writeJSON(w, http.StatusBadRequest, map[string]any{
-				"error": fmt.Sprintf("query: point %d has %d coordinates, landscape has %d axes", i, len(p), arity)})
-			return
-		}
-		for k, c := range p {
-			if !isFinite(c) {
-				writeJSON(w, http.StatusBadRequest, map[string]any{
-					"error": fmt.Sprintf("query: point %d coordinate %d is not finite", i, k)})
-				return
-			}
-		}
-	}
 	// Surrogate queries get a per-request trace: it feeds the stage
 	// histograms always, and rides back inline on ?trace=1. The tracer is
-	// request-scoped and never stored server-side.
+	// request-scoped and never stored server-side. It opens before the
+	// body is read, so query.decode times decoding and validation.
 	tr := s.newTracer()
 	root := tr.Start("query")
+	dspan := root.Child("query.decode")
+	req, msg := s.decodeQuery(w, r, len(a.Axes))
+	if msg != "" {
+		dspan.SetError(errors.New(msg))
+		dspan.End()
+		root.End()
+		writeJSON(w, http.StatusBadRequest, map[string]any{"error": msg})
+		return
+	}
+	dspan.End()
 	root.SetAttr("points", len(req.Points))
 	root.SetAttr("gradients", req.Gradients)
 	fspan := root.Child("query.fit")
@@ -416,6 +424,7 @@ func (s *Server) handleArtifactQuery(w http.ResponseWriter, r *http.Request) {
 	resp.Values = values
 	if req.Gradients {
 		grads := make([][]float64, len(req.Points))
+		arity := len(a.Axes)
 		backing := make([]float64, len(req.Points)*arity)
 		for i := range grads {
 			grads[i] = backing[i*arity : (i+1)*arity : (i+1)*arity]

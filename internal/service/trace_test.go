@@ -338,7 +338,7 @@ func TestQueryTraceInline(t *testing.T) {
 	if root == nil {
 		t.Fatalf("no query span: %+v", resp.Trace.Spans)
 	}
-	for _, name := range []string{"query.fit", "query.eval"} {
+	for _, name := range []string{"query.decode", "query.fit", "query.eval"} {
 		if findSpan(root.Children, name) == nil {
 			t.Fatalf("query trace missing %q: %+v", name, root.Children)
 		}
