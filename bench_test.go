@@ -748,7 +748,7 @@ func BenchmarkReconstructMany(b *testing.B) {
 		}
 		opt := cs.DefaultOptions()
 		opt.Workers = 1
-		jobs[k] = cs.Job{Rows: 50, Cols: 100, Idx: idx, Y: values, Opt: opt}
+		jobs[k] = cs.Job{Dims: []int{50, 100}, Idx: idx, Y: values, Opt: opt}
 	}
 	b.Run("pool", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -762,7 +762,7 @@ func BenchmarkReconstructMany(b *testing.B) {
 	b.Run("serial-loop", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, j := range jobs {
-				if _, err := cs.ReconstructND([]int{j.Rows, j.Cols}, j.Idx, j.Y, j.Opt); err != nil {
+				if _, err := cs.ReconstructND(j.Dims, j.Idx, j.Y, j.Opt); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -6,6 +6,8 @@
 // injected fault scenarios (drift, dropouts, correlated queue spikes and
 // retry storms) with risk-aware scheduling — retries, quarantine events,
 // and learned tail estimates surface through /jobs, /stats, and /metrics.
+// /stats (JSON) and /metrics (Prometheus text) render one server snapshot,
+// so the counters they share always agree.
 // Every job carries a trace: GET /jobs/{id}/trace returns the span tree
 // (or Chrome trace-event JSON with ?format=chrome), and log lines are
 // structured key=value pairs carrying trace_id and job_id throughout.

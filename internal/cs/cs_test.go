@@ -509,7 +509,7 @@ func TestReconstructManyMatchesIndividual(t *testing.T) {
 		for j, i := range idx {
 			y[j] = x[i]
 		}
-		jobs = append(jobs, Job{Rows: rows, Cols: cols, Idx: idx, Y: y, Opt: DefaultOptions()})
+		jobs = append(jobs, Job{Dims: []int{rows, cols}, Idx: idx, Y: y, Opt: DefaultOptions()})
 		opt := DefaultOptions()
 		opt.Workers = 1 // ReconstructMany solves zero-Workers jobs serially
 		res, err := ReconstructND([]int{rows, cols}, idx, y, opt)
@@ -518,6 +518,25 @@ func TestReconstructManyMatchesIndividual(t *testing.T) {
 		}
 		want = append(want, res)
 	}
+	// One 4-axis job: ReconstructMany has no 2-axis special case.
+	dims := []int{6, 5, 7, 4}
+	x := sparseND(rng, dims, 3)
+	idx, err := SampleIndices(rng, len(x), len(x)/4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y := make([]float64, len(idx))
+	for j, i := range idx {
+		y[j] = x[i]
+	}
+	jobs = append(jobs, Job{Dims: dims, Idx: idx, Y: y, Opt: DefaultOptions()})
+	opt := DefaultOptions()
+	opt.Workers = 1
+	res, err := ReconstructND(dims, idx, y, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, res)
 	got := ReconstructMany(context.Background(), jobs...)
 	if len(got) != len(jobs) {
 		t.Fatalf("got %d results for %d jobs", len(got), len(jobs))
@@ -552,11 +571,11 @@ func TestReconstructManyZeroOptUsesDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := ReconstructMany(context.Background(),
-		Job{Rows: rows, Cols: cols, Idx: idx, Y: y},
-		Job{Rows: rows, Cols: cols, Idx: idx, Y: y, Opt: Options{Workers: 1}},
+		Job{Dims: []int{rows, cols}, Idx: idx, Y: y},
+		Job{Dims: []int{rows, cols}, Idx: idx, Y: y, Opt: Options{Workers: 1}},
 		// Negative Workers must also stay serial inside the pool, not
 		// resolve to GOMAXPROCS.
-		Job{Rows: rows, Cols: cols, Idx: idx, Y: y, Opt: Options{Workers: -2}})
+		Job{Dims: []int{rows, cols}, Idx: idx, Y: y, Opt: Options{Workers: -2}})
 	for k, jr := range out {
 		if jr.Err != nil {
 			t.Fatalf("job %d: %v", k, jr.Err)
@@ -579,8 +598,8 @@ func TestReconstructManyErrorIsolation(t *testing.T) {
 	for j, i := range idx {
 		y[j] = x[i]
 	}
-	good := Job{Rows: rows, Cols: cols, Idx: idx, Y: y, Opt: DefaultOptions()}
-	bad := Job{Rows: 0, Cols: cols, Idx: idx, Y: y, Opt: DefaultOptions()}
+	good := Job{Dims: []int{rows, cols}, Idx: idx, Y: y, Opt: DefaultOptions()}
+	bad := Job{Dims: []int{0, cols}, Idx: idx, Y: y, Opt: DefaultOptions()}
 	out := ReconstructMany(context.Background(), good, bad, good)
 	if out[0].Err != nil || out[2].Err != nil {
 		t.Fatalf("good jobs failed: %v / %v", out[0].Err, out[2].Err)
@@ -606,7 +625,7 @@ func TestReconstructManyCanceled(t *testing.T) {
 	cancel()
 	jobs := make([]Job, 8)
 	for i := range jobs {
-		jobs[i] = Job{Rows: rows, Cols: cols, Idx: idx, Y: y, Opt: DefaultOptions()}
+		jobs[i] = Job{Dims: []int{rows, cols}, Idx: idx, Y: y, Opt: DefaultOptions()}
 	}
 	out := ReconstructMany(ctx, jobs...)
 	for i, jr := range out {

@@ -7,16 +7,16 @@ import (
 	"repro/internal/shard"
 )
 
-// Job describes one independent reconstruction: recover a Rows×Cols
-// landscape from the values Y observed at row-major grid indices Idx, solved
-// with Opt. An Opt whose only set field is Workers is promoted to
-// DefaultOptions (keeping that worker count), matching every other
-// reconstruction entry point.
+// Job describes one independent reconstruction: recover a landscape of shape
+// Dims (any number of axes, last axis fastest) from the values Y observed at
+// row-major grid indices Idx, solved with Opt. An Opt whose only set field is
+// Workers is promoted to DefaultOptions (keeping that worker count), matching
+// every other reconstruction entry point.
 type Job struct {
-	Rows, Cols int
-	Idx        []int
-	Y          []float64
-	Opt        Options
+	Dims []int
+	Idx  []int
+	Y    []float64
+	Opt  Options
 }
 
 // JobResult pairs a job's reconstruction with its error. Exactly one of
@@ -87,7 +87,7 @@ func solveJob(ctx context.Context, job Job) JobResult {
 		if solveHook != nil {
 			solveHook(job)
 		}
-		res, err = ReconstructNDContext(ctx, []int{job.Rows, job.Cols}, job.Idx, job.Y, opt)
+		res, err = ReconstructNDContext(ctx, job.Dims, job.Idx, job.Y, opt)
 		return err
 	})
 	return JobResult{Result: res, Err: err}

@@ -114,13 +114,13 @@ func TestReconstructManyPanicIsContained(t *testing.T) {
 		for j, i := range idx {
 			y[j] = x[i]
 		}
-		jobs = append(jobs, Job{Rows: rows, Cols: cols, Idx: idx, Y: y, Opt: DefaultOptions()})
+		jobs = append(jobs, Job{Dims: []int{rows, cols}, Idx: idx, Y: y, Opt: DefaultOptions()})
 	}
 	clean := ReconstructMany(context.Background(), jobs...)
 
 	const bad = 2
 	solveHook = func(j Job) {
-		if j.Rows == jobs[bad].Rows {
+		if j.Dims[0] == jobs[bad].Dims[0] {
 			panic("injected solver fault")
 		}
 	}

@@ -70,6 +70,11 @@ type Progress struct {
 	// dispatches that were retried or re-dispatched, and quarantine
 	// transitions (bench + re-admit).
 	Retries, QuarantineEvents int
+	// States is the per-device learned state at the end of planning. Only
+	// planning changes it, and planning finishes before the first batch
+	// merges, so every report of a run carries the same States, equal to
+	// StreamResult.DeviceStates.
+	States []DeviceState
 }
 
 // Options configures a Scheduler.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -398,9 +399,17 @@ func TestFleetStreamingSolves(t *testing.T) {
 		if len(p.BatchSizes) != 3 {
 			t.Fatalf("progress carries %d batch sizes, want 3", len(p.BatchSizes))
 		}
+		if !reflect.DeepEqual(p.States, res.DeviceStates) {
+			t.Fatalf("progress states %+v, want the run's end state %+v", p.States, res.DeviceStates)
+		}
 	}
 	if done != res.Stats.Samples {
 		t.Fatalf("final progress at %d samples, want %d", done, res.Stats.Samples)
+	}
+	// Streaming never changes the learned state, so the end-of-plan
+	// states that progress carries are the scheduler's state at the end.
+	if live := s.States(); !reflect.DeepEqual(live, res.DeviceStates) {
+		t.Fatalf("scheduler state %+v after the run, want the end-of-plan %+v", live, res.DeviceStates)
 	}
 
 	// The streamed (warm-started) result agrees with a cold solve.

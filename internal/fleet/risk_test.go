@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -125,6 +126,9 @@ func TestRiskQuarantinesDropout(t *testing.T) {
 		t.Fatal("dark device never quarantined")
 	}
 	states := res.DeviceStates
+	if live := s.States(); !reflect.DeepEqual(live, states) {
+		t.Fatalf("scheduler state %+v after the run, want the end-of-plan %+v", live, states)
+	}
 	if !states[1].Quarantined || states[1].Quarantines == 0 {
 		t.Fatalf("dark device state not quarantined: %+v", states[1])
 	}

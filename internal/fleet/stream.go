@@ -107,6 +107,7 @@ func (s *Scheduler) ReconstructStream(ctx context.Context, g *landscape.Grid, op
 	if err != nil {
 		return nil, err
 	}
+	states := s.States()
 	groups, makespan := plan.groups, plan.makespan
 
 	// Eager cut at a batch boundary: keep whole groups in completion
@@ -159,6 +160,7 @@ func (s *Scheduler) ReconstructStream(ctx context.Context, g *landscape.Grid, op
 			BatchSizes:  gr.sizes,
 			Quarantined: gr.quar,
 			Retries:     plan.retries, QuarantineEvents: len(plan.events),
+			States: states,
 		})
 	}
 
@@ -222,8 +224,11 @@ func (s *Scheduler) ReconstructStream(ctx context.Context, g *landscape.Grid, op
 	res.Report = s.report(groups, plan.serial, makespan, plan.retries)
 	res.Landscape = recon
 	res.Stats = stats
-	res.BatchSizes = s.sizesSnapshot()
-	res.DeviceStates = s.States()
+	res.DeviceStates = states
+	res.BatchSizes = make([]int, len(states))
+	for d, st := range states {
+		res.BatchSizes[d] = st.BatchSize
+	}
 	return res, nil
 }
 
@@ -266,12 +271,6 @@ func (s *Scheduler) tracePlan(ctx context.Context, g *landscape.Grid, indices []
 	}
 	span.End()
 	return plan, nil
-}
-
-func (s *Scheduler) sizesSnapshot() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sizesLocked()
 }
 
 // evaluate runs every scheduled group's circuit evaluations on a bounded

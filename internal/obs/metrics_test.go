@@ -130,8 +130,19 @@ func TestHistogramConcurrent(t *testing.T) {
 }
 
 func TestEscapeLabel(t *testing.T) {
-	if got := EscapeLabel(`a"b\c` + "\nd\x01e"); got != `a\"b\\c\nd e` {
-		t.Fatalf("EscapeLabel = %q", got)
+	for in, want := range map[string]string{
+		`a"b\c` + "\nd\x01e": `a\"b\\c\nd e`,
+		"plain":              "plain",
+		"a\tb":               "a b",
+		"a\nb":               `a\nb`,
+		`quo"te`:             `quo\"te`,
+		`back\slash`:         `back\\slash`,
+		"ctrl\x00\x7f":       "ctrl  ",
+		"unicode-µ":          "unicode-µ",
+	} {
+		if got := EscapeLabel(in); got != want {
+			t.Errorf("EscapeLabel(%q) = %q, want %q", in, got, want)
+		}
 	}
 }
 

@@ -157,14 +157,6 @@ func (st *artifactStore) snapshot() []*landscape.Artifact {
 	return out
 }
 
-// len reports the number of stored artifacts and resident fitted
-// interpolators.
-func (st *artifactStore) len() (arts, fitted int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.arts), st.lru.Len()
-}
-
 // interpolator returns the fitted surrogate for an artifact, serving from
 // the LRU when hot and refitting when evicted. Refits are bit-identical to
 // the original fit — spline fitting is deterministic — so eviction is purely
@@ -450,32 +442,47 @@ func (s *Server) handleArtifactQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// artifactStats renders the store's /stats block.
-func (s *Server) artifactStats() map[string]any {
-	st := s.artifacts
-	arts, fitted := st.len()
-	out := map[string]any{
-		"count":          arts,
-		"lru_entries":    fitted,
-		"lru_capacity":   st.lruCap,
-		"published":      st.published.Load(),
-		"evictions":      st.evictions.Load(),
-		"lru_hits":       st.lruHits.Load(),
-		"lru_misses":     st.lruMisses.Load(),
-		"query_points":   st.queryPoints.Load(),
-		"load_errors":    st.loadErrors.Load(),
-		"publish_errors": st.publishErrors.Load(),
-		"disk_backed":    st.dir != "",
+// artifactCounts is the store's accounting as /stats reports it (fields in
+// JSON key order); /metrics exports the same values.
+type artifactCounts struct {
+	Count         int    `json:"count"`
+	DirError      string `json:"dir_error,omitempty"`
+	DiskBacked    bool   `json:"disk_backed"`
+	Evictions     int64  `json:"evictions"`
+	LoadErrors    int64  `json:"load_errors"`
+	LRUCapacity   int    `json:"lru_capacity"`
+	LRUEntries    int    `json:"lru_entries"`
+	LRUHits       int64  `json:"lru_hits"`
+	LRUMisses     int64  `json:"lru_misses"`
+	PublishErrors int64  `json:"publish_errors"`
+	Published     int64  `json:"published"`
+	QueryPoints   int64  `json:"query_points"`
+}
+
+// counts reads the store's sizes and counters.
+func (st *artifactStore) counts() artifactCounts {
+	st.mu.Lock()
+	arts, fitted := len(st.arts), st.lru.Len()
+	st.mu.Unlock()
+	return artifactCounts{
+		Count:         arts,
+		DirError:      st.dirErr,
+		DiskBacked:    st.dir != "",
+		Evictions:     st.evictions.Load(),
+		LoadErrors:    st.loadErrors.Load(),
+		LRUCapacity:   st.lruCap,
+		LRUEntries:    fitted,
+		LRUHits:       st.lruHits.Load(),
+		LRUMisses:     st.lruMisses.Load(),
+		PublishErrors: st.publishErrors.Load(),
+		Published:     st.published.Load(),
+		QueryPoints:   st.queryPoints.Load(),
 	}
-	if st.dirErr != "" {
-		out["dir_error"] = st.dirErr
-	}
-	return out
 }
 
 // ArtifactInfo reports the store's size and boot-time load failures, for
 // oscard's startup logging.
 func (s *Server) ArtifactInfo() (count int, loadErrors int64, dirErr string) {
-	n, _ := s.artifacts.len()
-	return n, s.artifacts.loadErrors.Load(), s.artifacts.dirErr
+	c := s.artifacts.counts()
+	return c.Count, c.LoadErrors, c.DirError
 }

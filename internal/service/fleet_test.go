@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/fleet"
 )
 
 // fleetJob is a fast fleet-mode job: three heterogeneous virtual devices
@@ -220,14 +222,11 @@ func TestFleetScenarioValidation(t *testing.T) {
 	}
 }
 
-// TestFleetChaosJob runs a risk-aware fleet job with a mid-run-forever
-// dropout injected on one device and checks the robustness surface
-// end-to-end: the job completes, the result reports retries, quarantine
-// events, and per-device tail estimates, and /metrics and /stats expose the
-// retry/quarantine counters.
-func TestFleetChaosJob(t *testing.T) {
-	s := newTestServer(t, Config{})
-	body := `{
+// chaosFleetJob is a risk-aware fleet job whose second device drops out for
+// the whole run, so it collects retries, quarantine events and tail
+// estimates.
+func chaosFleetJob() string {
+	return `{
 		"problem": {"kind": "maxcut3", "n": 8, "seed": 7},
 		"backend": {"kind": "analytic"},
 		"grid": {"beta_n": 12, "gamma_n": 14},
@@ -243,7 +242,16 @@ func TestFleetChaosJob(t *testing.T) {
 		},
 		"wait": true
 	}`
-	rec, out := do(t, s, "POST", "/jobs", body)
+}
+
+// TestFleetChaosJob runs a risk-aware fleet job with a mid-run-forever
+// dropout injected on one device and checks the robustness surface
+// end-to-end: the job completes, the result reports retries, quarantine
+// events, and per-device tail estimates, and /metrics and /stats expose the
+// retry/quarantine counters.
+func TestFleetChaosJob(t *testing.T) {
+	s := newTestServer(t, Config{})
+	rec, out := do(t, s, "POST", "/jobs", chaosFleetJob())
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %v", rec.Code, out)
 	}
@@ -331,18 +339,42 @@ func TestFleetSharedScenarioJob(t *testing.T) {
 	}
 }
 
+// TestPromLabelEscaping renders a running fleet job whose device names need
+// escaping and checks each lands on /metrics as a valid label value.
 func TestPromLabelEscaping(t *testing.T) {
-	for in, want := range map[string]string{
-		"plain":        "plain",
-		"a\tb":         "a b",
-		"a\nb":         `a\nb`,
-		`quo"te`:       `quo\"te`,
-		`back\slash`:   `back\\slash`,
-		"ctrl\x00\x7f": "ctrl  ",
-		"unicode-µ":    "unicode-µ",
-	} {
-		if got := promLabel(in); got != want {
-			t.Errorf("promLabel(%q) = %q, want %q", in, got, want)
+	cases := []struct{ in, want string }{
+		{"plain", "plain"},
+		{"a\tb", "a b"},
+		{"a\nb", `a\nb`},
+		{`quo"te`, `quo\"te`},
+		{`back\slash`, `back\\slash`},
+		{"ctrl\x00\x7f", "ctrl  "},
+		{"unicode-µ", "unicode-µ"},
+	}
+	devices := map[string]int{}
+	for i, c := range cases {
+		devices[c.in] = i + 1
+	}
+	s := newTestServer(t, Config{})
+	j := &Job{
+		id:       "j000077",
+		state:    StateRunning,
+		progress: &FleetProgress{SamplesTotal: 10, Devices: devices},
+		done:     make(chan struct{}),
+	}
+	s.mu.Lock()
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
+	s.mu.Unlock()
+
+	req := httptest.NewRequest("GET", "/metrics", nil)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	body := rec.Body.String()
+	for i, c := range cases {
+		want := fmt.Sprintf(`oscard_fleet_batch_size{job="j000077",device="%s"} %d`, c.want, i+1)
+		if !strings.Contains(body, want) {
+			t.Errorf("device %q: metrics missing %q\n%s", c.in, want, body)
 		}
 	}
 }
@@ -438,7 +470,9 @@ func metricValue(t *testing.T, body, name string) float64 {
 // TestMetricsFleetGauges pins the per-job fleet gauges by injecting a
 // running fleet job's progress directly (the callback path is exercised by
 // TestFleetJobProgressVisible), then checking a finished job stops
-// exporting.
+// exporting. The injected device states flag the opposite device as
+// quarantined from the progress's list: the quarantine gauge must follow
+// the list, as of the latest merged batch, like GET /jobs/{id} does.
 func TestMetricsFleetGauges(t *testing.T) {
 	s := newTestServer(t, Config{})
 	j := &Job{
@@ -447,7 +481,14 @@ func TestMetricsFleetGauges(t *testing.T) {
 		progress: &FleetProgress{
 			SamplesDone: 40, SamplesTotal: 84, VirtualTime: 123,
 			Solves: 1, Residual: 0.5,
-			Devices: map[string]int{"hiq": 96, "slow": 2},
+			Devices:          map[string]int{"hiq": 96, "slow": 2},
+			Retries:          3,
+			QuarantineEvents: 1,
+			Quarantined:      []string{"slow"},
+			states: []fleet.DeviceState{
+				{Name: "hiq", TailProb: 0.25, FailRate: 0.125, Quarantined: true},
+				{Name: "slow", TailProb: 0.5, FailRate: 0.75},
+			},
 		},
 		done: make(chan struct{}),
 	}
@@ -469,6 +510,14 @@ func TestMetricsFleetGauges(t *testing.T) {
 		`oscard_fleet_samples_done{job="j000042"} 40`,
 		`oscard_fleet_samples_total{job="j000042"} 84`,
 		`oscard_fleet_solves{job="j000042"} 1`,
+		`oscard_fleet_retries{job="j000042"} 3`,
+		`oscard_fleet_quarantine_events{job="j000042"} 1`,
+		`oscard_fleet_tail_prob{job="j000042",device="hiq"} 0.25`,
+		`oscard_fleet_tail_prob{job="j000042",device="slow"} 0.5`,
+		`oscard_fleet_fail_rate{job="j000042",device="hiq"} 0.125`,
+		`oscard_fleet_fail_rate{job="j000042",device="slow"} 0.75`,
+		`oscard_fleet_quarantined{job="j000042",device="hiq"} 0`,
+		`oscard_fleet_quarantined{job="j000042",device="slow"} 1`,
 		`oscard_jobs{state="running"} 1`,
 	} {
 		if !strings.Contains(body, want) {

@@ -51,10 +51,6 @@ type Job struct {
 	// (nil for non-fleet jobs); GET /jobs/{id} reports it, so clients see
 	// partial results before completion.
 	progress *FleetProgress
-	// fleet is the live scheduler of a running fleet job; /metrics reads
-	// its per-device learned state (tail estimates, quarantine flags)
-	// mid-run. Cleared when the job finishes.
-	fleet *fleet.Scheduler
 
 	// trace collects the job's spans (nil with tracing disabled); root is
 	// its top-level "job" span, open from submission until finishJob.
@@ -84,6 +80,9 @@ type FleetProgress struct {
 	QuarantineEvents int `json:"quarantine_events"`
 	// Quarantined lists the devices benched as of the latest merged batch.
 	Quarantined []string `json:"quarantined,omitempty"`
+	// states is the run's per-device learned state (tail estimates,
+	// failure rates) at the end of planning; /metrics exports it.
+	states []fleet.DeviceState
 }
 
 // FleetQuarantineEvent is one quarantine transition of a fleet run: a device
@@ -264,6 +263,7 @@ func (s *Server) executeFleet(ctx context.Context, j *Job, opt core.Options, h0,
 			Retries:          p.Retries,
 			QuarantineEvents: p.QuarantineEvents,
 			Quarantined:      quarantined,
+			states:           p.States,
 		}
 		s.mu.Unlock()
 	}
@@ -271,11 +271,6 @@ func (s *Server) executeFleet(ctx context.Context, j *Job, opt core.Options, h0,
 	if err != nil {
 		return nil, err
 	}
-	// Publish the live scheduler so /metrics can export mid-run tail
-	// estimates and quarantine flags; finishJob withdraws it.
-	s.mu.Lock()
-	j.fleet = sch
-	s.mu.Unlock()
 	sres, err := sch.ReconstructStream(ctx, j.built.grid, opt)
 	if err != nil {
 		return nil, err
@@ -412,11 +407,9 @@ func (s *Server) finishJob(j *Job, res *JobResult, err error) {
 		return
 	}
 	j.finished = time.Now()
-	// Progress and the live scheduler are streaming views; a finished job
-	// (including failed or canceled fleet jobs) must stop reporting them on
-	// GET and /metrics.
+	// Progress is a streaming view; a finished job (including failed or
+	// canceled fleet jobs) must stop reporting it on GET and /metrics.
 	j.progress = nil
-	j.fleet = nil
 	switch {
 	case err == nil:
 		j.state = StateDone

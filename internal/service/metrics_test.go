@@ -305,3 +305,200 @@ func TestMetricsMonotoneAcrossJobs(t *testing.T) {
 		t.Fatalf("run stage count %g -> %g, want +1", c1, c2)
 	}
 }
+
+// jsonKeyPaths collects every object key path in a decoded JSON value, with
+// "[]" standing for any array element, e.g. "jobs.recent[].state".
+func jsonKeyPaths(prefix string, v any, out map[string]bool) {
+	switch x := v.(type) {
+	case map[string]any:
+		for k, e := range x {
+			p := k
+			if prefix != "" {
+				p = prefix + "." + k
+			}
+			out[p] = true
+			jsonKeyPaths(p, e, out)
+		}
+	case []any:
+		for _, e := range x {
+			jsonKeyPaths(prefix+"[]", e, out)
+		}
+	}
+}
+
+// TestStatsAndMetricsAgree runs a plain job, a risk-aware fleet job with a
+// dropout and one artifact query, then checks that every counter /stats and
+// /metrics both report has the same value in each, and that neither
+// endpoint's shape drifted: the /stats key paths and the /metrics
+// (family, type) list are pinned literally.
+func TestStatsAndMetricsAgree(t *testing.T) {
+	s := newTestServer(t, Config{})
+	id := submitArtifactJob(t, s, smallJob())
+	if rec, out := do(t, s, "POST", "/jobs", chaosFleetJob()); rec.Code != 200 {
+		t.Fatalf("fleet job: %d %v", rec.Code, out)
+	}
+	if code, _, _ := postQuery(t, s, id, [][]float64{{0.2, 0.9}, {0.1, 0.3}}, false); code != 200 {
+		t.Fatalf("query: %d", code)
+	}
+	rec, stats := do(t, s, "GET", "/stats", "")
+	if rec.Code != 200 {
+		t.Fatalf("/stats: %d", rec.Code)
+	}
+	fams := scrape(t, s)
+
+	value := func(series string) float64 {
+		t.Helper()
+		name := series
+		if i := strings.IndexByte(name, '{'); i >= 0 {
+			name = name[:i]
+		}
+		f, ok := fams[name]
+		if !ok {
+			t.Fatalf("family %s missing", name)
+		}
+		v, ok := f.samples[series]
+		if !ok {
+			t.Fatalf("series %s missing", series)
+		}
+		return v
+	}
+	block := func(key string) map[string]any {
+		t.Helper()
+		b, ok := stats[key].(map[string]any)
+		if !ok {
+			t.Fatalf("/stats has no %q block: %v", key, stats)
+		}
+		return b
+	}
+	num := func(b map[string]any, key string) float64 {
+		t.Helper()
+		v, ok := b[key].(float64)
+		if !ok {
+			t.Fatalf("/stats key %q = %v, not a number", key, b[key])
+		}
+		return v
+	}
+	agree := func(what string, statsV, metricsV float64) {
+		t.Helper()
+		if statsV != metricsV {
+			t.Errorf("%s: /stats %v, /metrics %v", what, statsV, metricsV)
+		}
+	}
+
+	jobs := block("jobs")
+	byState, _ := jobs["by_state"].(map[string]any)
+	total := 0.0
+	for _, st := range []JobState{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {
+		n, _ := byState[string(st)].(float64)
+		total += n
+		agree("jobs "+string(st), n, value(`oscard_jobs{state="`+string(st)+`"}`))
+	}
+	agree("jobs total", num(jobs, "total"), total)
+	if total != 2 {
+		t.Errorf("jobs total %v, want 2", total)
+	}
+
+	cache := block("cache")
+	configs, _ := cache["configs"].([]any)
+	agree("cache hits", num(cache, "total_hits"), value("oscard_cache_hits_total"))
+	agree("cache misses", num(cache, "total_misses"), value("oscard_cache_misses_total"))
+	agree("cache entries", num(cache, "total_len"), value("oscard_cache_entries"))
+	agree("cache configs", float64(len(configs)), value("oscard_cache_configs"))
+	if num(cache, "total_misses") == 0 {
+		t.Error("no cache misses recorded")
+	}
+
+	agree("panics", num(stats, "panics"), value("oscard_panics_total"))
+
+	fl := block("fleet")
+	agree("fleet retries", num(fl, "retries_total"), value("oscard_fleet_retries_total"))
+	agree("fleet quarantine events", num(fl, "quarantine_events_total"), value("oscard_fleet_quarantine_events_total"))
+	if num(fl, "retries_total") == 0 || num(fl, "quarantine_events_total") == 0 {
+		t.Errorf("fleet totals %v, want nonzero after a dropout", fl)
+	}
+
+	arts := block("artifacts")
+	for key, series := range map[string]string{
+		"count":          "oscard_artifacts",
+		"lru_entries":    "oscard_artifact_lru_entries",
+		"published":      "oscard_artifacts_published_total",
+		"evictions":      "oscard_artifact_evictions_total",
+		"lru_hits":       "oscard_artifact_lru_hits_total",
+		"lru_misses":     "oscard_artifact_lru_misses_total",
+		"query_points":   "oscard_artifact_query_points_total",
+		"load_errors":    "oscard_artifact_load_errors_total",
+		"publish_errors": "oscard_artifact_publish_errors_total",
+	} {
+		agree("artifacts "+key, num(arts, key), value(series))
+	}
+	if num(arts, "query_points") != 2 {
+		t.Errorf("query points %v, want 2", arts["query_points"])
+	}
+
+	paths := map[string]bool{}
+	jsonKeyPaths("", stats, paths)
+	gotPaths := make([]string, 0, len(paths))
+	for p := range paths {
+		gotPaths = append(gotPaths, p)
+	}
+	sort.Strings(gotPaths)
+	gotFams := make([]string, 0, len(fams))
+	for name, f := range fams {
+		gotFams = append(gotFams, name+" "+f.typ)
+	}
+	sort.Strings(gotFams)
+	wantPaths := []string{
+		"artifacts", "artifacts.count", "artifacts.disk_backed", "artifacts.evictions",
+		"artifacts.load_errors", "artifacts.lru_capacity", "artifacts.lru_entries",
+		"artifacts.lru_hits", "artifacts.lru_misses", "artifacts.publish_errors",
+		"artifacts.published", "artifacts.query_points",
+		"cache", "cache.configs", "cache.configs[].config", "cache.configs[].hits",
+		"cache.configs[].len", "cache.configs[].misses", "cache.total_hits",
+		"cache.total_len", "cache.total_misses",
+		"fleet", "fleet.quarantine_events_total", "fleet.retries_total",
+		"goroutines",
+		"jobs", "jobs.by_state", "jobs.by_state.done", "jobs.recent",
+		"jobs.recent[].id", "jobs.recent[].queue_ms", "jobs.recent[].run_ms",
+		"jobs.recent[].state", "jobs.recent[].submitted", "jobs.total",
+		"max_parallel", "panics", "uptime_s",
+	}
+	wantFams := []string{
+		"oscard_artifact_evictions_total counter",
+		"oscard_artifact_load_errors_total counter",
+		"oscard_artifact_lru_entries gauge",
+		"oscard_artifact_lru_hits_total counter",
+		"oscard_artifact_lru_misses_total counter",
+		"oscard_artifact_publish_errors_total counter",
+		"oscard_artifact_query_points_total counter",
+		"oscard_artifacts gauge",
+		"oscard_artifacts_published_total counter",
+		"oscard_build_info gauge",
+		"oscard_cache_configs gauge",
+		"oscard_cache_entries gauge",
+		"oscard_cache_hits_total counter",
+		"oscard_cache_misses_total counter",
+		"oscard_fleet_batch_size gauge",
+		"oscard_fleet_fail_rate gauge",
+		"oscard_fleet_quarantine_events gauge",
+		"oscard_fleet_quarantine_events_total counter",
+		"oscard_fleet_quarantined gauge",
+		"oscard_fleet_retries gauge",
+		"oscard_fleet_retries_total counter",
+		"oscard_fleet_samples_done gauge",
+		"oscard_fleet_samples_total gauge",
+		"oscard_fleet_solves gauge",
+		"oscard_fleet_tail_prob gauge",
+		"oscard_fleet_virtual_seconds histogram",
+		"oscard_jobs gauge",
+		"oscard_panics_total counter",
+		"oscard_stage_duration_seconds histogram",
+		"oscard_trace_dropped_spans_total counter",
+		"oscard_uptime_seconds gauge",
+	}
+	if strings.Join(gotPaths, "\n") != strings.Join(wantPaths, "\n") {
+		t.Errorf("/stats key paths drifted:\n got %q\nwant %q", gotPaths, wantPaths)
+	}
+	if strings.Join(gotFams, "\n") != strings.Join(wantFams, "\n") {
+		t.Errorf("/metrics families drifted:\n got %q\nwant %q", gotFams, wantFams)
+	}
+}

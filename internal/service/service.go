@@ -14,13 +14,13 @@
 //	GET    /jobs/{id} poll one job (state, timings, result when done)
 //	DELETE /jobs/{id} cancel a queued or running job
 //	GET    /stats     cache hit/miss/size per device configuration,
-//	                  job counts, per-job timings, recovered panics,
-//	                  fleet retry and quarantine totals, artifact-store
-//	                  counters
+//	                  job counts by state, the last 32 jobs with their
+//	                  timings, recovered panics, fleet retry and
+//	                  quarantine totals, artifact-store counters
 //	GET    /metrics   Prometheus text-format export: job states, cache
 //	                  counters, fleet retry/quarantine counters, learned
 //	                  batch-size and tail-estimate gauges, artifact-store
-//	                  counters
+//	                  counters, per-stage latency histograms
 //	GET    /healthz   liveness probe
 //
 //	GET    /landscapes             list published landscape artifacts
@@ -29,6 +29,9 @@
 //	POST   /landscapes/{id}/query  batch-evaluate the fitted surrogate
 //	                               (values and optional gradients; never
 //	                               touches a backend)
+//
+// /stats and /metrics render one snapshot of the server state, read under
+// one acquisition of the server lock, so every counter they share agrees.
 //
 // Every finished reconstruction publishes its landscape into a
 // content-addressed artifact store (disk-backed when Config.ArtifactDir is
@@ -64,8 +67,6 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -412,67 +413,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	view := j.view(time.Now())
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, view)
-}
-
-// cacheStats is one configuration's cache accounting.
-type cacheStats struct {
-	Config string `json:"config"`
-	Len    int    `json:"len"`
-	Hits   int64  `json:"hits"`
-	Misses int64  `json:"misses"`
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	now := time.Now()
-	s.mu.Lock()
-	counts := map[JobState]int{}
-	recent := make([]jobJSON, 0, len(s.order))
-	for _, id := range s.order {
-		j := s.jobs[id]
-		counts[j.state]++
-		v := j.view(now)
-		v.Result = nil
-		recent = append(recent, v)
-	}
-	total := len(recent)
-	if len(recent) > 32 {
-		recent = recent[len(recent)-32:]
-	}
-	caches := make([]cacheStats, 0, len(s.caches))
-	var totalHits, totalMisses int64
-	totalLen := 0
-	for key, c := range s.caches {
-		st := cacheStats{Config: key, Len: c.Len(), Hits: c.Hits(), Misses: c.Misses()}
-		totalHits += st.Hits
-		totalMisses += st.Misses
-		totalLen += st.Len
-		caches = append(caches, st)
-	}
-	s.mu.Unlock()
-	sort.Slice(caches, func(i, j int) bool { return caches[i].Config < caches[j].Config })
-
-	writeJSON(w, http.StatusOK, map[string]any{
-		"uptime_s":     time.Since(s.start).Seconds(),
-		"goroutines":   runtime.NumGoroutine(),
-		"panics":       s.panics.Load(),
-		"max_parallel": s.cfg.MaxConcurrent,
-		"jobs": map[string]any{
-			"total":    total,
-			"by_state": counts,
-			"recent":   recent,
-		},
-		"cache": map[string]any{
-			"configs":      caches,
-			"total_len":    totalLen,
-			"total_hits":   totalHits,
-			"total_misses": totalMisses,
-		},
-		"fleet": map[string]any{
-			"retries_total":           s.fleetRetries.Load(),
-			"quarantine_events_total": s.fleetQuarantines.Load(),
-		},
-		"artifacts": s.artifactStats(),
-	})
 }
 
 // evictLocked trims finished jobs beyond MaxJobsKept, oldest first. Unfinished

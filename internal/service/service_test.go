@@ -522,6 +522,12 @@ func TestShotJobsBypassCache(t *testing.T) {
 
 func TestStatsShape(t *testing.T) {
 	s := newTestServer(t, Config{})
+	// A fresh server lists no jobs as an empty array, not null.
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
+	if !strings.Contains(rec.Body.String(), `"recent":[]`) {
+		t.Fatalf("fresh /stats: %s", rec.Body.String())
+	}
 	do(t, s, "POST", "/jobs", smallJob())
 	_, stats := do(t, s, "GET", "/stats", "")
 	jobs := stats["jobs"].(map[string]any)

@@ -202,7 +202,7 @@ func ReconstructFromSamplesContext(ctx context.Context, g *Grid, idx []int, valu
 // solve, and ReconstructMany solves whole fleets of independent landscapes
 // concurrently.
 type (
-	// ReconJob is one independent reconstruction (rows, cols, sampled
+	// ReconJob is one independent reconstruction (grid dims, sampled
 	// indices, measured values, solver options).
 	ReconJob = cs.Job
 	// ReconJobResult pairs a ReconJob's result with its error.
