@@ -61,9 +61,9 @@ func (s *NDSpline) AtPoints(dst []float64, pts [][]float64) error {
 	return nil
 }
 
-// GradientAtPoints estimates the gradient at every pts[i] into dst[i] (each
-// a caller-allocated vector of length Arity), under the same sharding and
-// determinism contract as AtPoints.
+// GradientAtPoints writes the exact gradient at every pts[i] into dst[i]
+// (each a caller-allocated vector of length Arity), under the same sharding
+// and determinism contract as AtPoints.
 func (s *NDSpline) GradientAtPoints(dst [][]float64, pts [][]float64) error {
 	if err := checkGradBatch(dst, pts, s.Arity()); err != nil {
 		return err

@@ -236,26 +236,72 @@ func TestFitChoosesByArity(t *testing.T) {
 	}
 }
 
-// BenchmarkAtPoints measures the vectorized hot path on the paper's 50x100
-// grid shape.
+// BenchmarkAtPoints measures one 512-point surrogate query at 1 worker on
+// the query-lru grid (32x64), the paper's Table 1 grid (50x100) and a p=2
+// grid (8^4): batch evaluation, batch gradients, and the fit itself.
 func BenchmarkAtPoints(b *testing.B) {
-	rng := rand.New(rand.NewSource(31))
-	xs, ys := knots(0, 1, 50), knots(0, 1, 100)
-	data := make([]float64, 50*100)
-	for i := range data {
-		data[i] = rng.NormFloat64()
-	}
-	bi, err := NewBicubic(xs, ys, data)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pts := randomPoints(rng, 4096, 2, []float64{0, 0}, []float64{1, 1})
-	dst := make([]float64, len(pts))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := bi.AtPoints(dst, pts); err != nil {
+	for _, c := range []struct {
+		name string
+		dims []int
+	}{
+		{"32x64", []int{32, 64}},
+		{"50x100", []int{50, 100}},
+		{"8^4", []int{8, 8, 8, 8}},
+	} {
+		rng := rand.New(rand.NewSource(31))
+		axes := make([][]float64, len(c.dims))
+		lo := make([]float64, len(c.dims))
+		hi := make([]float64, len(c.dims))
+		size := 1
+		for k, n := range c.dims {
+			lo[k], hi[k] = 0, 1
+			axes[k] = knots(0, 1, n)
+			size *= n
+		}
+		data := make([]float64, size)
+		for i := range data {
+			data[i] = rng.NormFloat64()
+		}
+		pts := make([][]float64, 512)
+		for i := range pts {
+			pts[i] = make([]float64, len(c.dims))
+			for k := range pts[i] {
+				pts[i][k] = rng.Float64()
+			}
+		}
+		nd, err := NewNDSpline(axes, data)
+		if err != nil {
 			b.Fatal(err)
 		}
+		nd.SetWorkers(1)
+		b.Run(c.name+"/eval", func(b *testing.B) {
+			dst := make([]float64, len(pts))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := nd.AtPoints(dst, pts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(c.name+"/grad", func(b *testing.B) {
+			dst := make([][]float64, len(pts))
+			for i := range dst {
+				dst[i] = make([]float64, len(c.dims))
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := nd.GradientAtPoints(dst, pts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(c.name+"/fit", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewNDSpline(axes, data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -12,11 +12,20 @@
 // behavior a public query endpoint can expose without serving polynomial
 // extrapolation garbage.
 //
-// All per-axis tridiagonal systems are factorized once at construction
-// (the factorization depends only on the knot positions), so queries — and
-// in particular the vectorized AtPoints/GradientAtPoints batch read path —
-// never re-run the Thomas elimination on the matrix, only the O(n)
-// substitution for the right-hand side. The batch methods shard across
+// Fitting does the spline solves once. An NDSpline stores four tables over
+// its last two axes, 4x the grid's memory: the data and its second
+// derivatives along each of those axes and across both. A query evaluates
+// the 16 corner terms of its cell, with each axis's cubic weights computed
+// once per point; only grids with 3 or more axes still fit cross splines
+// along their leading axes at query time, through tridiagonal systems
+// factorized at construction.
+//
+// Gradients are exact: the analytic derivative of the same piecewise cubic
+// the values come from. On the hull boundary a component is the one-sided
+// derivative from inside the grid; along an axis where the query lies
+// outside the hull the interpolant is constant and the component is zero.
+//
+// The vectorized AtPoints/GradientAtPoints batch read path shards across
 // workers via shard.ForRange with the engine's usual determinism convention:
 // results are bit-identical for every worker count.
 package interp
@@ -188,8 +197,9 @@ func (b *Bicubic) At(x, y float64) float64 {
 	return b.NDSpline.At([]float64{x, y})
 }
 
-// Gradient estimates the surface gradient at (x, y) by central differences
-// with steps proportional to the grid spacing; see NDSpline.Gradient.
+// Gradient returns the exact surface gradient at (x, y): the inside
+// derivative on the hull boundary, zero along an axis clamped outside the
+// hull; see NDSpline.Gradient.
 func (b *Bicubic) Gradient(x, y float64) (dx, dy float64) {
 	g := b.NDSpline.Gradient([]float64{x, y})
 	return g[0], g[1]

@@ -165,3 +165,45 @@ func TestBicubicValidation(t *testing.T) {
 		t.Error("want error for 1-row grid")
 	}
 }
+
+// TestGradientOnHullFace: on a face of the grid hull the gradient is the
+// one-sided derivative from inside the grid, not half of it, and outside
+// the hull it is zero along the clamped axis. f = 3x + 0.5y is reproduced
+// exactly by the natural spline, so the true gradient is (3, 0.5)
+// everywhere inside.
+func TestGradientOnHullFace(t *testing.T) {
+	xs, ys := knots(0, 1, 11), knots(0, 2, 9)
+	data := make([]float64, len(xs)*len(ys))
+	for i, x := range xs {
+		for j, y := range ys {
+			data[i*len(ys)+j] = 3*x + 0.5*y
+		}
+	}
+	b, err := NewBicubic(xs, ys, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const h = 1e-7
+	for _, c := range []struct {
+		name   string
+		x, y   float64
+		dx, dy float64 // inward step along each axis
+	}{
+		{"x=0 face", 0, 0.7, h, h},
+		{"y=2 face", 0.4, 2, h, -h},
+		{"x=1,y=0 corner", 1, 0, -h, h},
+	} {
+		gx, gy := b.Gradient(c.x, c.y)
+		inX := (b.At(c.x+c.dx, c.y) - b.At(c.x, c.y)) / c.dx
+		inY := (b.At(c.x, c.y+c.dy) - b.At(c.x, c.y)) / c.dy
+		if math.Abs(gx-inX) > 1e-6 || math.Abs(gy-inY) > 1e-6 {
+			t.Errorf("%s: gradient (%g, %g), inside derivative (%g, %g)", c.name, gx, gy, inX, inY)
+		}
+		if math.Abs(gx-3) > 1e-9 || math.Abs(gy-0.5) > 1e-9 {
+			t.Errorf("%s: gradient (%g, %g), want (3, 0.5)", c.name, gx, gy)
+		}
+	}
+	if gx, gy := b.Gradient(-1, 0.7); gx != 0 || math.Abs(gy-0.5) > 1e-9 {
+		t.Errorf("outside the x hull: gradient (%g, %g), want (0, 0.5)", gx, gy)
+	}
+}

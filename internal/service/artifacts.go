@@ -2,7 +2,6 @@ package service
 
 import (
 	"container/list"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -158,27 +157,27 @@ func (st *artifactStore) snapshot() []*landscape.Artifact {
 }
 
 // interpolator returns the fitted surrogate for an artifact, serving from
-// the LRU when hot and refitting when evicted. Refits are bit-identical to
-// the original fit — spline fitting is deterministic — so eviction is purely
-// a memory/latency trade, never a correctness one.
-func (st *artifactStore) interpolator(id string) (interp.Interpolator, error) {
+// the LRU when hot (hit) and refitting when evicted. Refits are
+// bit-identical to the original fit — spline fitting is deterministic — so
+// eviction is purely a memory/latency trade, never a correctness one.
+func (st *artifactStore) interpolator(id string) (ip interp.Interpolator, hit bool, err error) {
 	st.mu.Lock()
 	if el, ok := st.lruIdx[id]; ok {
 		st.lru.MoveToFront(el)
 		ip := el.Value.(*lruEntry).ip
 		st.mu.Unlock()
 		st.lruHits.Add(1)
-		return ip, nil
+		return ip, true, nil
 	}
 	a, ok := st.arts[id]
 	st.mu.Unlock()
 	if !ok {
-		return nil, errors.New("unknown landscape")
+		return nil, false, errors.New("unknown landscape")
 	}
 	st.lruMisses.Add(1)
-	ip, err := fitArtifact(a, st.workers)
+	ip, err = fitArtifact(a, st.workers)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	st.mu.Lock()
 	if el, ok := st.lruIdx[id]; ok {
@@ -196,7 +195,7 @@ func (st *artifactStore) interpolator(id string) (interp.Interpolator, error) {
 		}
 	}
 	st.mu.Unlock()
-	return ip, nil
+	return ip, false, nil
 }
 
 // fitArtifact fits the spline surrogate for an artifact's landscape.
@@ -341,11 +340,9 @@ type queryResponse struct {
 // decodeQuery reads and validates a query body against an artifact of the
 // given arity. It returns the request, or the message of the 400 to answer.
 func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request, arity int) (queryRequest, string) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var req queryRequest
-	if err := dec.Decode(&req); err != nil {
+	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength, s.cfg.MaxBodyBytes)
+	req, err := decodeQueryBody(body, err)
+	if err != nil {
 		return req, "malformed query: " + err.Error()
 	}
 	if len(req.Points) == 0 {
@@ -395,7 +392,8 @@ func (s *Server) handleArtifactQuery(w http.ResponseWriter, r *http.Request) {
 	root.SetAttr("points", len(req.Points))
 	root.SetAttr("gradients", req.Gradients)
 	fspan := root.Child("query.fit")
-	ip, err := s.artifacts.interpolator(a.ID())
+	ip, hit, err := s.artifacts.interpolator(a.ID())
+	fspan.SetAttr("hit", hit)
 	fspan.SetError(err)
 	fspan.End()
 	if err != nil {
@@ -439,7 +437,17 @@ func (s *Server) handleArtifactQuery(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("trace") == "1" {
 		resp.Trace = tr.Snapshot()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	floats := len(req.Points)
+	if req.Gradients {
+		floats *= 1 + len(a.Axes)
+	}
+	body, err := appendQueryResponse(make([]byte, 0, 64+len(resp.ID)+24*floats), &resp)
+	if err != nil {
+		// writeJSON answers the same encoding failure with its 500.
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	writeBody(w, http.StatusOK, body)
 }
 
 // artifactCounts is the store's accounting as /stats reports it (fields in

@@ -455,7 +455,11 @@ type jsonFloats []float64
 
 // MarshalJSON implements json.Marshaler.
 func (d jsonFloats) MarshalJSON() ([]byte, error) {
-	buf := make([]byte, 0, 2+16*len(d))
+	return appendFloats(make([]byte, 0, 2+16*len(d)), d), nil
+}
+
+// appendFloats appends d as a JSON array, non-finite entries as null.
+func appendFloats(buf []byte, d []float64) []byte {
 	buf = append(buf, '[')
 	for i, v := range d {
 		if i > 0 {
@@ -467,21 +471,33 @@ func (d jsonFloats) MarshalJSON() ([]byte, error) {
 			buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
 		}
 	}
-	return append(buf, ']'), nil
+	return append(buf, ']')
+}
+
+// marshalJSON encodes v as every response body is encoded: HTML characters
+// left unescaped, with a trailing newline.
+func marshalJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	err := enc.Encode(v)
+	return buf.Bytes(), err
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	// Encode before writing the header: an encoding failure after
 	// WriteHeader could only produce a truncated 200.
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
+	body, err := marshalJSON(v)
+	if err != nil {
 		status = http.StatusInternalServerError
-		buf.Reset()
-		fmt.Fprintf(&buf, "{\"error\":%q}\n", "encoding response: "+err.Error())
+		body = fmt.Appendf(nil, "{\"error\":%q}\n", "encoding response: "+err.Error())
 	}
+	writeBody(w, status, body)
+}
+
+// writeBody writes an encoded JSON response.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(body)
 }

@@ -315,38 +315,45 @@ func TestSpanCapDropsAndCounts(t *testing.T) {
 
 // TestQueryTraceInline asks the artifact query endpoint for its per-request
 // trace: fit and eval child spans inline in the response, nothing stored.
+// The fit span's "hit" attribute tells an LRU miss (the first query) from a
+// hit (the repeat).
 func TestQueryTraceInline(t *testing.T) {
 	s := newTestServer(t, Config{})
 	id := submitArtifactJob(t, s, smallJob())
 	body := `{"points": [[0.1, 0.2]], "gradients": true}`
-	req := httptest.NewRequest("POST", "/landscapes/"+id+"/query?trace=1", strings.NewReader(body))
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("query: %d %s", rec.Code, rec.Body.String())
-	}
-	var resp struct {
-		Trace *obs.TraceTree `json:"trace"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if resp.Trace == nil {
-		t.Fatalf("no inline trace: %s", rec.Body.String())
-	}
-	root := findSpan(resp.Trace.Spans, "query")
-	if root == nil {
-		t.Fatalf("no query span: %+v", resp.Trace.Spans)
-	}
-	for _, name := range []string{"query.decode", "query.fit", "query.eval"} {
-		if findSpan(root.Children, name) == nil {
-			t.Fatalf("query trace missing %q: %+v", name, root.Children)
+	for _, wantHit := range []bool{false, true} {
+		req := httptest.NewRequest("POST", "/landscapes/"+id+"/query?trace=1", strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("query: %d %s", rec.Code, rec.Body.String())
+		}
+		var resp struct {
+			Trace *obs.TraceTree `json:"trace"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if resp.Trace == nil {
+			t.Fatalf("no inline trace: %s", rec.Body.String())
+		}
+		root := findSpan(resp.Trace.Spans, "query")
+		if root == nil {
+			t.Fatalf("no query span: %+v", resp.Trace.Spans)
+		}
+		for _, name := range []string{"query.decode", "query.fit", "query.eval"} {
+			if findSpan(root.Children, name) == nil {
+				t.Fatalf("query trace missing %q: %+v", name, root.Children)
+			}
+		}
+		if hit, ok := findSpan(root.Children, "query.fit").Attrs["hit"].(bool); !ok || hit != wantHit {
+			t.Fatalf("query.fit hit attribute %v, want %v", findSpan(root.Children, "query.fit").Attrs["hit"], wantHit)
 		}
 	}
 
 	// Without the flag the response must stay trace-free.
-	req = httptest.NewRequest("POST", "/landscapes/"+id+"/query", strings.NewReader(body))
-	rec = httptest.NewRecorder()
+	req := httptest.NewRequest("POST", "/landscapes/"+id+"/query", strings.NewReader(body))
+	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	if strings.Contains(rec.Body.String(), `"trace"`) {
 		t.Fatal("trace leaked into an untraced query response")

@@ -93,7 +93,9 @@ type (
 // evaluate whole batches sharded across workers, bit-identically to
 // pointwise calls for every worker count. Out-of-domain queries clamp to the
 // grid hull on every method: the surrogate never extrapolates beyond the
-// fitted data.
+// fitted data. Gradients are exact derivatives of the interpolant: the
+// inside derivative on the hull boundary, zero along axes clamped outside
+// it. A fitted surrogate holds 4x its grid's values.
 type Interpolator = interp.Interpolator
 
 // Landscape artifacts: the self-describing persisted form of a landscape —
@@ -369,8 +371,7 @@ func DepolarizingNoise(name string, p1, p2 float64) NoiseProfile {
 // Interpolate fits a continuously queryable spline surrogate to a
 // reconstructed landscape of any dimensionality: the tensor-product
 // NDSpline, which on a 2-axis landscape is the paper's rectangular bivariate
-// spline (bit-identical to the historical 2-D-only Interpolate) and
-// interpolates p>1 QAOA landscapes the same way.
+// spline and interpolates p>1 QAOA landscapes the same way.
 func Interpolate(l *Landscape) (Interpolator, error) {
 	axes := make([][]float64, len(l.Grid.Axes))
 	for i, a := range l.Grid.Axes {
