@@ -156,9 +156,12 @@ type Result struct {
 	Coeffs []float64
 	// Iterations is the number of solver iterations performed.
 	Iterations int
-	// Transforms is the number of full-grid DCTs the solve ran, forward
-	// and inverse alike. A FISTA/ISTA solve runs one to scale the penalty,
-	// two per iteration, two per debias step and two to finish.
+	// Transforms is the number of DCT applications the solve ran, forward
+	// and inverse alike. An application of the measurement operator or its
+	// adjoint counts as one although it computes only the part of the
+	// full-grid transform that the samples see. A FISTA/ISTA solve runs one
+	// to scale the penalty, two per iteration, two per debias step and two
+	// to finish.
 	Transforms int
 	// DebiasSteps is the number of least-squares polish steps the debias
 	// pass took (0 without debias).
@@ -179,7 +182,8 @@ func ReconstructND(dims []int, idx []int, y []float64, opt Options) (*Result, er
 }
 
 // ReconstructNDContext is ReconstructND with cancellation: a canceled ctx
-// stops the solver between iterations and returns ctx.Err().
+// stops the solver between iterations and between least-squares polish
+// steps, and returns ctx.Err().
 func ReconstructNDContext(ctx context.Context, dims []int, idx []int, y []float64, opt Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -215,7 +219,7 @@ func ReconstructNDContext(ctx context.Context, dims []int, idx []int, y []float6
 	if opt.Warm != nil && len(opt.Warm) != n {
 		return nil, fmt.Errorf("cs: warm start has %d coefficients, want %d", len(opt.Warm), n)
 	}
-	op := newPartialDCT(dims, idx, opt.Workers)
+	op := newPartialDCT(dims, idx, opt.Workers, true)
 	span, ctx := obs.Start(ctx, "cs.solve")
 	defer span.End()
 	span.SetAttr("samples", len(idx))
@@ -244,48 +248,64 @@ func ReconstructNDContext(ctx context.Context, dims []int, idx []int, y []float6
 }
 
 // partialDCT is the measurement operator A and its adjoint, sharded across
-// workers goroutines (1 = serial).
+// workers goroutines (1 = serial). Each application is one transform in
+// Result.Transforms: on the pruned path (dct.Sampled) it computes only what
+// the samples see, bit-identical to the full-grid transform and gather (or
+// scatter and transform) it replaces.
 type partialDCT struct {
 	workers    int
 	idx        []int
 	plan       *dct.PlanND
-	grid       []float64 // scratch, length prod(dims)
-	transforms int       // DCTs run so far, reported as Result.Transforms
+	sampled    *dct.Sampled // nil on the full path
+	grid       []float64    // full-path scratch, length prod(dims)
+	transforms int          // operator applications so far, reported as Result.Transforms
 }
 
-func newPartialDCT(dims []int, idx []int, workers int) *partialDCT {
+// newPartialDCT builds the operator for samples idx of a dims grid, with the
+// sample tables built once for the whole solve. Only tests and benchmarks
+// pass pruned = false, which runs the full-grid transform every time.
+func newPartialDCT(dims []int, idx []int, workers int, pruned bool) *partialDCT {
 	plan := dct.NewPlanNDWorkers(dims, workers)
-	return &partialDCT{
+	op := &partialDCT{
 		// The plan owns worker resolution (GOMAXPROCS default, small-grid
 		// serial fallback); adopting its effective count keeps the vector
 		// kernels and the transforms under one rule.
 		workers: plan.Workers(),
 		idx:     idx,
 		plan:    plan,
-		grid:    make([]float64, plan.Size()),
 	}
+	if pruned {
+		op.sampled = dct.NewSampled(plan, idx)
+	} else {
+		op.grid = make([]float64, plan.Size())
+	}
+	return op
 }
 
-func (op *partialDCT) n() int { return len(op.grid) }
+func (op *partialDCT) n() int { return op.plan.Size() }
 func (op *partialDCT) m() int { return len(op.idx) }
 
 // forward computes A s = subsample(IDCT(s)) into out (length m).
 func (op *partialDCT) forward(out, s []float64) {
 	op.transforms++
+	if op.sampled != nil {
+		op.sampled.Inverse(out, s)
+		return
+	}
 	op.plan.Inverse(op.grid, s)
 	for j, gi := range op.idx {
 		out[j] = op.grid[gi]
 	}
 }
 
-// adjoint computes A^T r = DCT(scatter(r)) into out (length n). The zeroing
-// stays serial: it compiles to a memclr that is far cheaper than goroutine
-// fan-out at these grid sizes.
+// adjoint computes A^T r = DCT(scatter(r)) into out (length n).
 func (op *partialDCT) adjoint(out, r []float64) {
 	op.transforms++
-	for i := range op.grid {
-		op.grid[i] = 0
+	if op.sampled != nil {
+		op.sampled.Forward(out, r)
+		return
 	}
+	clear(op.grid)
 	for j, gi := range op.idx {
 		op.grid[gi] = r[j]
 	}
@@ -419,7 +439,10 @@ func solveProx(ctx context.Context, op *partialDCT, y []float64, opt Options) (*
 
 	steps := 0
 	if opt.Debias {
-		steps = debias(op, s, y)
+		var err error
+		if steps, err = debias(ctx, op, s, y); err != nil {
+			return nil, err
+		}
 	}
 
 	op.forward(az, s)
@@ -452,10 +475,12 @@ func countNonzero(s []float64) int {
 // debiasMaxSteps caps the debias polish.
 const debiasMaxSteps = 50
 
-// debias polishes the solution with conjugate-gradient least squares
-// restricted to the recovered support, and returns how many steps (one
-// forward and one adjoint each) it ran.
-func debias(op *partialDCT, s, y []float64) int {
+// debias polishes the solution by least squares restricted to the recovered
+// support: fixed unit-step gradient descent, stopped when the support
+// gradient vanishes or after debiasMaxSteps. It returns how many steps (one
+// forward and one adjoint each) it ran, or ctx.Err() if ctx is canceled
+// before a step.
+func debias(ctx context.Context, op *partialDCT, s, y []float64) (int, error) {
 	support := make([]int, 0, 64)
 	for i, v := range s {
 		if v != 0 {
@@ -463,15 +488,17 @@ func debias(op *partialDCT, s, y []float64) int {
 		}
 	}
 	if len(support) == 0 || len(support) > op.m() {
-		return 0
+		return 0, nil
 	}
-	// Solve min over coefficients on the support via gradient descent with
-	// a fixed number of CG-like steps (the operator restricted to the
-	// support still has spectral norm <= 1).
+	// A unit step is valid: the operator restricted to the support still
+	// has spectral norm <= 1.
 	grad := make([]float64, op.n())
 	resid := make([]float64, op.m())
 	as := make([]float64, op.m())
 	for it := 0; it < debiasMaxSteps; it++ {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
 		op.forward(as, s)
 		for j := range resid {
 			resid[j] = as[j] - y[j]
@@ -482,13 +509,13 @@ func debias(op *partialDCT, s, y []float64) int {
 			gnorm += grad[i] * grad[i]
 		}
 		if gnorm < 1e-24 {
-			return it + 1
+			return it + 1, nil
 		}
 		for _, i := range support {
 			s[i] -= grad[i]
 		}
 	}
-	return debiasMaxSteps
+	return debiasMaxSteps, nil
 }
 
 // solveOMP runs orthogonal matching pursuit: greedily grow the support,
@@ -534,6 +561,9 @@ func solveOMP(ctx context.Context, op *partialDCT, y []float64, opt Options) (*R
 		supportSize++
 		// Least-squares refit on the support by projected gradient.
 		for polish := 0; polish < 25; polish++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			op.forward(as, s)
 			for j := range resid {
 				resid[j] = as[j] - y[j]

@@ -171,39 +171,44 @@ func TestReconstructZeroSignal(t *testing.T) {
 }
 
 // TestAdjointProperty verifies <A s, r> == <s, A^T r> for random vectors, the
-// defining property the proximal solver relies on.
+// defining property the proximal solver relies on, on a 2-D grid and on a
+// 3-D grid with a degenerate axis and a long (zero-skipping) dense axis.
 func TestAdjointProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	cfg := &quick.Config{MaxCount: 30, Rand: rng}
-	rows, cols := 9, 13
-	n := rows * cols
-	idx, _ := SampleIndices(rng, n, 40)
-	op := newPartialDCT([]int{rows, cols}, idx, 1)
-	f := func(seed int64) bool {
-		r2 := rand.New(rand.NewSource(seed))
-		s := make([]float64, n)
-		for i := range s {
-			s[i] = r2.NormFloat64()
+	for _, dims := range [][]int{{9, 13}, {5, 1, 24}} {
+		cfg := &quick.Config{MaxCount: 30, Rand: rng}
+		n := 1
+		for _, d := range dims {
+			n *= d
 		}
-		r := make([]float64, len(idx))
-		for i := range r {
-			r[i] = r2.NormFloat64()
+		idx, _ := SampleIndices(rng, n, 40)
+		op := newPartialDCT(dims, idx, 1, true)
+		f := func(seed int64) bool {
+			r2 := rand.New(rand.NewSource(seed))
+			s := make([]float64, n)
+			for i := range s {
+				s[i] = r2.NormFloat64()
+			}
+			r := make([]float64, len(idx))
+			for i := range r {
+				r[i] = r2.NormFloat64()
+			}
+			as := make([]float64, len(idx))
+			op.forward(as, s)
+			atr := make([]float64, n)
+			op.adjoint(atr, r)
+			var lhs, rhs float64
+			for i := range as {
+				lhs += as[i] * r[i]
+			}
+			for i := range s {
+				rhs += s[i] * atr[i]
+			}
+			return math.Abs(lhs-rhs) <= 1e-8*(1+math.Abs(lhs))
 		}
-		as := make([]float64, len(idx))
-		op.forward(as, s)
-		atr := make([]float64, n)
-		op.adjoint(atr, r)
-		var lhs, rhs float64
-		for i := range as {
-			lhs += as[i] * r[i]
+		if err := quick.Check(f, cfg); err != nil {
+			t.Fatalf("%v: %v", dims, err)
 		}
-		for i := range s {
-			rhs += s[i] * atr[i]
-		}
-		return math.Abs(lhs-rhs) <= 1e-8*(1+math.Abs(lhs))
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -214,7 +219,7 @@ func TestOperatorContraction(t *testing.T) {
 	rows, cols := 10, 14
 	n := rows * cols
 	idx, _ := SampleIndices(rng, n, 50)
-	op := newPartialDCT([]int{rows, cols}, idx, 1)
+	op := newPartialDCT([]int{rows, cols}, idx, 1, true)
 	for trial := 0; trial < 30; trial++ {
 		s := make([]float64, n)
 		for i := range s {
@@ -490,6 +495,129 @@ func TestReconstructCanceledContext(t *testing.T) {
 		opt.Method = m
 		if _, err := ReconstructNDContext(ctx, []int{rows, cols}, idx, y, opt); !errors.Is(err, context.Canceled) {
 			t.Errorf("%v: err = %v, want context.Canceled", m, err)
+		}
+	}
+}
+
+// lateCancelCtx reports cancellation from its (after+1)-th Err call on, so
+// a test can cancel a solve at a chosen check without relying on timing.
+type lateCancelCtx struct {
+	context.Context
+	after, calls int
+}
+
+func (c *lateCancelCtx) Err() error {
+	c.calls++
+	if c.calls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelDuringPolish: cancellation that arrives once the main loop has
+// stopped still cancels the least-squares polish that follows it — FISTA's
+// debias and OMP's per-step refit — instead of running up to 50 (or 25 per
+// greedy step) more forward+adjoint pairs.
+func TestCancelDuringPolish(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	rows, cols := 20, 20
+	x, _ := sparseLandscape(rng, rows, cols, 3)
+	idx, _ := SampleIndices(rng, rows*cols, 100)
+	y := make([]float64, len(idx))
+	for j, i := range idx {
+		y[j] = x[i]
+	}
+	dims := []int{rows, cols}
+
+	// FISTA checks ctx once per iteration; the next check is the debias's.
+	res, err := ReconstructND(dims, idx, y, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DebiasSteps == 0 {
+		t.Fatal("FISTA solve ran no debias steps")
+	}
+	ctx := &lateCancelCtx{Context: context.Background(), after: res.Iterations}
+	if _, err := ReconstructNDContext(ctx, dims, idx, y, DefaultOptions()); !errors.Is(err, context.Canceled) {
+		t.Errorf("FISTA canceled after %d iterations: err = %v, want context.Canceled", res.Iterations, err)
+	}
+
+	// OMP: the solve's last check falls inside the last refit.
+	opt := DefaultOptions()
+	opt.Method = OMP
+	count := &lateCancelCtx{Context: context.Background(), after: math.MaxInt}
+	res, err = ReconstructNDContext(count, dims, idx, y, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if count.calls <= res.Iterations {
+		t.Fatalf("OMP checked ctx %d times in %d greedy steps: the refit never checks", count.calls, res.Iterations)
+	}
+	ctx = &lateCancelCtx{Context: context.Background(), after: count.calls - 1}
+	if _, err := ReconstructNDContext(ctx, dims, idx, y, opt); !errors.Is(err, context.Canceled) {
+		t.Errorf("OMP canceled at its last check: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestPrunedOperatorSolvesBitIdentical: whole solves on the pruned operator
+// and on the full-grid one agree bit for bit — X, Coeffs, Residual and the
+// work counts — for FISTA, warm-started FISTA and OMP, on the solver's 2-D
+// and 4-D grids at 1 and 2 workers.
+func TestPrunedOperatorSolvesBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for _, dims := range [][]int{{50, 100}, {8, 8, 8, 8}} {
+		n := 1
+		for _, d := range dims {
+			n *= d
+		}
+		coeffs := make([]float64, n)
+		for i := 0; i < 12; i++ {
+			coeffs[rng.Intn(n/8)] = rng.NormFloat64()
+		}
+		x := make([]float64, n)
+		dct.NewPlanND(dims).Inverse(x, coeffs)
+		idx, _ := StratifiedIndicesND(rng, dims, n/10)
+		y := make([]float64, len(idx))
+		for j, i := range idx {
+			y[j] = x[i]
+		}
+		warm := make([]float64, n)
+		for i, c := range coeffs {
+			warm[i] = 0.9 * c
+		}
+		opts := map[string]Options{"fista": DefaultOptions(), "warm": DefaultOptions(), "omp": DefaultOptions()}
+		o := opts["warm"]
+		o.Warm = warm
+		opts["warm"] = o
+		o = opts["omp"]
+		o.Method, o.OMPSparsity = OMP, 16
+		opts["omp"] = o
+		for name, opt := range opts {
+			opt.fill()
+			for _, w := range []int{1, 2} {
+				var res [2]*Result
+				for k, pruned := range []bool{false, true} {
+					op := newPartialDCT(dims, idx, w, pruned)
+					var err error
+					if opt.Method == OMP {
+						res[k], err = solveOMP(context.Background(), op, y, opt)
+					} else {
+						res[k], err = solveProx(context.Background(), op, y, opt)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				full, pruned := res[0], res[1]
+				if hashFloats(full.X) != hashFloats(pruned.X) || hashFloats(full.Coeffs) != hashFloats(pruned.Coeffs) ||
+					math.Float64bits(full.Residual) != math.Float64bits(pruned.Residual) ||
+					full.Iterations != pruned.Iterations || full.Transforms != pruned.Transforms ||
+					full.DebiasSteps != pruned.DebiasSteps || full.Sparsity != pruned.Sparsity {
+					t.Errorf("%v %s w%d: pruned solve (iters %d, transforms %d, residual %v) differs from full (%d, %d, %v)",
+						dims, name, w, pruned.Iterations, pruned.Transforms, pruned.Residual,
+						full.Iterations, full.Transforms, full.Residual)
+				}
+			}
 		}
 	}
 }

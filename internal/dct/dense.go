@@ -5,6 +5,13 @@ package dct
 // m[o*n+i]*x[i], starting from zero. The kernels below only interleave
 // independent sums, so the result is the same bit for bit however lines and
 // columns are split across calls and workers.
+//
+// The same holds when terms with x[i] == 0 are left out. A sum that starts at
+// +0 never becomes −0 (x + y rounds to −0 only when both are −0), and adding
+// ±0 to anything but −0 leaves it unchanged, so dropping the m[o*n+i]*±0
+// terms cannot change a single output bit, sign of zero included; a line
+// whose input is all zero transforms to +0 everywhere. The zero-skipping and
+// sample-pruned kernels rely on this.
 
 // denseCols caps the columns a strided-axis unit covers, so a worker's
 // scratch is n×denseCols floats whatever the grid size.
@@ -38,6 +45,35 @@ func matVec(dst, m, x []float64) {
 			s += r[i] * v
 		}
 		dst[o] = s
+	}
+}
+
+// matVecNZ is matVec for an input held as its terms: positions pos
+// (ascending) and values val. mT is m's transpose, so each term is an axpy of
+// the contiguous row mT[pos[t]*n:] into dst, and dst[o] sums
+// m[o*n+pos[t]]*val[t] for t ascending from zero. Positions left out are
+// terms whose input is zero, so the result matches matVec bit for bit.
+func matVecNZ(dst, mT []float64, pos []int, val []float64) {
+	n := len(dst)
+	clear(dst)
+	t := 0
+	// Four terms per statement round exactly like four single-term passes
+	// (see matCols).
+	for ; t+4 <= len(pos); t += 4 {
+		a0, a1, a2, a3 := val[t], val[t+1], val[t+2], val[t+3]
+		r0 := mT[pos[t]*n : pos[t]*n+n][:len(dst)]
+		r1 := mT[pos[t+1]*n : pos[t+1]*n+n][:len(dst)]
+		r2 := mT[pos[t+2]*n : pos[t+2]*n+n][:len(dst)]
+		r3 := mT[pos[t+3]*n : pos[t+3]*n+n][:len(dst)]
+		for o := range dst {
+			dst[o] = dst[o] + r0[o]*a0 + r1[o]*a1 + r2[o]*a2 + r3[o]*a3
+		}
+	}
+	for ; t < len(pos); t++ {
+		a, r := val[t], mT[pos[t]*n : pos[t]*n+n][:len(dst)]
+		for o := range dst {
+			dst[o] += r[o] * a
+		}
 	}
 }
 
@@ -76,4 +112,14 @@ func matCols(x, m, tmp []float64, n, stride, c0, c1 int) {
 			}
 		}
 	}
+}
+
+// allZero reports whether every element of x is ±0.
+func allZero(x []float64) bool {
+	for _, v := range x {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
 }

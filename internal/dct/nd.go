@@ -46,7 +46,22 @@ type ndAxis struct {
 	// line pair on the FFT path. A contiguous axis transforms in place and
 	// needs none.
 	scratch [][]float64
+	// skip marks a dense axis of at least skipZerosMinLen points, where
+	// Sampled.Inverse skips zero input.
+	skip bool
+	// pos is per-slot scratch of a sparse line's n nonzero positions, on a
+	// contiguous axis that skips (see sparseLine).
+	pos [][]int
 }
+
+// skipZerosMinLen is the shortest dense axis where Sampled.Inverse skips zero
+// input: on a contiguous axis it transforms each line from its nonzero terms,
+// and in its pruned last pass it drops all-zero slabs. On longer axes a zero
+// term saves n multiply-adds for one test; on the ≤ 16-point axes of the
+// solver's 4-D grids the tests cost about what they save (skipping on an 8^4
+// solve's length-8 axes cancelled the whole pruning gain). FFT axes never
+// skip: an FFT of a zero line is not guaranteed to be +0.
+const skipZerosMinLen = denseMaxPow2 + 1
 
 // units is the number of independent work items in the axis pass.
 func (a *ndAxis) units(size int) int {
@@ -122,7 +137,14 @@ func newPlanND(dims []int, workers int, dense func(n int) bool) *PlanND {
 		for w := 1; w < slots; w++ {
 			a.plans = append(a.plans, a.plans[0].clone())
 		}
+		a.skip = a.plans[0].mat != nil && d >= skipZerosMinLen
 		if a.stride == 1 {
+			if a.skip {
+				a.pos = make([][]int, slots)
+				for w := range a.pos {
+					a.pos[w] = make([]int, d)
+				}
+			}
 			continue
 		}
 		per := 2 * d
@@ -173,68 +195,104 @@ func (p *PlanND) apply(dst, src []float64, forward bool) {
 	}
 	// Passes run from the last axis to the first (in 2-D: rows along the
 	// last axis first, then columns), the order the bit-identity pins of the
-	// compressed-sensing solver rely on. The length-1 orthonormal DCT is the
-	// exact identity (bit-for-bit), so degenerate axes skip their pass.
+	// compressed-sensing solver rely on.
 	for k := len(p.axes) - 1; k >= 0; k-- {
-		a := &p.axes[k]
-		n, stride := a.n, a.stride
-		if n <= 1 {
-			continue
-		}
-		units := a.units(p.size)
-		switch {
-		case stride == 1:
-			// Contiguous lines: transform each in place.
-			shard.ForRange(p.workers, units, func(slot, lo, hi int) {
-				plan := a.plans[slot]
-				for r := lo; r < hi; r++ {
-					row := dst[r*n : (r+1)*n]
-					if forward {
-						plan.Forward(row, row)
-					} else {
-						plan.Inverse(row, row)
-					}
+		p.pass(dst, k, forward, false)
+	}
+}
+
+// pass transforms every line of x along axis k in place. With sparse (set by
+// Sampled.Inverse only), a contiguous axis that skips (ndAxis.skip)
+// transforms each line from its nonzero terms, bit for bit the same output;
+// every other pass runs in full. The length-1 orthonormal DCT is the exact
+// identity (bit-for-bit), so degenerate axes skip their pass.
+func (p *PlanND) pass(x []float64, k int, forward, sparse bool) {
+	a := &p.axes[k]
+	n, stride := a.n, a.stride
+	if n <= 1 {
+		return
+	}
+	sparse = sparse && a.pos != nil
+	units := a.units(p.size)
+	switch {
+	case stride == 1:
+		// Contiguous lines: transform each in place.
+		shard.ForRange(p.workers, units, func(slot, lo, hi int) {
+			plan := a.plans[slot]
+			for r := lo; r < hi; r++ {
+				row := x[r*n : (r+1)*n]
+				if sparse && sparseLine(row, plan, a.pos[slot]) {
+					continue
 				}
-			})
-		case a.plans[0].mat != nil:
-			// Unit u covers the j-th of chunks even column ranges of outer
-			// block u/chunks, the n rows of length stride starting at
-			// (u/chunks)*n*stride.
-			m := a.plans[0].mat
-			if !forward {
-				m = a.plans[0].matT
+				if forward {
+					plan.Forward(row, row)
+				} else {
+					plan.Inverse(row, row)
+				}
 			}
-			chunks := a.chunks()
-			shard.ForRange(p.workers, units, func(slot, lo, hi int) {
-				tmp := a.scratch[slot]
-				for u := lo; u < hi; u++ {
-					block := dst[u/chunks*n*stride : (u/chunks+1)*n*stride]
-					j := u % chunks
-					matCols(block, m, tmp, n, stride, j*stride/chunks, (j+1)*stride/chunks)
+		})
+	case a.plans[0].mat != nil:
+		// Unit u covers the j-th of chunks even column ranges of outer
+		// block u/chunks, the n rows of length stride starting at
+		// (u/chunks)*n*stride.
+		m := a.plans[0].mat
+		if !forward {
+			m = a.plans[0].matT
+		}
+		chunks := a.chunks()
+		shard.ForRange(p.workers, units, func(slot, lo, hi int) {
+			tmp := a.scratch[slot]
+			for u := lo; u < hi; u++ {
+				block := x[u/chunks*n*stride : (u/chunks+1)*n*stride]
+				j := u % chunks
+				matCols(block, m, tmp, n, stride, j*stride/chunks, (j+1)*stride/chunks)
+			}
+		})
+	default:
+		// Strided lines: line l starts at (l/stride)*stride*n + l%stride
+		// and steps by stride — the same enumeration landscape metrics
+		// use.
+		shard.ForRange(p.workers, units, func(slot, lo, hi int) {
+			plan := a.plans[slot]
+			buf, out := a.scratch[slot][:n], a.scratch[slot][n:]
+			for l := lo; l < hi; l++ {
+				base := (l/stride)*stride*n + l%stride
+				for i := 0; i < n; i++ {
+					buf[i] = x[base+i*stride]
 				}
-			})
-		default:
-			// Strided lines: line l starts at (l/stride)*stride*n + l%stride
-			// and steps by stride — the same enumeration landscape metrics
-			// use.
-			shard.ForRange(p.workers, units, func(slot, lo, hi int) {
-				plan := a.plans[slot]
-				buf, out := a.scratch[slot][:n], a.scratch[slot][n:]
-				for l := lo; l < hi; l++ {
-					base := (l/stride)*stride*n + l%stride
-					for i := 0; i < n; i++ {
-						buf[i] = dst[base+i*stride]
-					}
-					if forward {
-						plan.Forward(out, buf)
-					} else {
-						plan.Inverse(out, buf)
-					}
-					for i := 0; i < n; i++ {
-						dst[base+i*stride] = out[i]
-					}
+				if forward {
+					plan.Forward(out, buf)
+				} else {
+					plan.Inverse(out, buf)
 				}
-			})
+				for i := 0; i < n; i++ {
+					x[base+i*stride] = out[i]
+				}
+			}
+		})
+	}
+}
+
+// sparseLine inverse-transforms the dense-path line row in place from its
+// nonzero terms, gathered into pos and the plan's line buffer, and reports
+// true; it leaves the line alone and reports false when more than 3/4 of its
+// terms are nonzero. That is about where matVec becomes the faster of the two
+// bit-identical kernels: on 50- and 100-point lines matVecNZ, gather
+// included, wins up to 75% nonzeros and loses from 90% (1.3x at 100% on 50
+// points).
+func sparseLine(row []float64, plan *Plan, pos []int) bool {
+	val := plan.line
+	nz := 0
+	for i, v := range row {
+		if v != 0 {
+			if 4*(nz+1) > 3*len(row) {
+				return false
+			}
+			pos[nz], val[nz] = i, v
+			nz++
 		}
 	}
+	// The inverse runs matT, whose transpose is mat.
+	matVecNZ(row, plan.mat, pos[:nz], val[:nz])
+	return true
 }
