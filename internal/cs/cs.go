@@ -9,10 +9,17 @@
 //
 //	min_s 1/2 ||y - A s||_2^2 + λ ||s||_1
 //
-// using FISTA (accelerated proximal gradient). Because the orthonormal DCT is
-// an isometry and subsampling is a contraction, ||A||_2 <= 1 and a unit step
-// size is always valid. ISTA and OMP are alternative solvers for the
-// solver-choice ablation (BenchmarkAblationSolver).
+// using FISTA (accelerated proximal gradient) with gradient-based adaptive
+// restart: the momentum is dropped whenever it points uphill. Because the
+// orthonormal DCT is an isometry and subsampling is a contraction,
+// ||A||_2 <= 1 and a unit step size is always valid. The recovered support is
+// then polished by CGLS, an exact least-squares fit of y on those
+// coefficients. ISTA and OMP are alternative solvers for the solver-choice
+// ablation (BenchmarkAblationSolver); OMP refits with the same CGLS.
+//
+// Every reduction runs serially in one fixed order (samples by ascending
+// grid index, coefficients by index), so a result depends neither on the
+// worker count nor on the order in which the caller lists its samples.
 package cs
 
 import (
@@ -75,7 +82,9 @@ type Options struct {
 	// speeds up convergence on poorly conditioned sampling sets.
 	Continuation bool
 	// Debias, when true, follows l1 recovery with a least-squares polish
-	// restricted to the recovered support.
+	// restricted to the recovered support: CGLS, one forward and one adjoint
+	// application per step, at most 50 steps. It is skipped when the support
+	// holds more coefficients than there are samples.
 	Debias bool
 	// OMPSparsity bounds the support size for OMP. When zero it defaults
 	// to len(y)/4.
@@ -163,9 +172,14 @@ type Result struct {
 	// to scale the penalty, two per iteration, two per debias step and two
 	// to finish.
 	Transforms int
-	// DebiasSteps is the number of least-squares polish steps the debias
-	// pass took (0 without debias).
+	// DebiasSteps is the number of CGLS steps the debias polish took (0
+	// without debias). Step 1 forms the residual and the support gradient;
+	// each later step is one conjugate-gradient update. Every step is one
+	// forward and one adjoint application.
 	DebiasSteps int
+	// Restarts is the number of times FISTA dropped its momentum because
+	// the step went uphill (always 0 for ISTA and OMP).
+	Restarts int
 	// Residual is the final ||y - A s||_2.
 	Residual float64
 	// Sparsity is the number of nonzero recovered coefficients.
@@ -204,15 +218,14 @@ func ReconstructNDContext(ctx context.Context, dims []int, idx []int, y []float6
 	if len(idx) == 0 {
 		return nil, errors.New("cs: no measurements")
 	}
-	seen := make(map[int]struct{}, len(idx))
-	for _, i := range idx {
+	idx, y = sortSamples(idx, y)
+	for j, i := range idx {
 		if i < 0 || i >= n {
 			return nil, fmt.Errorf("cs: index %d out of range [0,%d)", i, n)
 		}
-		if _, dup := seen[i]; dup {
+		if j > 0 && i == idx[j-1] {
 			return nil, fmt.Errorf("cs: duplicate index %d", i)
 		}
-		seen[i] = struct{}{}
 	}
 	opt = opt.WithDefaults()
 	opt.fill()
@@ -242,9 +255,31 @@ func ReconstructNDContext(ctx context.Context, dims []int, idx []int, y []float6
 	span.SetAttr("iterations", res.Iterations)
 	span.SetAttr("transforms", res.Transforms)
 	span.SetAttr("debias_steps", res.DebiasSteps)
+	span.SetAttr("restarts", res.Restarts)
 	span.SetAttr("residual", res.Residual)
 	span.SetAttr("sparsity", res.Sparsity)
 	return res, nil
+}
+
+// sortSamples returns the samples in ascending grid-index order, copying them
+// only when they are out of order. The solver's m-length reductions (the
+// residual norm, CGLS's step lengths) sum in sample order; fixing that order
+// makes the result independent of the order in which samples were collected,
+// e.g. a fleet's batch completion order.
+func sortSamples(idx []int, y []float64) ([]int, []float64) {
+	if sort.IntsAreSorted(idx) {
+		return idx, y
+	}
+	order := make([]int, len(idx))
+	for j := range order {
+		order[j] = j
+	}
+	sort.Slice(order, func(a, b int) bool { return idx[order[a]] < idx[order[b]] })
+	si, sy := make([]int, len(idx)), make([]float64, len(y))
+	for j, k := range order {
+		si[j], sy[j] = idx[k], y[k]
+	}
+	return si, sy
 }
 
 // partialDCT is the measurement operator A and its adjoint, sharded across
@@ -318,19 +353,22 @@ func (op *partialDCT) synthesize(x, s []float64) {
 	op.plan.Inverse(x, s)
 }
 
-func norm2(v []float64) float64 {
+func dot(a, b []float64) float64 {
 	var s float64
-	for _, x := range v {
-		s += x * x
+	for i, x := range a {
+		s += x * b[i]
 	}
-	return math.Sqrt(s)
+	return s
 }
+
+func norm2(v []float64) float64 { return math.Sqrt(dot(v, v)) }
 
 // solveProx runs FISTA (or ISTA) on the lasso objective. The per-element
 // vector kernels (gradient step, soft threshold, extrapolation) run over
-// contiguous shards on op's worker pool; reductions (penalty scaling and the
-// convergence test) stay serial so that floating-point summation order — and
-// therefore the result — is bit-identical for every worker count.
+// contiguous shards on op's worker pool; reductions (penalty scaling, the
+// convergence and restart tests) stay serial so that floating-point
+// summation order — and therefore the result — is bit-identical for every
+// worker count.
 func solveProx(ctx context.Context, op *partialDCT, y []float64, opt Options) (*Result, error) {
 	n, m := op.n(), op.m()
 	aty := make([]float64, n)
@@ -373,7 +411,7 @@ func solveProx(ctx context.Context, op *partialDCT, y []float64, opt Options) (*
 		}
 	}
 	tk := 1.0
-	iters := 0
+	iters, restarts := 0, 0
 	for it := 0; it < opt.MaxIter; it++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -404,7 +442,25 @@ func solveProx(ctx context.Context, op *partialDCT, y []float64, opt Options) (*
 			}
 		})
 
-		if opt.Method == FISTA {
+		// One serial pass gathers the convergence sums and the restart
+		// test's (z - s)·(s - prev).
+		var diff, base, uphill float64
+		for i := range s {
+			d := s[i] - prev[i]
+			diff += d * d
+			base += s[i] * s[i]
+			uphill += (z[i] - s[i]) * d
+		}
+		switch {
+		case opt.Method == ISTA:
+			copy(z, s)
+		case uphill > 0:
+			// Gradient-based adaptive restart (O'Donoghue & Candès, FoCM
+			// 2015): the step opposes the momentum, so drop the momentum.
+			restarts++
+			tk = 1
+			copy(z, s)
+		default:
 			tNext := (1 + math.Sqrt(1+4*tk*tk)) / 2
 			beta := (tk - 1) / tNext
 			shard.ForRange(op.workers, n, func(_, lo, hi int) {
@@ -413,18 +469,10 @@ func solveProx(ctx context.Context, op *partialDCT, y []float64, opt Options) (*
 				}
 			})
 			tk = tNext
-		} else {
-			copy(z, s)
 		}
 
 		// Convergence: relative step size, once the continuation
 		// schedule has reached the target penalty.
-		var diff, base float64
-		for i := range s {
-			d := s[i] - prev[i]
-			diff += d * d
-			base += s[i] * s[i]
-		}
 		atTarget := lam <= lambda*1.0000001
 		if atTarget && diff <= opt.Tol*opt.Tol*(base+1e-30) {
 			break
@@ -457,6 +505,7 @@ func solveProx(ctx context.Context, op *partialDCT, y []float64, opt Options) (*
 		Iterations:  iters,
 		Transforms:  op.transforms,
 		DebiasSteps: steps,
+		Restarts:    restarts,
 		Residual:    norm2(resid),
 		Sparsity:    countNonzero(s),
 	}, nil
@@ -472,14 +521,16 @@ func countNonzero(s []float64) int {
 	return c
 }
 
-// debiasMaxSteps caps the debias polish.
-const debiasMaxSteps = 50
+// Step caps of the least-squares polish: debias after FISTA/ISTA, and OMP's
+// refit after each greedy step.
+const (
+	debiasMaxSteps = 50
+	ompRefitSteps  = 25
+)
 
-// debias polishes the solution by least squares restricted to the recovered
-// support: fixed unit-step gradient descent, stopped when the support
-// gradient vanishes or after debiasMaxSteps. It returns how many steps (one
-// forward and one adjoint each) it ran, or ctx.Err() if ctx is canceled
-// before a step.
+// debias polishes s by least squares restricted to its nonzero coefficients
+// and returns the CGLS steps it took. It does nothing when s is zero or its
+// support is larger than the sample count.
 func debias(ctx context.Context, op *partialDCT, s, y []float64) (int, error) {
 	support := make([]int, 0, 64)
 	for i, v := range s {
@@ -490,38 +541,68 @@ func debias(ctx context.Context, op *partialDCT, s, y []float64) (int, error) {
 	if len(support) == 0 || len(support) > op.m() {
 		return 0, nil
 	}
-	// A unit step is valid: the operator restricted to the support still
-	// has spectral norm <= 1.
-	grad := make([]float64, op.n())
-	resid := make([]float64, op.m())
-	as := make([]float64, op.m())
-	for it := 0; it < debiasMaxSteps; it++ {
+	return polish(ctx, op, s, y, support, debiasMaxSteps)
+}
+
+// polish fits the coefficients of s on support to y by least squares, in
+// place, leaving the others untouched: CGLS, conjugate gradients on the
+// normal equations (Hestenes–Stiefel; Paige & Saunders, LSQR, 1982). Step 1
+// forms the residual r = y - A s and the support gradient g = (A^T r) on
+// support; each later step moves s along the conjugate direction p by the
+// exact line minimum and updates r and g. Every step is one forward and one
+// adjoint application. It stops once ||g|| <= 1e-12 ||y|| (A^T is an
+// isometry, so ||y|| = ||A^T y||), or after maxSteps steps, and returns the
+// steps taken, or ctx.Err() if ctx is canceled before a step.
+func polish(ctx context.Context, op *partialDCT, s, y []float64, support []int, maxSteps int) (int, error) {
+	r := make([]float64, op.m())
+	q := make([]float64, op.m()) // A s, then A p
+	g := make([]float64, op.n()) // A^T r
+	p := make([]float64, op.n()) // search direction, zero off the support
+	tol := 1e-24 * dot(y, y)
+	var gamma float64 // ||g||^2 on the support at the previous step
+	for step := 1; step <= maxSteps; step++ {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		op.forward(as, s)
-		for j := range resid {
-			resid[j] = as[j] - y[j]
+		if step == 1 {
+			op.forward(q, s)
+			for j := range r {
+				r[j] = y[j] - q[j]
+			}
+		} else {
+			// p is nonzero and lies in the range of A^T restricted to the
+			// support, so A p != 0.
+			op.forward(q, p)
+			alpha := gamma / dot(q, q)
+			for _, i := range support {
+				s[i] += alpha * p[i]
+			}
+			for j := range r {
+				r[j] -= alpha * q[j]
+			}
 		}
-		op.adjoint(grad, resid)
-		var gnorm float64
+		op.adjoint(g, r)
+		var gg float64
 		for _, i := range support {
-			gnorm += grad[i] * grad[i]
+			gg += g[i] * g[i]
 		}
-		if gnorm < 1e-24 {
-			return it + 1, nil
+		if gg <= tol {
+			return step, nil
+		}
+		beta := 0.0
+		if step > 1 {
+			beta = gg / gamma
 		}
 		for _, i := range support {
-			s[i] -= grad[i]
+			p[i] = g[i] + beta*p[i]
 		}
+		gamma = gg
 	}
-	return debiasMaxSteps, nil
+	return maxSteps, nil
 }
 
 // solveOMP runs orthogonal matching pursuit: greedily grow the support,
-// refitting by least squares (gradient polish) after each addition. The
-// support size is tracked incrementally — exactly one index joins per greedy
-// step — instead of rescanning the n-length support mask every iteration.
+// refitting by least squares (the CGLS polish) after each addition.
 func solveOMP(ctx context.Context, op *partialDCT, y []float64, opt Options) (*Result, error) {
 	n, m := op.n(), op.m()
 	k := opt.OMPSparsity
@@ -533,13 +614,13 @@ func solveOMP(ctx context.Context, op *partialDCT, y []float64, opt Options) (*R
 	}
 	s := make([]float64, n)
 	inSupport := make([]bool, n)
-	supportSize := 0
+	support := make([]int, 0, k)
 	resid := make([]float64, m)
 	copy(resid, y)
 	corr := make([]float64, n)
 	as := make([]float64, m)
 	iters := 0
-	for supportSize < k {
+	for len(support) < k {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -558,31 +639,9 @@ func solveOMP(ctx context.Context, op *partialDCT, y []float64, opt Options) (*R
 			break
 		}
 		inSupport[best] = true
-		supportSize++
-		// Least-squares refit on the support by projected gradient.
-		for polish := 0; polish < 25; polish++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			op.forward(as, s)
-			for j := range resid {
-				resid[j] = as[j] - y[j]
-			}
-			op.adjoint(corr, resid)
-			var gnorm float64
-			for i := range corr {
-				if inSupport[i] {
-					gnorm += corr[i] * corr[i]
-				}
-			}
-			if gnorm < 1e-24 {
-				break
-			}
-			for i := range corr {
-				if inSupport[i] {
-					s[i] -= corr[i]
-				}
-			}
+		support = append(support, best)
+		if _, err := polish(ctx, op, s, y, support, ompRefitSteps); err != nil {
+			return nil, err
 		}
 		op.forward(as, s)
 		for j := range resid {

@@ -516,8 +516,9 @@ func (c *lateCancelCtx) Err() error {
 
 // TestCancelDuringPolish: cancellation that arrives once the main loop has
 // stopped still cancels the least-squares polish that follows it — FISTA's
-// debias and OMP's per-step refit — instead of running up to 50 (or 25 per
-// greedy step) more forward+adjoint pairs.
+// debias and OMP's per-step refit — at every one of the polish's checks,
+// the first, the last and those in between, instead of running up to 50 (or
+// 25 per greedy step) more forward+adjoint pairs.
 func TestCancelDuringPolish(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	rows, cols := 20, 20
@@ -529,33 +530,39 @@ func TestCancelDuringPolish(t *testing.T) {
 	}
 	dims := []int{rows, cols}
 
-	// FISTA checks ctx once per iteration; the next check is the debias's.
-	res, err := ReconstructND(dims, idx, y, DefaultOptions())
+	// FISTA checks ctx once per iteration, then once per debias step.
+	count := &lateCancelCtx{Context: context.Background(), after: math.MaxInt}
+	res, err := ReconstructNDContext(count, dims, idx, y, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DebiasSteps == 0 {
-		t.Fatal("FISTA solve ran no debias steps")
+	if res.DebiasSteps < 3 || count.calls != res.Iterations+res.DebiasSteps {
+		t.Fatalf("FISTA: %d ctx checks over %d iterations and %d debias steps", count.calls, res.Iterations, res.DebiasSteps)
 	}
-	ctx := &lateCancelCtx{Context: context.Background(), after: res.Iterations}
-	if _, err := ReconstructNDContext(ctx, dims, idx, y, DefaultOptions()); !errors.Is(err, context.Canceled) {
-		t.Errorf("FISTA canceled after %d iterations: err = %v, want context.Canceled", res.Iterations, err)
+	for k := 0; k < res.DebiasSteps; k++ {
+		ctx := &lateCancelCtx{Context: context.Background(), after: res.Iterations + k}
+		if _, err := ReconstructNDContext(ctx, dims, idx, y, DefaultOptions()); !errors.Is(err, context.Canceled) {
+			t.Errorf("FISTA canceled before debias step %d: err = %v, want context.Canceled", k+1, err)
+		}
 	}
 
-	// OMP: the solve's last check falls inside the last refit.
+	// OMP checks ctx once per greedy step and once per refit step; a
+	// cancellation at any of them must stop the solve.
 	opt := DefaultOptions()
 	opt.Method = OMP
-	count := &lateCancelCtx{Context: context.Background(), after: math.MaxInt}
+	count = &lateCancelCtx{Context: context.Background(), after: math.MaxInt}
 	res, err = ReconstructNDContext(count, dims, idx, y, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if count.calls <= res.Iterations {
-		t.Fatalf("OMP checked ctx %d times in %d greedy steps: the refit never checks", count.calls, res.Iterations)
+	if count.calls < 3*res.Iterations {
+		t.Fatalf("OMP checked ctx %d times in %d greedy steps: the refits check too little", count.calls, res.Iterations)
 	}
-	ctx = &lateCancelCtx{Context: context.Background(), after: count.calls - 1}
-	if _, err := ReconstructNDContext(ctx, dims, idx, y, opt); !errors.Is(err, context.Canceled) {
-		t.Errorf("OMP canceled at its last check: err = %v, want context.Canceled", err)
+	for after := 0; after < count.calls; after++ {
+		ctx := &lateCancelCtx{Context: context.Background(), after: after}
+		if _, err := ReconstructNDContext(ctx, dims, idx, y, opt); !errors.Is(err, context.Canceled) {
+			t.Errorf("OMP canceled at check %d of %d: err = %v, want context.Canceled", after+1, count.calls, err)
+		}
 	}
 }
 

@@ -34,26 +34,57 @@ func hashFloats(xs []float64) uint64 {
 // Golden outputs of the 2-D and 1-D solvers. ReconstructND on [rows, cols]
 // and [n] must reproduce them bit for bit.
 //
-// 2-D fixture: the Table-1 50x100 grid, 8 modes, seed 17, 20% sampling. Its
-// hashes were re-captured when both axes moved to the dense cosine-matrix
-// DCT; golden2DFFTFile holds the X and Coeffs of the mirrored-FFT transform
-// it replaced, which the solve must stay within 1e-9 of.
-// 1-D fixture: a 5000-point line cut, 6 modes, seed 19, 10% sampling,
-// captured from the seed (pre-ND) solver; its axis is still on the FFT path.
+// 2-D fixture: the Table-1 50x100 grid, 8 modes, seed 17, 20% sampling.
+// 1-D fixture: a 5000-point line cut, 6 modes, seed 19, 10% sampling; its
+// axis is on the FFT path.
+//
+// Both were re-captured when FISTA gained adaptive restart and the polish
+// became CGLS. The *UnitPolishFile fixtures hold X followed by Coeffs of the
+// solves before that change (no restart, unit-step gradient polish capped at
+// 50 steps, which both goldens hit); the new solves must stay within
+// golden*UnitPolishBound of them and no farther from the true landscape.
+// The bounds sit just above the measured max differences (2-D 8.7e-8, 1-D
+// 2.9e-5, both in Coeffs), which are what the capped unit-step polish left
+// of the least-squares fit: its residuals were 7.0e-8 and 1.4e-5, against
+// 3.7e-13 and 5.3e-16 now. golden2DFFTFile holds the 2-D X and Coeffs solved
+// with both axes forced onto the mirrored-FFT DCT; the dense-path solve must
+// stay within 1e-9 of it.
 const (
-	golden2DIters     = 76
+	golden2DIters     = 36
 	golden2DSparsity  = 8
-	golden2DResidBits = 0x3e72c9b49e9ce127
-	golden2DXHash     = 0xf6101cfda4dba51b
-	golden2DCoeffHash = 0x1bf2760126c7d50d
+	golden2DResidBits = 0x3d5a23e7eaa6ddd4
+	golden2DXHash     = 0x5aaadc630f3c1115
+	golden2DCoeffHash = 0xbb129a54298eebc0
 	golden2DFFTFile   = "testdata/golden2d_fft.f64.gz"
 
-	golden1DIters     = 173
+	golden2DUnitPolishFile  = "testdata/golden2d_unitpolish.f64.gz"
+	golden2DUnitPolishBound = 1e-7
+
+	golden1DIters     = 58
 	golden1DSparsity  = 6
-	golden1DResidBits = 0x3eece8e226c7fc60
-	golden1DXHash     = 0xadaae335c99a0555
-	golden1DCoeffHash = 0x663e12865ce86d95
+	golden1DResidBits = 0x3cc32fa5a6c738d5
+	golden1DXHash     = 0x70134c3e86a23e71
+	golden1DCoeffHash = 0xf517a23f847b3b9e
+
+	golden1DUnitPolishFile  = "testdata/golden1d_unitpolish.f64.gz"
+	golden1DUnitPolishBound = 5e-5
 )
+
+// checkUnitPolish asserts that res is within bound of the unit-polish
+// fixture at path (X then Coeffs) and no farther than it from the truth x.
+func checkUnitPolish(t *testing.T, res *Result, x []float64, path string, bound float64) {
+	t.Helper()
+	n := len(res.X)
+	want := readFloats(t, path, 2*n)
+	for i, v := range append(append([]float64(nil), res.X...), res.Coeffs...) {
+		if math.Abs(v-want[i]) > bound {
+			t.Fatalf("X|Coeffs[%d] = %g, unit-polish solve %g: beyond %g", i, v, want[i], bound)
+		}
+	}
+	if got, old := relErr(res.X, x), relErr(want[:n], x); got > old {
+		t.Errorf("relative error to the truth %g, unit-polish solve %g", got, old)
+	}
+}
 
 func TestReconstruct2DGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -90,6 +121,7 @@ func TestReconstruct2DGolden(t *testing.T) {
 			t.Fatalf("X|Coeffs[%d] = %g, FFT-path solve %g", i, v, want[i])
 		}
 	}
+	checkUnitPolish(t, res, x, golden2DUnitPolishFile, golden2DUnitPolishBound)
 }
 
 // readFloats reads n little-endian float64s from a gzipped fixture.
@@ -118,8 +150,8 @@ func readFloats(t *testing.T, path string, n int) []float64 {
 	return out
 }
 
-// TestReconstruct1DGolden pins a one-axis ReconstructND to the seed 1-D
-// solver's exact output (which historically solved the 1xn 2-D problem).
+// TestReconstruct1DGolden pins a one-axis ReconstructND (historically the
+// 1xn 2-D problem) bit for bit.
 func TestReconstruct1DGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	n := 5000
@@ -148,6 +180,7 @@ func TestReconstruct1DGolden(t *testing.T) {
 	if h := hashFloats(res.Coeffs); h != golden1DCoeffHash {
 		t.Errorf("coeff hash %#016x, want %#016x", h, uint64(golden1DCoeffHash))
 	}
+	checkUnitPolish(t, res, x, golden1DUnitPolishFile, golden1DUnitPolishBound)
 }
 
 // sparseND builds an ND signal with k active low-frequency DCT modes.
