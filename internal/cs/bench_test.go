@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/ansatz"
@@ -17,48 +15,63 @@ import (
 // BenchmarkPartialDCT times one forward+adjoint pair of the measurement
 // operator, the unit a FISTA iteration runs, on the full-grid path and on
 // the pruned one, at the -cpu worker count: sv-cold's 50x100 grid with 500
-// stratified samples and a 24-sparse iterate, and fleet-p2's 8^4 grid with
-// 819 samples and a ~13%-dense iterate.
+// stratified samples and a 24-sparse iterate; fleet-p2's 8^4 grid with 819
+// samples and a ~13%-dense iterate spread uniformly over the grid; and the
+// same grid with fleet-p2's real samples (qaoaP2Samples) and the Coeffs of
+// their solve as the iterate. That iterate has 151 nonzeros, and 406 of the
+// 512 lines entering the inverse's first pass are all zero, which the 8- and
+// 16-point kernels skip; on the uniform iterate about a third are.
 func BenchmarkPartialDCT(b *testing.B) {
+	uniform := func(m, nnz int, sampler func(*rand.Rand, []int, int) ([]int, error)) func(*rand.Rand, []int) ([]int, []float64) {
+		return func(rng *rand.Rand, dims []int) ([]int, []float64) {
+			idx, err := sampler(rng, dims, m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n := 1
+			for _, d := range dims {
+				n *= d
+			}
+			s := make([]float64, n)
+			for _, i := range rng.Perm(n)[:nnz] {
+				s[i] = rng.NormFloat64()
+			}
+			return idx, s
+		}
+	}
 	cases := []struct {
-		dims    []int
-		m, nnz  int
-		sampler func(*rand.Rand, []int, int) ([]int, error)
+		name string
+		dims []int
+		// iterate returns the samples and the iterate the operator runs on.
+		iterate func(*rand.Rand, []int) ([]int, []float64)
 	}{
-		{[]int{50, 100}, 500, 24, func(rng *rand.Rand, dims []int, m int) ([]int, error) {
+		{"50x100", []int{50, 100}, uniform(500, 24, func(rng *rand.Rand, dims []int, m int) ([]int, error) {
 			return StratifiedIndices(rng, dims[0]*dims[1], m)
+		})},
+		{"8x8x8x8", []int{8, 8, 8, 8}, uniform(819, 532, StratifiedIndicesND)},
+		{"8x8x8x8-solve", []int{8, 8, 8, 8}, func(*rand.Rand, []int) ([]int, []float64) {
+			dims, idx, y := qaoaP2Samples(b)
+			res, err := ReconstructND(dims, idx, y, Options{Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return idx, res.Coeffs
 		}},
-		{[]int{8, 8, 8, 8}, 819, 532, StratifiedIndicesND},
 	}
 	for _, c := range cases {
 		rng := rand.New(rand.NewSource(1))
-		idx, err := c.sampler(rng, c.dims, c.m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n := 1
-		for _, d := range c.dims {
-			n *= d
-		}
-		s := make([]float64, n)
-		for _, i := range rng.Perm(n)[:c.nnz] {
-			s[i] = rng.NormFloat64()
-		}
+		idx, s := c.iterate(rng, c.dims)
 		r := make([]float64, len(idx))
 		for j := range r {
 			r[j] = rng.NormFloat64()
 		}
-		as, atr := make([]float64, len(idx)), make([]float64, n)
-		shape := make([]string, len(c.dims))
-		for k, d := range c.dims {
-			shape[k] = strconv.Itoa(d)
-		}
+		as, atr := make([]float64, len(idx)), make([]float64, len(s))
 		for _, path := range []struct {
 			name   string
 			pruned bool
 		}{{"full", false}, {"pruned", true}} {
 			op := newPartialDCT(c.dims, idx, 0, path.pruned)
-			b.Run(fmt.Sprintf("%s/%s", strings.Join(shape, "x"), path.name), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/%s", c.name, path.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					op.forward(as, s)
 					op.adjoint(atr, r)
@@ -112,7 +125,7 @@ func benchChain(b *testing.B, dims, idx []int, y, fracs []float64) {
 // qaoaP2Samples evaluates fleet-p2's job shape — an n=10 3-regular MaxCut
 // QAOA at p=2 on 8 points per axis (beta1, beta2, gamma1, gamma2) — at 819
 // stratified grid points, returned in shuffled order.
-func qaoaP2Samples(b *testing.B) (dims, idx []int, y []float64) {
+func qaoaP2Samples(b testing.TB) (dims, idx []int, y []float64) {
 	rng := rand.New(rand.NewSource(1))
 	p, err := problem.Random3RegularMaxCut(10, rng)
 	if err != nil {

@@ -127,3 +127,51 @@ func TestWarmStartValidation(t *testing.T) {
 		t.Error("promotion fired despite an explicitly-set field")
 	}
 }
+
+// golden8p4 pins fleet-p2's warm-started 8^4 solve chain (BenchmarkSolve's
+// warm-chain-8^4: a real n=10 p=2 QAOA landscape, solved on 50, 75 and 100%
+// of 819 shuffled samples, each solve warm-started from the one before) bit
+// for bit, one entry per solve. The samples' own hash is pinned too, so a
+// simulator change that moves them reads as such and not as a solver change.
+const golden8p4YHash = 0xbdad2400cfb4997a
+
+var golden8p4 = []struct {
+	xHash, coeffHash            uint64
+	iters, transforms, restarts int
+}{
+	{0x74e192737e78693a, 0x681dda13e6d7be08, 184, 471, 3},
+	{0xc85ecba3d8fa417b, 0x2643d789c5aae499, 45, 167, 2},
+	{0x8c397cdd8b291685, 0xd7162074fc254143, 43, 143, 2},
+}
+
+// TestWarmChain8p4Golden runs the chain at one worker and at the -cpu worker
+// count: the worker split decides which columns each DCT unit covers, and
+// must not move a bit.
+func TestWarmChain8p4Golden(t *testing.T) {
+	dims, idx, y := qaoaP2Samples(t)
+	if h := hashFloats(y); h != golden8p4YHash {
+		t.Fatalf("samples hash %#016x, want %#016x", h, uint64(golden8p4YHash))
+	}
+	for _, workers := range []int{1, 0} {
+		var warm []float64
+		for i, frac := range []float64{0.5, 0.75, 1} {
+			m := int(frac * float64(len(idx)))
+			res, err := ReconstructND(dims, idx[:m], y[:m], Options{Workers: workers, Warm: warm})
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm = res.Coeffs
+			g := golden8p4[i]
+			if h := hashFloats(res.X); h != g.xHash {
+				t.Errorf("workers %d, solve %d: X hash %#016x, want %#016x", workers, i, h, g.xHash)
+			}
+			if h := hashFloats(res.Coeffs); h != g.coeffHash {
+				t.Errorf("workers %d, solve %d: coeff hash %#016x, want %#016x", workers, i, h, g.coeffHash)
+			}
+			if res.Iterations != g.iters || res.Transforms != g.transforms || res.Restarts != g.restarts {
+				t.Errorf("workers %d, solve %d: %d iterations, %d transforms, %d restarts; want %d, %d, %d",
+					workers, i, res.Iterations, res.Transforms, res.Restarts, g.iters, g.transforms, g.restarts)
+			}
+		}
+	}
+}

@@ -149,14 +149,21 @@ func (p *Plan) Inverse(dst, src []float64) {
 	}
 }
 
-// dense sets dst = m·src for the n×n row-major matrix m, copying src first
-// when the two alias.
+// dense sets dst = m·src for the n×n row-major matrix m. matVec needs a copy
+// of src when the two alias; the 8- and 16-point kernels do not.
 func (p *Plan) dense(dst, src, m []float64) {
-	if &dst[0] == &src[0] {
-		copy(p.line, src)
-		src = p.line
+	switch p.n {
+	case 8:
+		matVec8(dst, m, src)
+	case 16:
+		matVec16(dst, m, src)
+	default:
+		if &dst[0] == &src[0] {
+			copy(p.line, src)
+			src = p.line
+		}
+		matVec(dst, m, src)
 	}
-	matVec(dst, m, src)
 }
 
 func (p *Plan) check(dst, src []float64) {

@@ -43,11 +43,12 @@ type ndAxis struct {
 	plans []*Plan
 	// scratch is per-slot scratch for strided axes: n*min(stride, denseCols)
 	// floats of column block on the dense path, a 2n-float gather/transform
-	// line pair on the FFT path. A contiguous axis transforms in place and
-	// needs none.
+	// line pair on the FFT path. A contiguous axis and the 8- and 16-point
+	// dense kernels transform in place and need none.
 	scratch [][]float64
 	// skip marks a dense axis of at least skipZerosMinLen points, where
-	// Sampled.Inverse skips zero input.
+	// Sampled.Inverse skips zero terms and all-zero slabs. (On 8- and
+	// 16-point axes every pass skips all-zero lines, in the kernels.)
 	skip bool
 	// pos is per-slot scratch of a sparse line's n nonzero positions, on a
 	// contiguous axis that skips (see sparseLine).
@@ -55,12 +56,15 @@ type ndAxis struct {
 }
 
 // skipZerosMinLen is the shortest dense axis where Sampled.Inverse skips zero
-// input: on a contiguous axis it transforms each line from its nonzero terms,
-// and in its pruned last pass it drops all-zero slabs. On longer axes a zero
-// term saves n multiply-adds for one test; on the ≤ 16-point axes of the
-// solver's 4-D grids the tests cost about what they save (skipping on an 8^4
-// solve's length-8 axes cancelled the whole pruning gain). FFT axes never
-// skip: an FFT of a zero line is not guaranteed to be +0.
+// input term by term: on a contiguous axis it transforms each line from its
+// nonzero terms, and in its pruned last pass it drops all-zero slabs. On
+// longer axes a zero term saves n multiply-adds for one test; on shorter ones
+// the per-term tests cost about what they save (on an 8^4 solve's length-8
+// axes they cancelled the whole pruning gain). The whole-line test of the 8-
+// and 16-point kernels is a different trade: one test per line, and it pays
+// on a solver iterate, where most lines entering Inverse's first pass are
+// all zero. FFT axes never skip: an FFT of a zero line is not guaranteed to
+// be +0.
 const skipZerosMinLen = denseMaxPow2 + 1
 
 // units is the number of independent work items in the axis pass.
@@ -149,6 +153,9 @@ func newPlanND(dims []int, workers int, dense func(n int) bool) *PlanND {
 		}
 		per := 2 * d
 		if a.plans[0].mat != nil {
+			if d == 8 || d == 16 {
+				continue
+			}
 			per = d * min(a.stride, denseCols)
 		}
 		a.scratch = make([][]float64, slots)
@@ -241,11 +248,18 @@ func (p *PlanND) pass(x []float64, k int, forward, sparse bool) {
 		}
 		chunks := a.chunks()
 		shard.ForRange(p.workers, units, func(slot, lo, hi int) {
-			tmp := a.scratch[slot]
 			for u := lo; u < hi; u++ {
 				block := x[u/chunks*n*stride : (u/chunks+1)*n*stride]
 				j := u % chunks
-				matCols(block, m, tmp, n, stride, j*stride/chunks, (j+1)*stride/chunks)
+				c0, c1 := j*stride/chunks, (j+1)*stride/chunks
+				switch n {
+				case 8:
+					matCols8(block, m, stride, c0, c1)
+				case 16:
+					matCols16(block, m, stride, c0, c1)
+				default:
+					matCols(block, m, a.scratch[slot], n, stride, c0, c1)
+				}
 			}
 		})
 	default:
