@@ -19,8 +19,8 @@ import (
 // samples and a ~13%-dense iterate spread uniformly over the grid; and the
 // same grid with fleet-p2's real samples (qaoaP2Samples) and the Coeffs of
 // their solve as the iterate. That iterate has 151 nonzeros, and 406 of the
-// 512 lines entering the inverse's first pass are all zero, which the 8- and
-// 16-point kernels skip; on the uniform iterate about a third are.
+// 512 lines entering the inverse's first pass are all zero, which the 8-point
+// kernels skip; on the uniform iterate about a third are.
 func BenchmarkPartialDCT(b *testing.B) {
 	uniform := func(m, nnz int, sampler func(*rand.Rand, []int, int) ([]int, error)) func(*rand.Rand, []int) ([]int, []float64) {
 		return func(rng *rand.Rand, dims []int) ([]int, []float64) {

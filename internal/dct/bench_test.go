@@ -10,14 +10,13 @@ import (
 
 // BenchmarkPlanND times one Forward+Inverse pair per op on both transform
 // paths, at 1 and 2 workers: the solver's grids (50x100, 8^4, 10x10x12x12,
-// and the paper's p=2 grid 12x12x15x15), 16^3, query-lru's 32x64, and shapes
+// and the paper's p=2 grid 12x12x15x15), query-lru's 32x64, and shapes
 // either side of the dense-path cutoffs (128x128 past the power-of-two
-// cutoff; 384x384 and 500x500 either side of the other-length one). 8^4 and
-// 16^3 run the unrolled 8- and 16-point kernels; 12x12x15x15 is their
-// generic-kernel control. NewPlanNDWorkers picks, per axis, whichever path
+// cutoff; 384x384 and 500x500 either side of the other-length one). 8^4 runs
+// the unrolled 8-point kernels; 12x12x15x15 is its generic-kernel control. NewPlanNDWorkers picks, per axis, whichever path
 // useDense names.
 func BenchmarkPlanND(b *testing.B) {
-	shapes := [][]int{{50, 100}, {8, 8, 8, 8}, {16, 16, 16}, {10, 10, 12, 12}, {12, 12, 15, 15}, {32, 64}, {128, 128}, {384, 384}, {500, 500}}
+	shapes := [][]int{{50, 100}, {8, 8, 8, 8}, {10, 10, 12, 12}, {12, 12, 15, 15}, {32, 64}, {128, 128}, {384, 384}, {500, 500}}
 	paths := []struct {
 		name  string
 		dense func(int) bool

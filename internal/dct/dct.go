@@ -20,6 +20,10 @@ type Plan struct {
 	// FFT path; line is the dense path's copy of an aliased input.
 	mat, matT []float64
 	line      []float64
+	// unrolled marks an 8-point dense plan, whose lines run the unrolled
+	// kernels of dense.go (matVec8, and matCols8 on a strided ND axis)
+	// instead of matVec and matCols.
+	unrolled bool
 	// FFT path.
 	fft  *fftPlan // size 2n
 	c    []float64
@@ -82,7 +86,7 @@ func newDensePlan(n int) *Plan {
 	for m := range table {
 		table[m] = math.Cos(math.Pi * float64(m) / float64(2*n))
 	}
-	p := &Plan{n: n, mat: make([]float64, n*n), matT: make([]float64, n*n), line: make([]float64, n)}
+	p := &Plan{n: n, mat: make([]float64, n*n), matT: make([]float64, n*n), line: make([]float64, n), unrolled: n == 8}
 	for k := 0; k < n; k++ {
 		c := math.Sqrt(2 / float64(n))
 		if k == 0 {
@@ -150,20 +154,17 @@ func (p *Plan) Inverse(dst, src []float64) {
 }
 
 // dense sets dst = m·src for the n×n row-major matrix m. matVec needs a copy
-// of src when the two alias; the 8- and 16-point kernels do not.
+// of src when the two alias; matVec8 does not.
 func (p *Plan) dense(dst, src, m []float64) {
-	switch p.n {
-	case 8:
+	if p.unrolled {
 		matVec8(dst, m, src)
-	case 16:
-		matVec16(dst, m, src)
-	default:
-		if &dst[0] == &src[0] {
-			copy(p.line, src)
-			src = p.line
-		}
-		matVec(dst, m, src)
+		return
 	}
+	if &dst[0] == &src[0] {
+		copy(p.line, src)
+		src = p.line
+	}
+	matVec(dst, m, src)
 }
 
 func (p *Plan) check(dst, src []float64) {

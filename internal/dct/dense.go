@@ -13,9 +13,9 @@ package dct
 // whose input is all zero transforms to +0 everywhere. Zeros are skipped two
 // ways, by axis length:
 //
-//   - on 8- and 16-point axes the unrolled kernels test each whole line and
-//     write an all-zero one as +0: one test per line, and on a solver
-//     iterate most lines entering the inverse's first pass are all zero;
+//   - on 8-point axes the unrolled kernels test each whole line and write
+//     an all-zero one as +0: one test per line, and on a solver iterate
+//     most lines entering the inverse's first pass are all zero;
 //   - on dense axes of skipZerosMinLen points or more, Sampled.Inverse drops
 //     the zero terms of each contiguous line (sparseLine, matVecNZ) and the
 //     all-zero slabs of its pruned last pass. On shorter axes a per-term
@@ -135,13 +135,13 @@ func allZero(x []float64) bool {
 	return true
 }
 
-// The 8- and 16-point kernels stand in for matVec and matCols on axes of
-// those lengths. They hold one line's inputs in locals and write each output
-// as one expression, acc8 chained from 0 in ascending input order: the same
-// sum, rounded the same way, as the generic kernels. Having read the whole
-// line before writing any of it, they may transform it in place, so the
-// strided ones need no scratch. A line whose inputs are all ±0 is written as
-// +0 without a multiply (see the header).
+// The 8-point kernels stand in for matVec and matCols on plans marked
+// unrolled (Plan.unrolled). They hold one line's inputs in locals and write
+// each output as one acc8 expression from 0 in ascending input order: the
+// same sum, rounded the same way, as the generic kernels. Having read the
+// whole line before writing any of it, they may transform it in place, so
+// matCols8 needs no scratch. A line whose inputs are all ±0 is written as +0
+// without a multiply (see the header).
 
 // acc8 returns s + r[0]*x0 + r[1]*x1 + ... + r[7]*x7, summed left to right.
 func acc8(s float64, r *[8]float64, x0, x1, x2, x3, x4, x5, x6, x7 float64) float64 {
@@ -153,6 +153,9 @@ func zero8(x0, x1, x2, x3, x4, x5, x6, x7 float64) bool {
 	return x0 == 0 && x1 == 0 && x2 == 0 && x3 == 0 && x4 == 0 && x5 == 0 && x6 == 0 && x7 == 0
 }
 
+// matVec8 is matCols8 on one contiguous line, without its per-row slices:
+// as Plan.dense's kernel, matCols8(dst, m, 1, 0, 1) ran ~1.4x slower per
+// line.
 func matVec8(dst, m, x []float64) {
 	v, d, mm := (*[8]float64)(x), (*[8]float64)(dst), (*[64]float64)(m)
 	x0, x1, x2, x3, x4, x5, x6, x7 := v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7]
@@ -168,48 +171,6 @@ func matVec8(dst, m, x []float64) {
 	d[5] = acc8(0, (*[8]float64)(mm[40:48]), x0, x1, x2, x3, x4, x5, x6, x7)
 	d[6] = acc8(0, (*[8]float64)(mm[48:56]), x0, x1, x2, x3, x4, x5, x6, x7)
 	d[7] = acc8(0, (*[8]float64)(mm[56:64]), x0, x1, x2, x3, x4, x5, x6, x7)
-}
-
-func matVec16(dst, m, x []float64) {
-	v, d, mm := (*[16]float64)(x), (*[16]float64)(dst), (*[256]float64)(m)
-	x0, x1, x2, x3, x4, x5, x6, x7 := v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7]
-	x8, x9, x10, x11, x12, x13, x14, x15 := v[8], v[9], v[10], v[11], v[12], v[13], v[14], v[15]
-	if zero8(x0, x1, x2, x3, x4, x5, x6, x7) && zero8(x8, x9, x10, x11, x12, x13, x14, x15) {
-		*d = [16]float64{}
-		return
-	}
-	d[0] = acc8(acc8(0, (*[8]float64)(mm[0:8]), x0, x1, x2, x3, x4, x5, x6, x7),
-		(*[8]float64)(mm[8:16]), x8, x9, x10, x11, x12, x13, x14, x15)
-	d[1] = acc8(acc8(0, (*[8]float64)(mm[16:24]), x0, x1, x2, x3, x4, x5, x6, x7),
-		(*[8]float64)(mm[24:32]), x8, x9, x10, x11, x12, x13, x14, x15)
-	d[2] = acc8(acc8(0, (*[8]float64)(mm[32:40]), x0, x1, x2, x3, x4, x5, x6, x7),
-		(*[8]float64)(mm[40:48]), x8, x9, x10, x11, x12, x13, x14, x15)
-	d[3] = acc8(acc8(0, (*[8]float64)(mm[48:56]), x0, x1, x2, x3, x4, x5, x6, x7),
-		(*[8]float64)(mm[56:64]), x8, x9, x10, x11, x12, x13, x14, x15)
-	d[4] = acc8(acc8(0, (*[8]float64)(mm[64:72]), x0, x1, x2, x3, x4, x5, x6, x7),
-		(*[8]float64)(mm[72:80]), x8, x9, x10, x11, x12, x13, x14, x15)
-	d[5] = acc8(acc8(0, (*[8]float64)(mm[80:88]), x0, x1, x2, x3, x4, x5, x6, x7),
-		(*[8]float64)(mm[88:96]), x8, x9, x10, x11, x12, x13, x14, x15)
-	d[6] = acc8(acc8(0, (*[8]float64)(mm[96:104]), x0, x1, x2, x3, x4, x5, x6, x7),
-		(*[8]float64)(mm[104:112]), x8, x9, x10, x11, x12, x13, x14, x15)
-	d[7] = acc8(acc8(0, (*[8]float64)(mm[112:120]), x0, x1, x2, x3, x4, x5, x6, x7),
-		(*[8]float64)(mm[120:128]), x8, x9, x10, x11, x12, x13, x14, x15)
-	d[8] = acc8(acc8(0, (*[8]float64)(mm[128:136]), x0, x1, x2, x3, x4, x5, x6, x7),
-		(*[8]float64)(mm[136:144]), x8, x9, x10, x11, x12, x13, x14, x15)
-	d[9] = acc8(acc8(0, (*[8]float64)(mm[144:152]), x0, x1, x2, x3, x4, x5, x6, x7),
-		(*[8]float64)(mm[152:160]), x8, x9, x10, x11, x12, x13, x14, x15)
-	d[10] = acc8(acc8(0, (*[8]float64)(mm[160:168]), x0, x1, x2, x3, x4, x5, x6, x7),
-		(*[8]float64)(mm[168:176]), x8, x9, x10, x11, x12, x13, x14, x15)
-	d[11] = acc8(acc8(0, (*[8]float64)(mm[176:184]), x0, x1, x2, x3, x4, x5, x6, x7),
-		(*[8]float64)(mm[184:192]), x8, x9, x10, x11, x12, x13, x14, x15)
-	d[12] = acc8(acc8(0, (*[8]float64)(mm[192:200]), x0, x1, x2, x3, x4, x5, x6, x7),
-		(*[8]float64)(mm[200:208]), x8, x9, x10, x11, x12, x13, x14, x15)
-	d[13] = acc8(acc8(0, (*[8]float64)(mm[208:216]), x0, x1, x2, x3, x4, x5, x6, x7),
-		(*[8]float64)(mm[216:224]), x8, x9, x10, x11, x12, x13, x14, x15)
-	d[14] = acc8(acc8(0, (*[8]float64)(mm[224:232]), x0, x1, x2, x3, x4, x5, x6, x7),
-		(*[8]float64)(mm[232:240]), x8, x9, x10, x11, x12, x13, x14, x15)
-	d[15] = acc8(acc8(0, (*[8]float64)(mm[240:248]), x0, x1, x2, x3, x4, x5, x6, x7),
-		(*[8]float64)(mm[248:256]), x8, x9, x10, x11, x12, x13, x14, x15)
 }
 
 func matCols8(x, m []float64, stride, c0, c1 int) {
@@ -238,66 +199,5 @@ func matCols8(x, m []float64, stride, c0, c1 int) {
 		s5[j] = acc8(0, (*[8]float64)(mm[40:48]), x0, x1, x2, x3, x4, x5, x6, x7)
 		s6[j] = acc8(0, (*[8]float64)(mm[48:56]), x0, x1, x2, x3, x4, x5, x6, x7)
 		s7[j] = acc8(0, (*[8]float64)(mm[56:64]), x0, x1, x2, x3, x4, x5, x6, x7)
-	}
-}
-
-func matCols16(x, m []float64, stride, c0, c1 int) {
-	mm := (*[256]float64)(m)
-	s0 := x[c0:c1]
-	s1 := x[1*stride+c0:][:len(s0)]
-	s2 := x[2*stride+c0:][:len(s0)]
-	s3 := x[3*stride+c0:][:len(s0)]
-	s4 := x[4*stride+c0:][:len(s0)]
-	s5 := x[5*stride+c0:][:len(s0)]
-	s6 := x[6*stride+c0:][:len(s0)]
-	s7 := x[7*stride+c0:][:len(s0)]
-	s8 := x[8*stride+c0:][:len(s0)]
-	s9 := x[9*stride+c0:][:len(s0)]
-	s10 := x[10*stride+c0:][:len(s0)]
-	s11 := x[11*stride+c0:][:len(s0)]
-	s12 := x[12*stride+c0:][:len(s0)]
-	s13 := x[13*stride+c0:][:len(s0)]
-	s14 := x[14*stride+c0:][:len(s0)]
-	s15 := x[15*stride+c0:][:len(s0)]
-	for j := range s0 {
-		x0, x1, x2, x3, x4, x5, x6, x7 := s0[j], s1[j], s2[j], s3[j], s4[j], s5[j], s6[j], s7[j]
-		x8, x9, x10, x11, x12, x13, x14, x15 := s8[j], s9[j], s10[j], s11[j], s12[j], s13[j], s14[j], s15[j]
-		if zero8(x0, x1, x2, x3, x4, x5, x6, x7) && zero8(x8, x9, x10, x11, x12, x13, x14, x15) {
-			s0[j], s1[j], s2[j], s3[j], s4[j], s5[j], s6[j], s7[j] = 0, 0, 0, 0, 0, 0, 0, 0
-			s8[j], s9[j], s10[j], s11[j], s12[j], s13[j], s14[j], s15[j] = 0, 0, 0, 0, 0, 0, 0, 0
-			continue
-		}
-		s0[j] = acc8(acc8(0, (*[8]float64)(mm[0:8]), x0, x1, x2, x3, x4, x5, x6, x7),
-			(*[8]float64)(mm[8:16]), x8, x9, x10, x11, x12, x13, x14, x15)
-		s1[j] = acc8(acc8(0, (*[8]float64)(mm[16:24]), x0, x1, x2, x3, x4, x5, x6, x7),
-			(*[8]float64)(mm[24:32]), x8, x9, x10, x11, x12, x13, x14, x15)
-		s2[j] = acc8(acc8(0, (*[8]float64)(mm[32:40]), x0, x1, x2, x3, x4, x5, x6, x7),
-			(*[8]float64)(mm[40:48]), x8, x9, x10, x11, x12, x13, x14, x15)
-		s3[j] = acc8(acc8(0, (*[8]float64)(mm[48:56]), x0, x1, x2, x3, x4, x5, x6, x7),
-			(*[8]float64)(mm[56:64]), x8, x9, x10, x11, x12, x13, x14, x15)
-		s4[j] = acc8(acc8(0, (*[8]float64)(mm[64:72]), x0, x1, x2, x3, x4, x5, x6, x7),
-			(*[8]float64)(mm[72:80]), x8, x9, x10, x11, x12, x13, x14, x15)
-		s5[j] = acc8(acc8(0, (*[8]float64)(mm[80:88]), x0, x1, x2, x3, x4, x5, x6, x7),
-			(*[8]float64)(mm[88:96]), x8, x9, x10, x11, x12, x13, x14, x15)
-		s6[j] = acc8(acc8(0, (*[8]float64)(mm[96:104]), x0, x1, x2, x3, x4, x5, x6, x7),
-			(*[8]float64)(mm[104:112]), x8, x9, x10, x11, x12, x13, x14, x15)
-		s7[j] = acc8(acc8(0, (*[8]float64)(mm[112:120]), x0, x1, x2, x3, x4, x5, x6, x7),
-			(*[8]float64)(mm[120:128]), x8, x9, x10, x11, x12, x13, x14, x15)
-		s8[j] = acc8(acc8(0, (*[8]float64)(mm[128:136]), x0, x1, x2, x3, x4, x5, x6, x7),
-			(*[8]float64)(mm[136:144]), x8, x9, x10, x11, x12, x13, x14, x15)
-		s9[j] = acc8(acc8(0, (*[8]float64)(mm[144:152]), x0, x1, x2, x3, x4, x5, x6, x7),
-			(*[8]float64)(mm[152:160]), x8, x9, x10, x11, x12, x13, x14, x15)
-		s10[j] = acc8(acc8(0, (*[8]float64)(mm[160:168]), x0, x1, x2, x3, x4, x5, x6, x7),
-			(*[8]float64)(mm[168:176]), x8, x9, x10, x11, x12, x13, x14, x15)
-		s11[j] = acc8(acc8(0, (*[8]float64)(mm[176:184]), x0, x1, x2, x3, x4, x5, x6, x7),
-			(*[8]float64)(mm[184:192]), x8, x9, x10, x11, x12, x13, x14, x15)
-		s12[j] = acc8(acc8(0, (*[8]float64)(mm[192:200]), x0, x1, x2, x3, x4, x5, x6, x7),
-			(*[8]float64)(mm[200:208]), x8, x9, x10, x11, x12, x13, x14, x15)
-		s13[j] = acc8(acc8(0, (*[8]float64)(mm[208:216]), x0, x1, x2, x3, x4, x5, x6, x7),
-			(*[8]float64)(mm[216:224]), x8, x9, x10, x11, x12, x13, x14, x15)
-		s14[j] = acc8(acc8(0, (*[8]float64)(mm[224:232]), x0, x1, x2, x3, x4, x5, x6, x7),
-			(*[8]float64)(mm[232:240]), x8, x9, x10, x11, x12, x13, x14, x15)
-		s15[j] = acc8(acc8(0, (*[8]float64)(mm[240:248]), x0, x1, x2, x3, x4, x5, x6, x7),
-			(*[8]float64)(mm[248:256]), x8, x9, x10, x11, x12, x13, x14, x15)
 	}
 }

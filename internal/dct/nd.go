@@ -43,12 +43,12 @@ type ndAxis struct {
 	plans []*Plan
 	// scratch is per-slot scratch for strided axes: n*min(stride, denseCols)
 	// floats of column block on the dense path, a 2n-float gather/transform
-	// line pair on the FFT path. A contiguous axis and the 8- and 16-point
-	// dense kernels transform in place and need none.
+	// line pair on the FFT path. A contiguous axis and an unrolled (8-point)
+	// one transform in place and need none.
 	scratch [][]float64
 	// skip marks a dense axis of at least skipZerosMinLen points, where
-	// Sampled.Inverse skips zero terms and all-zero slabs. (On 8- and
-	// 16-point axes every pass skips all-zero lines, in the kernels.)
+	// Sampled.Inverse skips zero terms and all-zero slabs. (On 8-point
+	// axes every pass skips all-zero lines, in the kernels.)
 	skip bool
 	// pos is per-slot scratch of a sparse line's n nonzero positions, on a
 	// contiguous axis that skips (see sparseLine).
@@ -60,8 +60,8 @@ type ndAxis struct {
 // nonzero terms, and in its pruned last pass it drops all-zero slabs. On
 // longer axes a zero term saves n multiply-adds for one test; on shorter ones
 // the per-term tests cost about what they save (on an 8^4 solve's length-8
-// axes they cancelled the whole pruning gain). The whole-line test of the 8-
-// and 16-point kernels is a different trade: one test per line, and it pays
+// axes they cancelled the whole pruning gain). The whole-line test of the 8-point
+// kernels is a different trade: one test per line, and it pays
 // on a solver iterate, where most lines entering Inverse's first pass are
 // all zero. FFT axes never skip: an FFT of a zero line is not guaranteed to
 // be +0.
@@ -151,11 +151,11 @@ func newPlanND(dims []int, workers int, dense func(n int) bool) *PlanND {
 			}
 			continue
 		}
+		if a.plans[0].unrolled {
+			continue // matCols8 transforms in place
+		}
 		per := 2 * d
 		if a.plans[0].mat != nil {
-			if d == 8 || d == 16 {
-				continue
-			}
 			per = d * min(a.stride, denseCols)
 		}
 		a.scratch = make([][]float64, slots)
@@ -252,12 +252,9 @@ func (p *PlanND) pass(x []float64, k int, forward, sparse bool) {
 				block := x[u/chunks*n*stride : (u/chunks+1)*n*stride]
 				j := u % chunks
 				c0, c1 := j*stride/chunks, (j+1)*stride/chunks
-				switch n {
-				case 8:
+				if a.plans[0].unrolled {
 					matCols8(block, m, stride, c0, c1)
-				case 16:
-					matCols16(block, m, stride, c0, c1)
-				default:
+				} else {
 					matCols(block, m, a.scratch[slot], n, stride, c0, c1)
 				}
 			}

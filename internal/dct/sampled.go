@@ -25,10 +25,9 @@ import (
 //   - on a dense axis of skipZerosMinLen points or more, Inverse transforms
 //     each contiguous line from its nonzero terms and its pruned last pass
 //     drops all-zero slabs;
-//   - on 8- and 16-point axes, every full pass writes an all-zero line as
-//     +0 without multiplying (the unrolled kernels of dense.go), which on
-//     the solver's sparse iterate skips most lines of Inverse's first
-//     pass.
+//   - on 8-point axes, every full pass writes an all-zero line as +0
+//     without multiplying (the unrolled kernels of dense.go), which on the
+//     solver's sparse iterate skips most lines of Inverse's first pass.
 //
 // A pruned pass is possible on the dense path only; an FFT axis in either
 // place keeps the full pass (scatter before it, or gather after it).
