@@ -208,14 +208,18 @@ func (m mixedMatrix) apply(a0, a1 complex128) (complex128, complex128) {
 		complex(m.m11*a1r-m.m10i*a0i, m.m10i*a0r+m.m11*a1i)
 }
 
-// mixedPairRange applies two mixed-class gates, flipping da then db, in
+// mixedPairRangeGo applies two mixed-class gates, flipping da then db, in
 // one pass: each 4-amplitude group {i0, i0^da, i0^db, i0^da^db} gets gate
 // A on both of its da-pairs, then gate B on both of its db-pairs. Every
 // amplitude sees exactly the operations, in exactly the order, of two
 // mixedDense1Q sweeps. On a full state da and db are the two qubit bits
 // (i0 has both clear, so ^ is |); a half state passes the complement mask
 // for the mirrored top qubit (see half.go).
-func (s *State) mixedPairRange(klo, khi, lm, hm, da, db int, ma, mb mixedMatrix) {
+//
+// This is the portable kernel. mixedPairRange runs it on every platform
+// but amd64; on amd64 it runs the SSE2 kernel in mixer_amd64.s, which
+// gives the same bits.
+func (s *State) mixedPairRangeGo(klo, khi, lm, hm, da, db int, ma, mb mixedMatrix) {
 	amp := s.amp
 	for k := klo; k < khi; k++ {
 		i0 := base2(k, lm, hm)
@@ -239,18 +243,25 @@ func (s *State) applyMixedPair(a, b int, ma, mb mixedMatrix) {
 // top bit of db once da's pivot is eliminated from it. For qubit bits the
 // pivots are the bits themselves.
 func (s *State) applyMixedPairMasks(da, db int, ma, mb mixedMatrix) {
-	pa := 1 << (bits.Len(uint(da)) - 1)
-	eb := db
-	if eb&pa != 0 {
-		eb ^= da
-	}
-	lm, hm := masks2(pa, 1<<(bits.Len(uint(eb))-1))
+	lm, hm := pairMasks(da, db)
 	quarter := len(s.amp) >> 2
 	if w := s.kernelWorkers(quarter); w > 1 {
 		shard.ForRange(w, quarter, func(_, lo, hi int) { s.mixedPairRange(lo, hi, lm, hm, da, db, ma, mb) })
 		return
 	}
 	s.mixedPairRange(0, quarter, lm, hm, da, db, ma, mb)
+}
+
+// pairMasks returns base2's (lm, hm) for the pivots of the flip masks da
+// and db: the top bit of da, and the top bit of db once da's pivot is
+// eliminated from it.
+func pairMasks(da, db int) (lm, hm int) {
+	pa := 1 << (bits.Len(uint(da)) - 1)
+	eb := db
+	if eb&pa != 0 {
+		eb ^= da
+	}
+	return masks2(pa, 1<<(bits.Len(uint(eb))-1))
 }
 
 // kernelClass names the apply1Q kernel a 2x2 matrix dispatches to.

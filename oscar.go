@@ -27,7 +27,6 @@ package oscar
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 
@@ -39,7 +38,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/interp"
 	"repro/internal/landscape"
-	"repro/internal/mitigation"
 	"repro/internal/ncm"
 	"repro/internal/noise"
 	"repro/internal/optimizer"
@@ -98,45 +96,6 @@ type (
 // it. A fitted surrogate holds 4x its grid's values.
 type Interpolator = interp.Interpolator
 
-// Landscape artifacts: the self-describing persisted form of a landscape —
-// format-versioned, checksummed, carrying grid axes, problem/backend
-// fingerprint, solver provenance, and reconstruction quality. Artifacts are
-// what oscard's /landscapes store publishes and serves; the same files load
-// anywhere via LoadArtifact.
-type (
-	// Artifact is a persisted landscape with provenance and a content
-	// checksum; its ID() is a stable content address.
-	Artifact = landscape.Artifact
-	// ArtifactSolverMeta records how an artifact's data was produced.
-	ArtifactSolverMeta = landscape.SolverMeta
-)
-
-// ArtifactVersion is the current on-disk artifact format version.
-const ArtifactVersion = landscape.ArtifactVersion
-
-// ErrBadArtifact marks a truncated, corrupt, or unknown-version artifact;
-// errors from LoadArtifact wrap it.
-var ErrBadArtifact = landscape.ErrBadArtifact
-
-// NewArtifact wraps a landscape in an artifact with unknown NRMSE; fill
-// Fingerprint, Solver, and CreatedAt as provenance is known.
-func NewArtifact(l *Landscape) *Artifact { return landscape.NewArtifact(l) }
-
-// SaveArtifact writes an artifact in the versioned, checksummed format.
-func SaveArtifact(w io.Writer, a *Artifact) error { return landscape.SaveArtifact(w, a) }
-
-// LoadArtifact reads an artifact written by SaveArtifact — or a legacy
-// bare-JSON landscape — verifying version, shape, and checksum; damaged
-// input fails with an error wrapping ErrBadArtifact.
-func LoadArtifact(r io.Reader) (*Artifact, error) { return landscape.LoadArtifact(r) }
-
-// SaveArtifactFile writes an artifact to path atomically (temp file +
-// rename), so readers never see a torn artifact.
-func SaveArtifactFile(path string, a *Artifact) error { return landscape.SaveArtifactFile(path, a) }
-
-// LoadArtifactFile reads an artifact from path.
-func LoadArtifactFile(path string) (*Artifact, error) { return landscape.LoadArtifactFile(path) }
-
 // Batched execution engine types. Every evaluation fan-out in the library —
 // landscape scans, reconstruction sampling, optimizer stencils, ZNE sweeps,
 // the QPU fleet — runs on this engine.
@@ -190,12 +149,6 @@ func ReconstructBatch(ctx context.Context, g *Grid, be BatchEvaluator, opt Optio
 // ReconstructFromSamples reconstructs from already-measured values.
 func ReconstructFromSamples(g *Grid, idx []int, values []float64, opt Options) (*Landscape, *Stats, error) {
 	return core.ReconstructFromSamples(g, idx, values, opt)
-}
-
-// ReconstructFromSamplesContext is ReconstructFromSamples with cancellation
-// threaded through the sharded solver.
-func ReconstructFromSamplesContext(ctx context.Context, g *Grid, idx []int, values []float64, opt Options) (*Landscape, *Stats, error) {
-	return core.ReconstructFromSamplesContext(ctx, g, idx, values, opt)
 }
 
 // Sharded reconstruction types. The solver phase — FISTA over the 2-D DCT —
@@ -315,34 +268,10 @@ func UCCSDLiHAnsatz() (*Ansatz, error) { return ansatz.UCCSDLiH() }
 // buffers across every point.
 func NewStateVector(p *Problem, a *Ansatz) (Evaluator, error) { return backend.NewStateVector(p, a) }
 
-// NewStateVectorWorkers is NewStateVector with a worker budget for direct
-// batch submissions (0 = GOMAXPROCS): large batches shard deterministically
-// across points, small batches of large states shard each gate kernel over
-// amplitude ranges — bit-identical to a serial run either way. Evaluators
-// driven through an Engine should use NewStateVector and let the engine's
-// Workers option do the fan-out instead.
-func NewStateVectorWorkers(p *Problem, a *Ansatz, workers int) (Evaluator, error) {
-	sv, err := backend.NewStateVector(p, a)
-	if err != nil {
-		return nil, err
-	}
-	return sv.SetWorkers(workers), nil
-}
-
 // NewDensity builds the exact noisy evaluator (<= 13 qubits), with the same
 // buffer-reuse treatment as NewStateVector applied to its 4^n matrices.
 func NewDensity(p *Problem, a *Ansatz, prof NoiseProfile) (Evaluator, error) {
 	return backend.NewDensity(p, a, prof)
-}
-
-// NewDensityWorkers is NewDensity with a worker budget for direct batch
-// submissions (0 = GOMAXPROCS); see NewStateVectorWorkers.
-func NewDensityWorkers(p *Problem, a *Ansatz, prof NoiseProfile, workers int) (Evaluator, error) {
-	dm, err := backend.NewDensity(p, a, prof)
-	if err != nil {
-		return nil, err
-	}
-	return dm.SetWorkers(workers), nil
 }
 
 // NewAnalyticQAOA builds the closed-form depth-1 QAOA evaluator.
@@ -506,11 +435,6 @@ func RunCobyla(f optimizer.Objective, x0 []float64, opt optimizer.CobylaOptions)
 // FitNCM trains a noise-compensation model from paired device measurements.
 func FitNCM(source, reference []float64) (*NCModel, error) { return ncm.Fit(source, reference) }
 
-// NewZNE wraps a noise-scalable evaluator with zero-noise extrapolation.
-func NewZNE(inner mitigation.ScalableEvaluator, scales []float64, model mitigation.Extrapolation) (Evaluator, error) {
-	return mitigation.NewZNE(inner, scales, model)
-}
-
 // Multi-QPU execution.
 
 // NewExecutor builds a virtual-time multi-QPU executor.
@@ -569,41 +493,10 @@ type (
 	Drift = qpu.Drift
 	// Dropout takes a device dark for one window of virtual time.
 	Dropout = qpu.Dropout
-	// QueueSpikes multiplies queue delay during seeded windows.
-	QueueSpikes = qpu.QueueSpikes
-	// RetryStorm raises failure probability during seeded windows.
-	RetryStorm = qpu.RetryStorm
 	// QuarantineEvent records one bench or re-admit transition of a
 	// risk-aware run.
 	QuarantineEvent = fleet.QuarantineEvent
 )
-
-// NewQueueSpikes builds a congestion-burst scenario: windows of the given
-// duration recur with exponentially distributed gaps of mean spacing,
-// multiplying queue delay by factor while active.
-func NewQueueSpikes(seed int64, spacing, duration, factor float64) *QueueSpikes {
-	return qpu.NewQueueSpikes(seed, spacing, duration, factor)
-}
-
-// NewRetryStorm builds a transient-failure-burst scenario: windows of the
-// given duration recur with exponentially distributed gaps of mean spacing,
-// raising failure probability to prob while active.
-func NewRetryStorm(seed int64, spacing, duration, prob float64) *RetryStorm {
-	return qpu.NewRetryStorm(seed, spacing, duration, prob)
-}
-
-// ComposeScenarios chains scenarios: each one's perturbation feeds the next.
-func ComposeScenarios(scenarios ...Scenario) Scenario {
-	return qpu.Compose(scenarios...)
-}
-
-// EagerCutBatched cuts a run report at a batch boundary: the quantile
-// timeout is taken over whole batch groups, so no partially-paid batch is
-// split. It returns the kept results, the effective timeout, and the time
-// saved versus waiting out the full run.
-func EagerCutBatched(rep *qpu.RunReport, q float64) (kept []qpu.Result, timeout, saved float64) {
-	return qpu.EagerCutBatched(rep, q)
-}
 
 // ClampAngle wraps an angle into [-pi, pi], a convenience for initial
 // points produced by optimizers.
