@@ -11,7 +11,7 @@
 //     batch reports its queue/execution decomposition (the split real cloud
 //     QPUs expose through queue timestamps), the scheduler maintains an
 //     EWMA of the queue/exec-per-job ratio, and the next batch for that
-//     device carries Aggressiveness×ratio jobs — enough to amortize the
+//     device carries aggressiveness×ratio jobs — enough to amortize the
 //     queue delay without turning the device into a straggler.
 //
 //   - Streaming eager reconstruction. Completed batches feed a
@@ -83,23 +83,10 @@ type Options struct {
 	// Runs are bit-reproducible given (seed, call sequence), independent
 	// of Workers.
 	Seed int64
-	// InitialBatch is the batch size every device starts from, before any
-	// latency has been observed (default 4).
-	InitialBatch int
-	// MinBatch and MaxBatch clamp the learned size (defaults 1 and 256).
-	MinBatch, MaxBatch int
 	// FixedBatch, when positive, disables adaptation and uses this size
 	// on every device — the fixed-batching baseline the experiments
 	// compare against.
 	FixedBatch int
-	// Aggressiveness scales the learned size: a device whose EWMA
-	// queue/exec-per-job ratio is r gets batches of Aggressiveness×r
-	// jobs, bounding the amortization overhead to 1/Aggressiveness of
-	// execution time (default 2).
-	Aggressiveness float64
-	// Alpha is the EWMA smoothing factor over completed-batch
-	// observations, in (0,1] (default 0.4).
-	Alpha float64
 	// Workers bounds concurrent batch evaluations during the streaming
 	// phase (0 = GOMAXPROCS). Results are bit-identical for every value.
 	Workers int
@@ -130,64 +117,44 @@ type Options struct {
 	// batch. Off by default — the tail-blind adaptive scheduler is the
 	// baseline the adversarial experiments compare against.
 	RiskAware bool
-	// TailBudget bounds a batch's expected tail exposure — learned tail
-	// probability × (magnitude−1) × batch latency — to TailBudget× the
-	// fleet's typical non-tail batch duration (default 6). Smaller is more
-	// conservative. RiskAware only.
-	TailBudget float64
-	// MaxRetries bounds in-place retries of a failed batch on one device
-	// before it is re-dispatched to a different device (default 1).
-	// RiskAware only.
-	MaxRetries int
-	// RetryBackoff is the initial virtual-time backoff in seconds after a
-	// failed batch, doubling per consecutive in-place retry (default 15).
-	// RiskAware only.
-	RetryBackoff float64
-	// QuarantineAfter benches a device after this many consecutive failed
-	// dispatches (default 3). RiskAware only.
-	QuarantineAfter int
-	// QuarantineFailRate benches a device whose EWMA dispatch-failure rate
-	// reaches this threshold (default 0.9). RiskAware only.
-	QuarantineFailRate float64
-	// QuarantineTailRate, when positive, benches a device whose EWMA
-	// tail-event rate reaches this threshold. Default 0 (disabled): tail-
-	// heavy devices are throttled through batch caps and dispatch
-	// penalties instead, since a probe batch succeeding says nothing about
-	// the tail having passed. RiskAware only.
-	QuarantineTailRate float64
-	// ProbeBackoff is the virtual-time interval in seconds at which a
-	// benched device is re-probed with a single small batch (default 60).
-	// RiskAware only.
-	ProbeBackoff float64
 }
 
-func (o Options) withDefaults() (Options, error) {
-	if o.InitialBatch <= 0 {
-		o.InitialBatch = 4
-	}
-	if o.MinBatch <= 0 {
-		o.MinBatch = 1
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 256
-	}
-	if o.MaxBatch < o.MinBatch {
-		return o, fmt.Errorf("fleet: max batch %d below min batch %d", o.MaxBatch, o.MinBatch)
-	}
+// Scheduling constants. Adaptive sizing: every device starts at
+// initialBatch; a device whose EWMA (smoothing factor alpha) queue/exec-per-job
+// ratio is r gets batches of aggressiveness×r jobs, clamped to
+// [minBatch, maxBatch], which bounds the amortization overhead to
+// 1/aggressiveness of execution time.
+const (
+	initialBatch   = 4
+	minBatch       = 1
+	maxBatch       = 256
+	aggressiveness = 2.0
+	alpha          = 0.4
+)
+
+// Risk-aware policy constants (Options.RiskAware only). A batch's expected
+// tail exposure — learned tail probability × (magnitude−1) × batch latency —
+// is kept under tailBudget× the fleet's typical non-tail batch duration. A
+// failed batch retries in place at most maxRetries times, the first after
+// retryBackoff virtual seconds, doubling per retry, before it is
+// re-dispatched to a different device. A device is benched after
+// quarantineAfter consecutive failed dispatches or once its EWMA
+// dispatch-failure rate reaches quarantineFailRate, and a benched device is
+// re-probed with a single minBatch dispatch every probeBackoff virtual
+// seconds.
+const (
+	tailBudget         = 6.0
+	maxRetries         = 1
+	retryBackoff       = 15.0
+	quarantineAfter    = 3
+	quarantineFailRate = 0.9
+	probeBackoff       = 60.0
+)
+
+// normalize checks o and returns it with its Thresholds sorted.
+func (o Options) normalize() (Options, error) {
 	if o.FixedBatch < 0 {
 		return o, fmt.Errorf("fleet: negative fixed batch %d", o.FixedBatch)
-	}
-	if o.Aggressiveness < 0 || math.IsNaN(o.Aggressiveness) {
-		return o, fmt.Errorf("fleet: aggressiveness %g is not a non-negative number", o.Aggressiveness)
-	}
-	if o.Aggressiveness == 0 {
-		o.Aggressiveness = 2
-	}
-	if o.Alpha < 0 || o.Alpha > 1 || math.IsNaN(o.Alpha) {
-		return o, fmt.Errorf("fleet: EWMA alpha %g out of [0,1]", o.Alpha)
-	}
-	if o.Alpha == 0 {
-		o.Alpha = 0.4
 	}
 	if o.KeepFraction < 0 || o.KeepFraction > 1 || math.IsNaN(o.KeepFraction) {
 		return o, fmt.Errorf("fleet: keep fraction %g out of [0,1]", o.KeepFraction)
@@ -201,45 +168,6 @@ func (o Options) withDefaults() (Options, error) {
 			}
 		}
 		o.Thresholds = ts
-	}
-	if o.TailBudget < 0 || math.IsNaN(o.TailBudget) {
-		return o, fmt.Errorf("fleet: tail budget %g is not a non-negative number", o.TailBudget)
-	}
-	if o.MaxRetries < 0 {
-		return o, fmt.Errorf("fleet: negative max retries %d", o.MaxRetries)
-	}
-	if o.RetryBackoff < 0 || math.IsNaN(o.RetryBackoff) {
-		return o, fmt.Errorf("fleet: retry backoff %g is not a non-negative number", o.RetryBackoff)
-	}
-	if o.QuarantineAfter < 0 {
-		return o, fmt.Errorf("fleet: negative quarantine-after %d", o.QuarantineAfter)
-	}
-	if o.QuarantineFailRate < 0 || o.QuarantineFailRate > 1 || math.IsNaN(o.QuarantineFailRate) {
-		return o, fmt.Errorf("fleet: quarantine failure rate %g out of [0,1]", o.QuarantineFailRate)
-	}
-	if o.QuarantineTailRate < 0 || o.QuarantineTailRate > 1 || math.IsNaN(o.QuarantineTailRate) {
-		return o, fmt.Errorf("fleet: quarantine tail rate %g out of [0,1]", o.QuarantineTailRate)
-	}
-	if o.ProbeBackoff < 0 || math.IsNaN(o.ProbeBackoff) {
-		return o, fmt.Errorf("fleet: probe backoff %g is not a non-negative number", o.ProbeBackoff)
-	}
-	if o.TailBudget == 0 {
-		o.TailBudget = 6
-	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 1
-	}
-	if o.RetryBackoff == 0 {
-		o.RetryBackoff = 15
-	}
-	if o.QuarantineAfter == 0 {
-		o.QuarantineAfter = 3
-	}
-	if o.QuarantineFailRate == 0 {
-		o.QuarantineFailRate = 0.9
-	}
-	if o.ProbeBackoff == 0 {
-		o.ProbeBackoff = 60
 	}
 	return o, nil
 }
@@ -271,11 +199,10 @@ type devState struct {
 	consecFails int
 	fails       int
 	// quarantined marks the device benched; probeAt is the virtual time of
-	// its next probe, probeWait the probe interval, and quarantines counts
-	// how many times it has been benched.
+	// its next probe, and quarantines counts how many times it has been
+	// benched.
 	quarantined bool
 	probeAt     float64
-	probeWait   float64
 	quarantines int
 }
 
@@ -319,7 +246,7 @@ func New(opt Options, devices ...qpu.Device) (*Scheduler, error) {
 			return nil, fmt.Errorf("fleet: device %q failure probability %g out of [0,1)", d.Name, d.FailureProb)
 		}
 	}
-	opt, err := opt.withDefaults()
+	opt, err := opt.normalize()
 	if err != nil {
 		return nil, err
 	}
@@ -329,7 +256,7 @@ func New(opt Options, devices ...qpu.Device) (*Scheduler, error) {
 		states:    make([]devState, len(devices)),
 		serialRng: rand.New(rand.NewSource(opt.Seed - 1)),
 	}
-	first := opt.InitialBatch
+	first := initialBatch
 	if opt.FixedBatch > 0 {
 		first = opt.FixedBatch
 	}
@@ -351,8 +278,8 @@ type DeviceState struct {
 	Name string
 	// BatchSize is the size the next batch for this device would carry.
 	BatchSize int
-	// Ratio is the learned EWMA queue/exec-per-job ratio (0 before any
-	// observation).
+	// Ratio is the learned EWMA queue/exec-per-job ratio: 0 before any
+	// observation, +Inf for a device whose learned execution time is 0.
 	Ratio float64
 	// Batches and Jobs count successful dispatches so far.
 	Batches, Jobs int
@@ -407,7 +334,7 @@ func (s *Scheduler) observe(st *devState, size int, queue, execT float64) {
 		return
 	}
 	perJob := execT / float64(size)
-	a := s.opt.Alpha
+	a := alpha
 	// Tail detection compares the observation against the pre-update
 	// expectation; magnitude is the overshoot ratio. The fleet-wide typical
 	// batch duration excludes tail events so the yardstick is not dragged
@@ -443,22 +370,22 @@ func (s *Scheduler) observe(st *devState, size int, queue, execT float64) {
 	}
 	if st.execEst <= 0 {
 		// A queue-only device (Exec = 0): amortize maximally.
-		st.batch = s.opt.MaxBatch
+		st.batch = maxBatch
 		return
 	}
-	next := int(math.Round(s.opt.Aggressiveness * st.queueEst / st.execEst))
-	if next < s.opt.MinBatch {
-		next = s.opt.MinBatch
+	next := int(math.Round(aggressiveness * st.queueEst / st.execEst))
+	if next < minBatch {
+		next = minBatch
 	}
-	if next > s.opt.MaxBatch {
-		next = s.opt.MaxBatch
+	if next > maxBatch {
+		next = maxBatch
 	}
 	st.batch = next
 }
 
-// ratio returns the learned queue/exec-per-job ratio (0 before any
-// observation, +Inf-free: a queue-only device reports MaxBatch-driving 0
-// exec as a very large ratio capped for display).
+// ratio returns the learned queue/exec-per-job ratio: 0 before any
+// observation, and +Inf for a queue-only device (learned exec time 0),
+// which observe sizes at maxBatch.
 func (st *devState) ratio() float64 {
 	if !st.observed || st.execEst <= 0 {
 		if st.observed {
@@ -573,7 +500,7 @@ func (s *Scheduler) plan(g *landscape.Grid, indices []int, cache *exec.Cache) (*
 		avail := 0.0
 		exclude := -1
 		onDev := 0
-		backoff := s.opt.RetryBackoff
+		backoff := retryBackoff
 		for attempt := 0; ; attempt++ {
 			if attempt > 0 && (!s.opt.RiskAware || onDev == 0) {
 				// The failed batch keeps its size; re-pick by expected
@@ -596,7 +523,7 @@ func (s *Scheduler) plan(g *landscape.Grid, indices []int, cache *exec.Cache) (*
 			free[dev] = done
 			s.observe(st, k, queue, execT)
 			failed := cond.Down || (cond.FailureProb > 0 && st.rng.Float64() < cond.FailureProb)
-			a := s.opt.Alpha
+			a := alpha
 			if failed {
 				st.failRate = (1-a)*st.failRate + a
 				st.fails++
@@ -619,16 +546,16 @@ func (s *Scheduler) plan(g *landscape.Grid, indices []int, cache *exec.Cache) (*
 				out.retryEvents = append(out.retryEvents, retryEvent{dev: dev, time: done})
 				if st.quarantined {
 					// A failed probe schedules the next one a fixed backoff
-					// out. Probes are cheap — one MinBatch dispatch on the
+					// out. Probes are cheap — one minBatch dispatch on the
 					// benched device's own timeline — while every extra
 					// second of bench time on a device that has recovered
 					// costs real throughput, so the interval does not
 					// escalate.
-					st.probeAt = done + st.probeWait
-				} else if st.consecFails >= s.opt.QuarantineAfter || st.failRate >= s.opt.QuarantineFailRate {
-					s.benchLocked(out, dev, done, "failures")
+					st.probeAt = done + probeBackoff
+				} else if st.consecFails >= quarantineAfter || st.failRate >= quarantineFailRate {
+					s.benchLocked(out, dev, done)
 				}
-				if !st.quarantined && onDev < s.opt.MaxRetries && st.consecFails <= 1 {
+				if !st.quarantined && onDev < maxRetries && st.consecFails <= 1 {
 					// Bounded in-place retry with exponential backoff — but
 					// only against a device whose last outcome before this
 					// batch was a success. A consecutive-failure streak means
@@ -655,13 +582,9 @@ func (s *Scheduler) plan(g *landscape.Grid, indices []int, cache *exec.Cache) (*
 			if s.opt.RiskAware && st.quarantined {
 				// A successful probe re-admits the device.
 				st.quarantined = false
-				st.probeWait = 0
 				out.events = append(out.events, QuarantineEvent{
 					Device: dev, Name: s.devices[dev].Name, Time: done, Reason: "probe-succeeded",
 				})
-			} else if s.opt.RiskAware && s.opt.QuarantineTailRate > 0 &&
-				st.tailSeen && st.tailProb >= s.opt.QuarantineTailRate {
-				s.benchLocked(out, dev, done, "tail-rate")
 			}
 			st.batches++
 			st.jobs += k
@@ -706,7 +629,7 @@ func (s *Scheduler) sizesLocked() []int {
 func (s *Scheduler) batchFor(d, remaining int) int {
 	if s.opt.RiskAware && s.states[d].quarantined {
 		// A benched device is only probed with a single small batch.
-		k := s.opt.MinBatch
+		k := minBatch
 		if k > remaining {
 			k = remaining
 		}
@@ -722,8 +645,8 @@ func (s *Scheduler) batchFor(d, remaining int) int {
 		if share := int(math.Ceil(s.shareLocked(d) * float64(remaining))); k > share {
 			k = share
 		}
-		if k < s.opt.MinBatch {
-			k = s.opt.MinBatch
+		if k < minBatch {
+			k = minBatch
 		}
 	}
 	if k > remaining {

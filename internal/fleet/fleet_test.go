@@ -512,20 +512,8 @@ func TestFleetValidation(t *testing.T) {
 	if _, err := New(Options{}, qpu.Device{Name: "x", Eval: ev, FailureProb: 1}); err == nil {
 		t.Error("want error for failure probability 1")
 	}
-	if _, err := New(Options{MinBatch: 8, MaxBatch: 4}, dev); err == nil {
-		t.Error("want error for max < min batch")
-	}
 	if _, err := New(Options{FixedBatch: -1}, dev); err == nil {
 		t.Error("want error for negative fixed batch")
-	}
-	if _, err := New(Options{Alpha: 1.5}, dev); err == nil {
-		t.Error("want error for alpha > 1")
-	}
-	if _, err := New(Options{Alpha: math.NaN()}, dev); err == nil {
-		t.Error("want error for NaN alpha")
-	}
-	if _, err := New(Options{Aggressiveness: math.NaN()}, dev); err == nil {
-		t.Error("want error for NaN aggressiveness")
 	}
 	if _, err := New(Options{KeepFraction: 1.5}, dev); err == nil {
 		t.Error("want error for keep fraction > 1")

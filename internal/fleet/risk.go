@@ -3,16 +3,16 @@ package fleet
 import "math"
 
 // QuarantineEvent records one quarantine transition during planning: a
-// device being benched after crossing a failure (or tail-rate) threshold, or
-// re-admitted after a successful probe.
+// device being benched after crossing a failure threshold, or re-admitted
+// after a successful probe.
 type QuarantineEvent struct {
 	// Device is the device index; Name its configured name.
 	Device int
 	Name   string
 	// Time is the virtual time of the transition.
 	Time float64
-	// Reason explains the transition: "failures" or "tail-rate" for a
-	// bench, "probe-succeeded" for a re-admission.
+	// Reason explains the transition: "failures" for a bench,
+	// "probe-succeeded" for a re-admission.
 	Reason string
 }
 
@@ -21,16 +21,15 @@ type QuarantineEvent struct {
 func (e QuarantineEvent) Benched() bool { return e.Reason != "probe-succeeded" }
 
 // benchLocked quarantines device dev at virtual time t: it stops receiving
-// regular work and will be re-probed with a single small batch every probe
-// backoff interval.
-func (s *Scheduler) benchLocked(out *planOutcome, dev int, t float64, reason string) {
+// regular work and will be re-probed with a single small batch every
+// probeBackoff virtual seconds.
+func (s *Scheduler) benchLocked(out *planOutcome, dev int, t float64) {
 	st := &s.states[dev]
 	st.quarantined = true
 	st.quarantines++
-	st.probeWait = s.opt.ProbeBackoff
-	st.probeAt = t + st.probeWait
+	st.probeAt = t + probeBackoff
 	out.events = append(out.events, QuarantineEvent{
-		Device: dev, Name: s.devices[dev].Name, Time: t, Reason: reason,
+		Device: dev, Name: s.devices[dev].Name, Time: t, Reason: "failures",
 	})
 }
 
@@ -64,7 +63,7 @@ func (st *devState) tailSignificant() bool {
 // riskCapLocked bounds device d's next batch size so its expected tail
 // exposure stays bounded: with learned tail probability p and magnitude m, a
 // batch of k jobs is expected to lose p·(m−1)·(queue + k·exec) virtual
-// seconds to tail excursions, and the cap keeps that below TailBudget× the
+// seconds to tail excursions, and the cap keeps that below tailBudget× the
 // fleet's typical non-tail batch duration — so one tail-struck mega-batch
 // cannot hold the run hostage, while devices with benign tails keep their
 // full amortization.
@@ -74,13 +73,13 @@ func (s *Scheduler) riskCapLocked(d int) int {
 		return math.MaxInt
 	}
 	excess := st.tailProb * (st.tailMag - 1)
-	budget := s.opt.TailBudget * s.meanBatch
+	budget := tailBudget * s.meanBatch
 	k := (budget/excess - st.queueEst) / st.execEst
-	if k < float64(s.opt.MinBatch) {
-		return s.opt.MinBatch
+	if k < minBatch {
+		return minBatch
 	}
-	if k > float64(s.opt.MaxBatch) {
-		return s.opt.MaxBatch
+	if k > maxBatch {
+		return maxBatch
 	}
 	return int(k)
 }

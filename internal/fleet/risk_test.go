@@ -36,8 +36,8 @@ func TestObserveFailedBatchKeepsRatioSane(t *testing.T) {
 	if st.execEst < 5-1e-9 || st.execEst > 5.5+1e-9 {
 		t.Fatalf("exec-per-job estimate %g escaped [5,5.5]", st.execEst)
 	}
-	if st.batch < s.opt.MinBatch || st.batch > s.opt.MaxBatch {
-		t.Fatalf("batch size %d outside [%d,%d]", st.batch, s.opt.MinBatch, s.opt.MaxBatch)
+	if st.batch < minBatch || st.batch > maxBatch {
+		t.Fatalf("batch size %d outside [%d,%d]", st.batch, minBatch, maxBatch)
 	}
 }
 
@@ -159,7 +159,7 @@ func TestRiskProbeReadmission(t *testing.T) {
 	devs := heterogeneousFleet(0, 1)
 	// Dark early, back well before the run can finish.
 	devs[0].Scenario = qpu.Dropout{Start: 0, Duration: 800}
-	s, err := New(Options{Seed: 11, RiskAware: true, ProbeBackoff: 100}, devs...)
+	s, err := New(Options{Seed: 11, RiskAware: true}, devs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,32 +224,14 @@ func TestRiskCapBoundsTailExposure(t *testing.T) {
 	if got := s.riskCapLocked(0); got < 240 {
 		t.Fatalf("benign tails over-capped: %d", got)
 	}
-	// Frequent heavy tails: 0.5*19*(120+k) ≤ 1200 → k ≤ ~6 → floor MinBatch.
+	// Frequent heavy tails: 0.5*19*(120+k) ≤ 1200 → k ≤ ~6 → floor minBatch.
 	st.tailProb = 0.5
 	got := s.riskCapLocked(0)
 	if got >= 240 {
 		t.Fatalf("heavy tails not capped: %d", got)
 	}
-	if got < s.opt.MinBatch {
-		t.Fatalf("cap %d below MinBatch", got)
-	}
-}
-
-// TestRiskOptionsValidation pins rejection of malformed risk options.
-func TestRiskOptionsValidation(t *testing.T) {
-	devs := heterogeneousFleet(0, 1)
-	for _, opt := range []Options{
-		{TailBudget: -1},
-		{MaxRetries: -2},
-		{RetryBackoff: -5},
-		{QuarantineAfter: -1},
-		{QuarantineFailRate: 1.5},
-		{QuarantineTailRate: -0.1},
-		{ProbeBackoff: math.NaN()},
-	} {
-		if _, err := New(opt, devs...); err == nil {
-			t.Errorf("options %+v accepted, want error", opt)
-		}
+	if got < minBatch {
+		t.Fatalf("cap %d below minBatch", got)
 	}
 }
 

@@ -152,7 +152,7 @@ func TestFleetJobValidation(t *testing.T) {
 		`{"problem": {"kind": "maxcut3", "n": 8, "seed": 7}, "backend": {"kind": "analytic"},
 		  "grid": {"beta_n": 12, "gamma_n": 14}, "options": {"sampling_fraction": 0.5},
 		  "fleet": {"devices": [{"queue_median": 10, "exec": 1}], "keep_fraction": 2}}`,
-		// Negative risk option.
+		// An unknown field: tail_budget is a scheduler constant, not a spec field.
 		`{"problem": {"kind": "maxcut3", "n": 8, "seed": 7}, "backend": {"kind": "analytic"},
 		  "grid": {"beta_n": 12, "gamma_n": 14}, "options": {"sampling_fraction": 0.5},
 		  "fleet": {"devices": [{"queue_median": 10, "exec": 1}], "risk_aware": true, "tail_budget": -1}}`,

@@ -256,9 +256,11 @@ func TestConcurrentJobsShareCache(t *testing.T) {
 
 func TestClientDisconnectCancelsSolve(t *testing.T) {
 	s := newTestServer(t, Config{})
-	// A slow job: 14-qubit statevector over a 30x30 grid, fully sampled.
+	// A slow job: 20-qubit (the default MaxQubits) statevector over a
+	// 30x30 grid, fully sampled, which runs far longer than the 30 ms before
+	// the client walks away.
 	body := `{
-		"problem": {"kind": "maxcut3", "n": 14, "seed": 3},
+		"problem": {"kind": "maxcut3", "n": 20, "seed": 3},
 		"backend": {"kind": "statevector"},
 		"grid": {"beta_n": 30, "gamma_n": 30},
 		"options": {"sampling_fraction": 1.0},
@@ -293,8 +295,10 @@ func TestClientDisconnectCancelsSolve(t *testing.T) {
 
 func TestDeleteCancelsAsyncJob(t *testing.T) {
 	s := newTestServer(t, Config{})
+	// The slow job of TestClientDisconnectCancelsSolve: it must still be
+	// running when the DELETE lands.
 	body := `{
-		"problem": {"kind": "maxcut3", "n": 14, "seed": 3},
+		"problem": {"kind": "maxcut3", "n": 20, "seed": 3},
 		"backend": {"kind": "statevector"},
 		"grid": {"beta_n": 30, "gamma_n": 30},
 		"options": {"sampling_fraction": 1.0}

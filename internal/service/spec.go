@@ -191,15 +191,6 @@ type FleetSpec struct {
 	// Seed drives the per-device latency streams (default: the job's
 	// sampling seed).
 	Seed int64 `json:"seed,omitempty"`
-	// InitialBatch, MinBatch, MaxBatch, Aggressiveness, Alpha tune the
-	// adaptive batch sizing (zero = fleet defaults); FixedBatch disables
-	// adaptation and pins every device to that size.
-	InitialBatch   int     `json:"initial_batch,omitempty"`
-	MinBatch       int     `json:"min_batch,omitempty"`
-	MaxBatch       int     `json:"max_batch,omitempty"`
-	FixedBatch     int     `json:"fixed_batch,omitempty"`
-	Aggressiveness float64 `json:"aggressiveness,omitempty"`
-	Alpha          float64 `json:"alpha,omitempty"`
 	// Thresholds are coverage fractions in (0,1) at which interim
 	// reconstructions run during streaming (default 0.5 and 0.75).
 	Thresholds []float64 `json:"thresholds,omitempty"`
@@ -212,16 +203,8 @@ type FleetSpec struct {
 	Scenario *ScenarioSpec `json:"scenario,omitempty"`
 	// RiskAware enables the robustness policy layer: tail-exposure batch
 	// caps, bounded retries with backoff, and quarantine/probation (see
-	// fleet.Options). The remaining knobs tune it; zero values take the
-	// fleet defaults.
-	RiskAware          bool    `json:"risk_aware,omitempty"`
-	TailBudget         float64 `json:"tail_budget,omitempty"`
-	MaxRetries         int     `json:"max_retries,omitempty"`
-	RetryBackoff       float64 `json:"retry_backoff,omitempty"`
-	QuarantineAfter    int     `json:"quarantine_after,omitempty"`
-	QuarantineFailRate float64 `json:"quarantine_fail_rate,omitempty"`
-	QuarantineTailRate float64 `json:"quarantine_tail_rate,omitempty"`
-	ProbeBackoff       float64 `json:"probe_backoff,omitempty"`
+	// fleet.Options).
+	RiskAware bool `json:"risk_aware,omitempty"`
 }
 
 // specError marks a client-side job specification problem (HTTP 400).
@@ -613,24 +596,10 @@ func buildFleet(fs *FleetSpec, eval backend.Evaluator, samplingSeed int64) ([]qp
 		thresholds = []float64{0.5, 0.75}
 	}
 	opts := &fleet.Options{
-		Seed:           seed,
-		InitialBatch:   fs.InitialBatch,
-		MinBatch:       fs.MinBatch,
-		MaxBatch:       fs.MaxBatch,
-		FixedBatch:     fs.FixedBatch,
-		Aggressiveness: fs.Aggressiveness,
-		Alpha:          fs.Alpha,
-		Thresholds:     thresholds,
-		KeepFraction:   fs.KeepFraction,
-
-		RiskAware:          fs.RiskAware,
-		TailBudget:         fs.TailBudget,
-		MaxRetries:         fs.MaxRetries,
-		RetryBackoff:       fs.RetryBackoff,
-		QuarantineAfter:    fs.QuarantineAfter,
-		QuarantineFailRate: fs.QuarantineFailRate,
-		QuarantineTailRate: fs.QuarantineTailRate,
-		ProbeBackoff:       fs.ProbeBackoff,
+		Seed:         seed,
+		Thresholds:   thresholds,
+		KeepFraction: fs.KeepFraction,
+		RiskAware:    fs.RiskAware,
 	}
 	// Dry-build a scheduler so every option and latency-model rejection
 	// surfaces at submission as a 400, not at run time.

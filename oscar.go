@@ -458,8 +458,9 @@ type (
 	// FleetScheduler dispatches sampling across devices with adaptive
 	// batch sizes.
 	FleetScheduler = fleet.Scheduler
-	// FleetOptions configures adaptation, streaming thresholds, the eager
-	// cut, and the shared execution cache.
+	// FleetOptions configures the fixed-batch baseline, streaming
+	// thresholds, the eager cut, the shared cache and the risk-aware
+	// policy; batch sizing itself has no knobs.
 	FleetOptions = fleet.Options
 	// FleetStreamResult is the outcome of a streaming fleet run.
 	FleetStreamResult = fleet.StreamResult
@@ -482,8 +483,10 @@ func NewFleet(opt FleetOptions, devices ...Device) (*FleetScheduler, error) {
 // time — deterministic, seeded chaos for validating schedulers against
 // adversarial device behavior. Sharing one scenario instance across several
 // devices correlates their disturbances. FleetOptions.RiskAware enables the
-// robustness policy layer: tail-exposure batch caps, bounded retries with
-// backoff, and quarantine/probation for persistently failing devices.
+// robustness policy layer, with fixed thresholds: tail-exposure batch caps
+// (6× the fleet's typical batch duration), one in-place retry after a 15 s
+// backoff, and quarantine after 3 consecutive failures with a re-probe every
+// 60 s of virtual time.
 type (
 	// Scenario perturbs a device's condition over virtual time.
 	Scenario = qpu.Scenario
