@@ -21,9 +21,12 @@ type Plan struct {
 	mat, matT []float64
 	line      []float64
 	// unrolled marks an 8-point dense plan, whose lines run the unrolled
-	// kernels of dense.go (matVec8, and matCols8 on a strided ND axis)
-	// instead of matVec and matCols.
-	unrolled bool
+	// kernels of dense.go (vec8, and cols8 on a strided ND axis) instead of
+	// matVec and matCols. matPairs and matTPairs hold each entry of mat and
+	// of matT twice over, as (v, v), the operands cols8 multiplies a pair of
+	// columns by; clones share them.
+	unrolled            bool
+	matPairs, matTPairs []float64
 	// FFT path.
 	fft  *fftPlan // size 2n
 	c    []float64
@@ -98,6 +101,14 @@ func newDensePlan(n int) *Plan {
 			p.matT[i*n+k] = v
 		}
 	}
+	if p.unrolled {
+		pairs := make([]float64, 4*n*n)
+		for i := range n * n {
+			pairs[2*i], pairs[2*i+1] = p.mat[i], p.mat[i]
+			pairs[2*n*n+2*i], pairs[2*n*n+2*i+1] = p.matT[i], p.matT[i]
+		}
+		p.matPairs, p.matTPairs = pairs[:2*n*n], pairs[2*n*n:]
+	}
 	return p
 }
 
@@ -109,7 +120,7 @@ func (p *Plan) N() int { return p.n }
 func (p *Plan) Forward(dst, src []float64) {
 	p.check(dst, src)
 	if p.mat != nil {
-		p.dense(dst, src, p.mat)
+		p.dense(dst, src, p.mat, p.matT)
 		return
 	}
 	n := p.n
@@ -132,7 +143,7 @@ func (p *Plan) Forward(dst, src []float64) {
 func (p *Plan) Inverse(dst, src []float64) {
 	p.check(dst, src)
 	if p.mat != nil {
-		p.dense(dst, src, p.matT)
+		p.dense(dst, src, p.matT, p.mat)
 		return
 	}
 	n := p.n
@@ -153,11 +164,11 @@ func (p *Plan) Inverse(dst, src []float64) {
 	}
 }
 
-// dense sets dst = m·src for the n×n row-major matrix m. matVec needs a copy
-// of src when the two alias; matVec8 does not.
-func (p *Plan) dense(dst, src, m []float64) {
+// dense sets dst = m·src for the n×n row-major matrix m, whose transpose is
+// mT. matVec needs a copy of src when the two alias; vec8 does not.
+func (p *Plan) dense(dst, src, m, mT []float64) {
 	if p.unrolled {
-		matVec8(dst, m, src)
+		vec8(dst, m, mT, src)
 		return
 	}
 	if &dst[0] == &src[0] {

@@ -15,7 +15,11 @@ package dct
 //
 //   - on 8-point axes the unrolled kernels test each whole line and write
 //     an all-zero one as +0: one test per line, and on a solver iterate
-//     most lines entering the inverse's first pass are all zero;
+//     most lines entering the inverse's first pass are all zero. The SSE2
+//     kernels (dense_amd64.s) test a pair of lines at once, and only skip
+//     a pair whose lines are both all zero. A pair with one all-zero line
+//     is computed in full, which still writes that line as +0: its every
+//     term is ±0, added to a sum that starts at +0;
 //   - on dense axes of skipZerosMinLen points or more, Sampled.Inverse drops
 //     the zero terms of each contiguous line (sparseLine, matVecNZ) and the
 //     all-zero slabs of its pruned last pass. On shorter axes a per-term
@@ -141,7 +145,9 @@ func allZero(x []float64) bool {
 // same sum, rounded the same way, as the generic kernels. Having read the
 // whole line before writing any of it, they may transform it in place, so
 // matCols8 needs no scratch. A line whose inputs are all ±0 is written as +0
-// without a multiply (see the header).
+// without a multiply (see the header). Plans run them through cols8 and
+// vec8: the SSE2 kernels of dense_amd64.s, bit for bit the same, on amd64,
+// and these Go loops elsewhere.
 
 // acc8 returns s + r[0]*x0 + r[1]*x1 + ... + r[7]*x7, summed left to right.
 func acc8(s float64, r *[8]float64, x0, x1, x2, x3, x4, x5, x6, x7 float64) float64 {

@@ -48,7 +48,8 @@ type ndAxis struct {
 	scratch [][]float64
 	// skip marks a dense axis of at least skipZerosMinLen points, where
 	// Sampled.Inverse skips zero terms and all-zero slabs. (On 8-point
-	// axes every pass skips all-zero lines, in the kernels.)
+	// axes every pass skips all-zero lines in the kernels, a pair of lines
+	// at a time on amd64's strided passes; see dense.go.)
 	skip bool
 	// pos is per-slot scratch of a sparse line's n nonzero positions, on a
 	// contiguous axis that skips (see sparseLine).
@@ -152,7 +153,7 @@ func newPlanND(dims []int, workers int, dense func(n int) bool) *PlanND {
 			continue
 		}
 		if a.plans[0].unrolled {
-			continue // matCols8 transforms in place
+			continue // cols8 transforms in place
 		}
 		per := 2 * d
 		if a.plans[0].mat != nil {
@@ -223,9 +224,19 @@ func (p *PlanND) pass(x []float64, k int, forward, sparse bool) {
 	units := a.units(p.size)
 	switch {
 	case stride == 1:
-		// Contiguous lines: transform each in place.
+		// Contiguous lines: transform each in place, all at once on an
+		// unrolled axis.
 		shard.ForRange(p.workers, units, func(slot, lo, hi int) {
 			plan := a.plans[slot]
+			if plan.unrolled {
+				m, mT := plan.mat, plan.matT
+				if !forward {
+					m, mT = mT, m
+				}
+				lines := x[lo*n : hi*n]
+				vec8(lines, m, mT, lines)
+				return
+			}
 			for r := lo; r < hi; r++ {
 				row := x[r*n : (r+1)*n]
 				if sparse && sparseLine(row, plan, a.pos[slot]) {
@@ -242,18 +253,19 @@ func (p *PlanND) pass(x []float64, k int, forward, sparse bool) {
 		// Unit u covers the j-th of chunks even column ranges of outer
 		// block u/chunks, the n rows of length stride starting at
 		// (u/chunks)*n*stride.
-		m := a.plans[0].mat
-		if !forward {
-			m = a.plans[0].matT
-		}
+		plan := a.plans[0]
 		chunks := a.chunks()
 		shard.ForRange(p.workers, units, func(slot, lo, hi int) {
+			m, pairs := plan.mat, plan.matPairs
+			if !forward {
+				m, pairs = plan.matT, plan.matTPairs
+			}
 			for u := lo; u < hi; u++ {
 				block := x[u/chunks*n*stride : (u/chunks+1)*n*stride]
 				j := u % chunks
 				c0, c1 := j*stride/chunks, (j+1)*stride/chunks
-				if a.plans[0].unrolled {
-					matCols8(block, m, stride, c0, c1)
+				if plan.unrolled {
+					cols8(block, m, pairs, stride, c0, c1)
 				} else {
 					matCols(block, m, a.scratch[slot], n, stride, c0, c1)
 				}

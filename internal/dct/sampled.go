@@ -27,7 +27,12 @@ import (
 //     drops all-zero slabs;
 //   - on 8-point axes, every full pass writes an all-zero line as +0
 //     without multiplying (the unrolled kernels of dense.go), which on the
-//     solver's sparse iterate skips most lines of Inverse's first pass.
+//     solver's sparse iterate skips most lines of Inverse's first pass. On
+//     amd64 the strided passes test lines two at a time and skip a pair
+//     only when both lines are all zero; a pair with one all-zero line
+//     still writes it as +0, since every term of its sums is ±0 added to
+//     +0. Inverse's pruned last pass over an 8-point axis is one unrolled
+//     8-term dot (acc8) per sample.
 //
 // A pruned pass is possible on the dense path only; an FFT axis in either
 // place keeps the full pass (scatter before it, or gather after it).
@@ -148,6 +153,19 @@ func (s *Sampled) Inverse(out, coeffs []float64) {
 	}
 	a := &p.axes[s.first]
 	n, stride := a.n, a.stride
+	m := a.plans[0].matT
+	if a.plans[0].unrolled {
+		// An 8-point axis never skips, so every dot has all eight terms:
+		// acc8 sums them in the generic loop's order.
+		shard.ForRange(p.workers, len(s.idx), func(_, lo, hi int) {
+			for j := lo; j < hi; j++ {
+				x := grid[s.col[j]:][:7*stride+1]
+				out[j] = acc8(0, (*[8]float64)(m[s.rowOff[j]:]), x[0], x[stride], x[2*stride], x[3*stride],
+					x[4*stride], x[5*stride], x[6*stride], x[7*stride])
+			}
+		})
+		return
+	}
 	// Slab i (position i along the first axis) feeds term i of every dot;
 	// on a skipping axis, all-zero slabs drop out.
 	rows := s.rows[:0]
@@ -156,7 +174,6 @@ func (s *Sampled) Inverse(out, coeffs []float64) {
 			rows = append(rows, i)
 		}
 	}
-	m := a.plans[0].matT
 	shard.ForRange(p.workers, len(s.idx), func(_, lo, hi int) {
 		for j := lo; j < hi; j++ {
 			r := m[s.rowOff[j] : s.rowOff[j]+n]

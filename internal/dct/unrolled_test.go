@@ -225,3 +225,166 @@ func TestUnrolledPlansMatchGeneric(t *testing.T) {
 		}
 	}
 }
+
+// cols8 and vec8, the SSE2 kernels on amd64, pinned to the Go
+// loops matCols8 and matVec8 bit for bit. Off amd64 they are the Go loops
+// and the tests check nothing new.
+
+// TestCols8KernelMatchesGo runs cols8 and matCols8 on blocks whose column
+// pairs take every ordered pair of probe lines in turn, so pairs with one
+// all-±0 column and one nonzero column, subnormals and ±0 of both signs all
+// meet in one register. Column ranges start at even and odd c0 and have
+// even and odd widths; the columns either side hold sentinels that both
+// kernels must leave untouched.
+func TestCols8KernelMatchesGo(t *testing.T) {
+	const n = 8
+	rng := rand.New(rand.NewSource(25))
+	p := newDensePlan(n)
+	lines := kernelLines(rng, n)
+	var pairs [][2][]float64
+	for _, a := range lines {
+		for _, b := range lines {
+			pairs = append(pairs, [2][]float64{a, b})
+		}
+	}
+	for _, m := range []struct {
+		name     string
+		m, pairs []float64
+	}{{"mat", p.mat, p.matPairs}, {"matT", p.matT, p.matTPairs}} {
+		for _, r := range [][3]int{{2, 0, 2}, {3, 0, 3}, {3, 1, 3}, {5, 1, 4}, {8, 0, 8}, {8, 1, 8}, {17, 3, 16}, {64, 0, 64}, {64, 1, 62}} {
+			stride, c0, c1 := r[0], r[1], r[2]
+			for next := 0; next < len(pairs); {
+				block := make([]float64, n*stride)
+				for i := range block {
+					block[i] = -float64(i) - 0.25
+				}
+				set := func(j int, x []float64) {
+					for i := 0; i < n; i++ {
+						block[i*stride+j] = x[i]
+					}
+				}
+				j := c0
+				for ; j+2 <= c1; j += 2 {
+					pr := pairs[next%len(pairs)]
+					set(j, pr[0])
+					set(j+1, pr[1])
+					next++
+				}
+				if j < c1 {
+					set(j, lines[next%len(lines)])
+				}
+				orig := append([]float64(nil), block...)
+				want, got := append([]float64(nil), block...), block
+				matCols8(want, m.m, stride, c0, c1)
+				cols8(got, m.m, m.pairs, stride, c0, c1)
+				if i := firstBitDiff(got, want); i >= 0 {
+					t.Fatalf("%s stride %d columns [%d,%d) up to pair %d: cols8[%d] = %v, matCols8 %v",
+						m.name, stride, c0, c1, next, i, got[i], want[i])
+				}
+				for i := range got {
+					if c := i % stride; (c < c0 || c >= c1) && math.Float64bits(got[i]) != math.Float64bits(orig[i]) {
+						t.Fatalf("%s stride %d columns [%d,%d): cols8 wrote column %d", m.name, stride, c0, c1, c)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestVec8KernelMatchesGo runs vec8 and matVec8 on every probe line, into
+// separate lines and in place, all lines in one call, on a slice whose
+// neighbours hold sentinels that vec8 must leave untouched.
+func TestVec8KernelMatchesGo(t *testing.T) {
+	const n = 8
+	rng := rand.New(rand.NewSource(26))
+	p := newDensePlan(n)
+	lines := kernelLines(rng, n)
+	src := make([]float64, 0, n*len(lines))
+	for _, x := range lines {
+		src = append(src, x...)
+	}
+	sentinels := func(k int) []float64 {
+		buf := make([]float64, k+2*n)
+		for i := range buf {
+			buf[i] = float64(i) + 0.75
+		}
+		return buf
+	}
+	for _, m := range []struct {
+		name  string
+		m, mT []float64
+	}{{"mat", p.mat, p.matT}, {"matT", p.matT, p.mat}} {
+		want := make([]float64, len(src))
+		for l := 0; l < len(src); l += n {
+			matVec8(want[l:l+n], m.m, src[l:l+n])
+		}
+		for _, inPlace := range []bool{false, true} {
+			buf := sentinels(len(src))
+			orig := append([]float64(nil), buf...)
+			dst := buf[n : n+len(src)]
+			x := src
+			if inPlace {
+				copy(dst, src)
+				x = dst
+			}
+			vec8(dst, m.m, m.mT, x)
+			if i := firstBitDiff(dst, want); i >= 0 {
+				t.Fatalf("%s in place %v: vec8[%d] (line %d) = %v, matVec8 %v", m.name, inPlace, i, i/n, dst[i], want[i])
+			}
+			for i := range buf {
+				if (i < n || i >= n+len(src)) && math.Float64bits(buf[i]) != math.Float64bits(orig[i]) {
+					t.Fatalf("%s in place %v: vec8 wrote outside its lines at %d", m.name, inPlace, i-n)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkKernels8 times the 8-point kernels on an 8^4 block, the Go loops
+// against cols8 and vec8 (the SSE2 kernels on amd64): one whole strided pass
+// per op at each of the grid's strides (8, 64 and 512 columns) and one
+// contiguous pass of 512 lines, on dense random input, so no line is skipped
+// as all zero.
+func BenchmarkKernels8(b *testing.B) {
+	const n, size = 8, 4096
+	p := newDensePlan(n)
+	x := randVec(rand.New(rand.NewSource(1)), size)
+	for _, stride := range []int{8, 64, 512} {
+		for _, k := range []struct {
+			name string
+			run  func(block []float64)
+		}{
+			{"go", func(block []float64) { matCols8(block, p.mat, stride, 0, stride) }},
+			{"kernel", func(block []float64) { cols8(block, p.mat, p.matPairs, stride, 0, stride) }},
+		} {
+			b.Run(fmt.Sprintf("cols/stride%d/%s", stride, k.name), func(b *testing.B) {
+				y := make([]float64, size)
+				for i := 0; i < b.N; i++ {
+					copy(y, x)
+					for o := 0; o < size; o += n * stride {
+						k.run(y[o : o+n*stride])
+					}
+				}
+			})
+		}
+	}
+	for _, k := range []struct {
+		name string
+		run  func(y []float64)
+	}{
+		{"go", func(y []float64) {
+			for l := 0; l < size; l += n {
+				matVec8(y[l:l+n], p.mat, y[l:l+n])
+			}
+		}},
+		{"kernel", func(y []float64) { vec8(y, p.mat, p.matT, y) }},
+	} {
+		b.Run("vec/"+k.name, func(b *testing.B) {
+			y := make([]float64, size)
+			for i := 0; i < b.N; i++ {
+				copy(y, x)
+				k.run(y)
+			}
+		})
+	}
+}

@@ -110,12 +110,12 @@ type Options struct {
 
 	// RiskAware enables the robustness policy layer on top of adaptive
 	// scheduling: per-device tail estimators cap batch sizes so expected
-	// tail exposure per batch stays bounded, failed batches retry with
-	// exponential backoff in virtual time before being re-dispatched to a
-	// different device, and a device whose failures cross the quarantine
-	// thresholds is benched and periodically re-probed with a single small
-	// batch. Off by default — the tail-blind adaptive scheduler is the
-	// baseline the adversarial experiments compare against.
+	// tail exposure per batch stays bounded, a failed batch retries once in
+	// place after a virtual-time backoff before being re-dispatched to a
+	// different device, and a device with a streak of failures is benched
+	// and periodically re-probed with a single small batch. Off by default
+	// — the tail-blind adaptive scheduler is the baseline the adversarial
+	// experiments compare against.
 	RiskAware bool
 }
 
@@ -135,20 +135,17 @@ const (
 // Risk-aware policy constants (Options.RiskAware only). A batch's expected
 // tail exposure — learned tail probability × (magnitude−1) × batch latency —
 // is kept under tailBudget× the fleet's typical non-tail batch duration. A
-// failed batch retries in place at most maxRetries times, the first after
-// retryBackoff virtual seconds, doubling per retry, before it is
+// batch that fails on a device whose previous dispatch succeeded retries
+// there once, retryBackoff virtual seconds later; any other failed batch is
 // re-dispatched to a different device. A device is benched after
-// quarantineAfter consecutive failed dispatches or once its EWMA
-// dispatch-failure rate reaches quarantineFailRate, and a benched device is
+// quarantineAfter consecutive failed dispatches, and a benched device is
 // re-probed with a single minBatch dispatch every probeBackoff virtual
 // seconds.
 const (
-	tailBudget         = 6.0
-	maxRetries         = 1
-	retryBackoff       = 15.0
-	quarantineAfter    = 3
-	quarantineFailRate = 0.9
-	probeBackoff       = 60.0
+	tailBudget      = 6.0
+	retryBackoff    = 15.0
+	quarantineAfter = 3
+	probeBackoff    = 60.0
 )
 
 // normalize checks o and returns it with its Thresholds sorted.
@@ -193,8 +190,10 @@ type devState struct {
 	tailProb, tailMag float64
 	tailSeen          bool
 	tailCount         int
-	// failRate is an EWMA over dispatch outcomes (1 = failed), consecFails
-	// the current consecutive-failure streak, fails the total count.
+	// failRate is an EWMA over dispatch outcomes (1 = failed), reported in
+	// DeviceState and not read by the scheduler; consecFails is the current
+	// consecutive-failure streak, which drives retries and benching, and
+	// fails the total count.
 	failRate    float64
 	consecFails int
 	fails       int
@@ -499,13 +498,12 @@ func (s *Scheduler) plan(g *landscape.Grid, indices []int, cache *exec.Cache) (*
 
 		avail := 0.0
 		exclude := -1
-		onDev := 0
-		backoff := retryBackoff
 		for attempt := 0; ; attempt++ {
-			if attempt > 0 && (!s.opt.RiskAware || onDev == 0) {
+			if attempt > 0 && !s.opt.RiskAware {
 				// The failed batch keeps its size; re-pick by expected
-				// completion for exactly k jobs. (Risk-aware in-place
-				// retries skip the re-pick and stay on the device.)
+				// completion for exactly k jobs. (A risk-aware batch only
+				// gets a second attempt as an in-place retry, which stays
+				// on the device.)
 				dev = s.pickLocked(free, avail, exclude, remaining, k)
 			}
 			st := &s.states[dev]
@@ -552,22 +550,21 @@ func (s *Scheduler) plan(g *landscape.Grid, indices []int, cache *exec.Cache) (*
 					// costs real throughput, so the interval does not
 					// escalate.
 					st.probeAt = done + probeBackoff
-				} else if st.consecFails >= quarantineAfter || st.failRate >= quarantineFailRate {
+				} else if st.consecFails >= quarantineAfter {
 					s.benchLocked(out, dev, done)
 				}
-				if !st.quarantined && onDev < maxRetries && st.consecFails <= 1 {
-					// Bounded in-place retry with exponential backoff — but
-					// only against a device whose last outcome before this
-					// batch was a success. A consecutive-failure streak means
-					// the fault is persistent (a storm window, a dropout),
-					// and waiting out a backoff to retry the same device
-					// just pays a second failed dispatch.
-					onDev++
-					avail = done + backoff
-					backoff *= 2
+				if !st.quarantined && st.consecFails == 1 {
+					// One in-place retry after a backoff, and only against a
+					// device whose last outcome before this batch was a
+					// success. A consecutive-failure streak means the fault
+					// is persistent (a storm window, a dropout), and waiting
+					// out a backoff to retry the same device just pays a
+					// second failed dispatch; a failed retry is such a
+					// streak.
+					avail = done + retryBackoff
 					continue
 				}
-				// Retries exhausted (or the device was just benched): the
+				// Retry spent (or the device was just benched): the
 				// remnant returns to the pending queue and re-batches at
 				// whatever size its next device has learned — a failed
 				// mega-batch from a fast device must not land on a slower
