@@ -47,26 +47,28 @@ func main() {
 		log.Fatal(err)
 	}
 	lat := qpu.LatencyModel{QueueMedian: 45, Sigma: 0.5, Exec: 4, TailProb: 0.07, TailFactor: 22}
-	ex, err := oscar.NewExecutor(9,
-		oscar.Device{Name: "qpu-a", Eval: devA, Latency: lat},
-		oscar.Device{Name: "qpu-b", Eval: devB, Latency: lat},
-	)
-	if err != nil {
-		log.Fatal(err)
+	devices := []oscar.Device{
+		{Name: "qpu-a", Eval: devA, Latency: lat},
+		{Name: "qpu-b", Eval: devB, Latency: lat},
 	}
-	rep, err := ex.Run(grid, idx)
-	if err != nil {
-		log.Fatal(err)
+	run := func(batch int) *qpu.RunReport {
+		sched, err := oscar.NewFleet(oscar.FleetOptions{Seed: 9, FixedBatch: batch}, devices...)
+		if err != nil {
+			log.Fatal(err)
+		}
+		rep, err := sched.Run(context.Background(), grid, idx)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return rep
 	}
+	rep := run(1)
 	fmt.Printf("fleet run: %d jobs on 2 QPUs, makespan %.0fs vs %.0fs serial (%.1fx)\n",
 		len(rep.Results), rep.Makespan, rep.SerialTime, rep.Speedup())
 
 	// Batched submission: 25 circuits per job pay one queue delay together,
 	// the amortization real cloud QPUs reward.
-	repB, err := ex.RunBatched(context.Background(), grid, idx, 25)
-	if err != nil {
-		log.Fatal(err)
-	}
+	repB := run(25)
 	fmt.Printf("batched fleet run (25/job): makespan %.0fs vs %.0fs serial (%.1fx, %.1fx over unbatched)\n",
 		repB.Makespan, repB.SerialTime, repB.Speedup(), rep.Makespan/repB.Makespan)
 

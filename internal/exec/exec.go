@@ -76,12 +76,10 @@ func FromEvaluator(e backend.Evaluator) BatchEvaluator {
 
 // Options configures an Engine.
 type Options struct {
-	// Workers bounds concurrent chunk evaluations (0 = GOMAXPROCS).
+	// Workers bounds concurrent chunk evaluations (0 = GOMAXPROCS). Batches
+	// are split so every worker gets several chunks, bounding both
+	// scheduling overhead and load imbalance.
 	Workers int
-	// ChunkSize is the number of points handed to the inner evaluator per
-	// call (0 = automatic: batches are split so every worker gets several
-	// chunks, bounding both scheduling overhead and load imbalance).
-	ChunkSize int
 	// Cache optionally memoizes results by quantized parameter vector.
 	Cache *Cache
 }
@@ -100,10 +98,7 @@ func New(inner BatchEvaluator, opts Options) *Engine {
 }
 
 // chunkSize resolves the chunk size for a batch of n points on w workers.
-func chunkSize(n, w, configured int) int {
-	if configured > 0 {
-		return configured
-	}
+func chunkSize(n, w int) int {
 	// Aim for ~8 chunks per worker so stragglers rebalance, but never less
 	// than 1 point or more than 512 per inner call.
 	c := n / (w * 8)
@@ -287,7 +282,7 @@ func (e *Engine) run(ctx context.Context, work [][]float64, values []float64) er
 	if workers > len(work) {
 		workers = len(work)
 	}
-	size := chunkSize(len(work), workers, e.opts.ChunkSize)
+	size := chunkSize(len(work), workers)
 
 	if workers <= 1 {
 		// Serial fast path: no channel, no goroutines, no derived context —

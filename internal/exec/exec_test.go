@@ -25,31 +25,25 @@ func costOf(p []float64) float64 { return math.Sin(p[0]) + 2*math.Cos(p[1]) }
 func pointEval(p []float64) (float64, error) { return costOf(p), nil }
 
 func TestEngineDeterministicAcrossWorkers(t *testing.T) {
-	params := batch(937) // non-multiple of any chunk size
-	var want []float64
-	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		for _, chunkSize := range []int{0, 1, 7, 1024} {
-			en := New(Lift(pointEval), Options{Workers: workers, ChunkSize: chunkSize})
+	// The chunk layout follows the batch size and worker count: 13 points
+	// run one per chunk, 937 run in chunks of 117 on one worker and 29 on
+	// four, and 4103 fill 512-point chunks on one worker with a 7-point
+	// tail. None is a multiple of its chunk size.
+	for _, n := range []int{13, 937, 4103} {
+		params := batch(n)
+		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+			en := New(Lift(pointEval), Options{Workers: workers})
 			got, err := en.EvaluateBatch(context.Background(), params)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(got) != len(params) {
-				t.Fatalf("workers=%d: %d results for %d points", workers, len(got), len(params))
+				t.Fatalf("n=%d workers=%d: %d results for %d points", n, workers, len(got), len(params))
 			}
-			if want == nil {
-				want = got
-				for i, p := range params {
-					if got[i] != costOf(p) {
-						t.Fatalf("result %d = %g, want %g", i, got[i], costOf(p))
-					}
-				}
-				continue
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("workers=%d chunk=%d: result %d differs: %g vs %g",
-						workers, chunkSize, i, got[i], want[i])
+			for i, p := range params {
+				if got[i] != costOf(p) {
+					t.Fatalf("n=%d workers=%d chunk=%d: result %d = %g, want %g",
+						n, workers, chunkSize(n, workers), i, got[i], costOf(p))
 				}
 			}
 		}
@@ -64,7 +58,7 @@ func TestEngineSequentialWithOneWorker(t *testing.T) {
 	en := New(Lift(func(p []float64) (float64, error) {
 		order = append(order, int(math.Round(p[0]/0.01)))
 		return 0, nil
-	}), Options{Workers: 1, ChunkSize: 7})
+	}), Options{Workers: 1})
 	if _, err := en.EvaluateBatch(context.Background(), params); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +167,7 @@ func TestEngineCancellation(t *testing.T) {
 			cancel() // cancel mid-batch from inside an evaluation
 		}
 		return 0, nil
-	}), Options{Workers: 2, ChunkSize: 4})
+	}), Options{Workers: 2})
 	_, err := en.EvaluateBatch(ctx, batch(10_000))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -200,7 +194,7 @@ func TestEngineErrorPropagation(t *testing.T) {
 			return 0, boom
 		}
 		return 0, nil
-	}), Options{Workers: 3, ChunkSize: 2})
+	}), Options{Workers: 3})
 	if _, err := en.EvaluateBatch(context.Background(), batch(1000)); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -232,16 +226,16 @@ func TestFromEvaluator(t *testing.T) {
 
 func TestChunkSize(t *testing.T) {
 	cases := []struct {
-		n, w, conf, want int
+		n, w, want int
 	}{
-		{n: 10, w: 4, conf: 3, want: 3},
-		{n: 10, w: 4, conf: 0, want: 1},
-		{n: 5000, w: 8, conf: 0, want: 78},
-		{n: 1 << 20, w: 1, conf: 0, want: 512},
+		{n: 10, w: 4, want: 1},
+		{n: 937, w: 4, want: 29},
+		{n: 5000, w: 8, want: 78},
+		{n: 1 << 20, w: 1, want: 512},
 	}
 	for _, c := range cases {
-		if got := chunkSize(c.n, c.w, c.conf); got != c.want {
-			t.Errorf("chunkSize(%d,%d,%d) = %d, want %d", c.n, c.w, c.conf, got, c.want)
+		if got := chunkSize(c.n, c.w); got != c.want {
+			t.Errorf("chunkSize(%d,%d) = %d, want %d", c.n, c.w, got, c.want)
 		}
 	}
 }

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
 	"repro/internal/backend"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/landscape"
 	"repro/internal/noise"
 	"repro/internal/problem"
@@ -81,11 +83,11 @@ func Speedup(cfg Config) (*Table, error) {
 				Latency: qpu.LatencyModel{QueueMedian: 30, Sigma: 0.5, Exec: 3},
 			}
 		}
-		ex, err := qpu.NewExecutor(cfg.Seed+int64(k), devices...)
+		s, err := fleet.New(fleet.Options{Seed: cfg.Seed + int64(k), FixedBatch: 1}, devices...)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := ex.Run(grid, idx)
+		rep, err := s.Run(context.Background(), grid, idx)
 		if err != nil {
 			return nil, err
 		}
@@ -137,11 +139,11 @@ func Eager(cfg Config) (*Table, error) {
 		{Name: "qpu-c", Eval: ev, Latency: lat},
 		{Name: "qpu-d", Eval: ev, Latency: lat},
 	}
-	ex, err := qpu.NewExecutor(cfg.Seed+520, devices...)
+	s, err := fleet.New(fleet.Options{Seed: cfg.Seed + 520, FixedBatch: 1}, devices...)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := ex.Run(grid, idx)
+	rep, err := s.Run(context.Background(), grid, idx)
 	if err != nil {
 		return nil, err
 	}

@@ -5,20 +5,21 @@
 //
 // Three ideas compose:
 //
-//   - Adaptive batch sizing. qpu.RunBatched amortizes one queue delay per
-//     batch but takes the batch size as a caller-fixed argument. The fleet
-//     scheduler instead learns a per-device size online: every completed
-//     batch reports its queue/execution decomposition (the split real cloud
-//     QPUs expose through queue timestamps), the scheduler maintains an
-//     EWMA of the queue/exec-per-job ratio, and the next batch for that
-//     device carries aggressiveness×ratio jobs — enough to amortize the
-//     queue delay without turning the device into a straggler.
+//   - Adaptive batch sizing. A batch amortizes one queue delay over all its
+//     jobs, but a fixed batch size (Options.FixedBatch, the baseline) suits
+//     no device in a heterogeneous fleet. The scheduler instead learns a
+//     per-device size online: every completed batch reports its
+//     queue/execution decomposition (the split real cloud QPUs expose
+//     through queue timestamps), the scheduler maintains an EWMA of the
+//     queue/exec-per-job ratio, and the next batch for that device carries
+//     aggressiveness×ratio jobs — enough to amortize the queue delay without
+//     turning the device into a straggler.
 //
 //   - Streaming eager reconstruction. Completed batches feed a
 //     core.Incremental accumulator; as sample coverage crosses the
 //     configured thresholds the compressed-sensing solve is re-triggered,
 //     warm-started from the previous solution, and a batch-boundary eager
-//     cut (qpu.EagerCutBatched's policy) drops tail-latency batches
+//     cut (qpu.BatchTimeoutForFraction) drops tail-latency batches
 //     entirely.
 //
 //   - A shared execution cache. With Options.Cache set, sampled points that
@@ -208,11 +209,11 @@ type devState struct {
 // Scheduler dispatches sampled grid points across a device fleet with
 // adaptive per-device batch sizes.
 //
-// Like qpu.Executor, the latency streams are persistent: successive runs on
-// one scheduler continue the same seeded per-device RNGs (fresh queue
-// dynamics every run, the whole sequence deterministic given the seed), and
-// the learned batch sizes carry across runs too — a long-lived scheduler
-// keeps its calibration. Runs on one scheduler are serialized during their
+// The latency streams are persistent: successive runs on one scheduler
+// continue the same seeded per-device RNGs (fresh queue dynamics every run,
+// the whole sequence deterministic given the seed), and the learned batch
+// sizes carry across runs too — a long-lived scheduler keeps its
+// calibration. Runs on one scheduler are serialized during their
 // virtual-time planning phase; use separate schedulers for independent
 // concurrent fleets.
 type Scheduler struct {
@@ -438,8 +439,8 @@ func (s *Scheduler) plan(g *landscape.Grid, indices []int, cache *exec.Cache) (*
 	defer s.mu.Unlock()
 	out := &planOutcome{}
 
-	// Serial baseline: the shared one-device no-batching baseline
-	// qpu.RunBatched also reports, so Speedup stays comparable.
+	// Serial baseline: the one-device no-batching baseline Speedup is
+	// measured against, the same for every batch policy.
 	const maxAttempts = 8
 	// The consecutive-failure budget for one batch scales with fleet size
 	// (each failure already moves the work to a different device), and the
@@ -686,8 +687,8 @@ func (s *Scheduler) shareLocked(d int) float64 {
 // the work) becomes available — so a slow device stops receiving work the
 // moment a faster one would finish the same batch sooner, instead of being
 // fed by virtue of being idle. Unobserved devices count as instant, which
-// probes every device early. Fixed-batch mode keeps qpu.RunBatched's
-// earliest-free policy — it is the status-quo baseline. fixedK > 0 estimates
+// probes every device early. Fixed-batch mode dispatches to the
+// earliest-free device — it is the status-quo baseline. fixedK > 0 estimates
 // for a batch of exactly that size (failure retries, where the batch content
 // is already set); otherwise each candidate is judged by the size it would
 // itself carry. Ties go to the lowest index, keeping plans deterministic.

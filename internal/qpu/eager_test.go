@@ -1,7 +1,6 @@
 package qpu
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -118,94 +117,6 @@ func TestBatchTimeoutForFraction(t *testing.T) {
 	shuffled := []BatchGroup{batches[2], batches[0], batches[1]}
 	if got := BatchTimeoutForFraction(shuffled, 0.5); got != 20 {
 		t.Errorf("unsorted q=0.5 timeout = %g, want 20", got)
-	}
-}
-
-// TestEagerCutBatchedKeepsWholeGroups runs a real batched execution and
-// checks the batch-aware cut never splits a group: the kept count is always a
-// sum of whole group sizes, and covers at least the requested fraction.
-func TestEagerCutBatchedKeepsWholeGroups(t *testing.T) {
-	g := testGrid(t)
-	lat := LatencyModel{QueueMedian: 20, Sigma: 0.5, Exec: 1, TailProb: 0.15, TailFactor: 25}
-	ex, err := NewExecutor(77,
-		Device{Name: "a", Eval: evalFunc("a"), Latency: lat},
-		Device{Name: "b", Eval: evalFunc("b"), Latency: lat},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	indices := make([]int, g.Size())
-	for i := range indices {
-		indices[i] = i
-	}
-	rep, err := ex.RunBatched(context.Background(), g, indices, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Batches) != (len(indices)+6)/7 {
-		t.Fatalf("%d batch groups, want %d", len(rep.Batches), (len(indices)+6)/7)
-	}
-	sizes := 0
-	for i, b := range rep.Batches {
-		if b.Size <= 0 || b.Queue < 0 || b.Exec <= 0 {
-			t.Fatalf("degenerate batch group %+v", b)
-		}
-		if math.Abs(b.Done-b.Start-b.Queue-b.Exec) > 1e-9 {
-			t.Fatalf("group %+v: done != start+queue+exec", b)
-		}
-		if i > 0 && b.Done < rep.Batches[i-1].Done {
-			t.Fatal("batch groups not sorted by completion")
-		}
-		sizes += b.Size
-	}
-	if sizes != len(indices) {
-		t.Fatalf("groups carry %d jobs, want %d", sizes, len(indices))
-	}
-
-	for _, q := range []float64{0.25, 0.5, 0.8, 0.95} {
-		kept, timeout, saved := EagerCutBatched(rep, q)
-		if len(kept) < int(math.Ceil(q*float64(len(indices)))) {
-			t.Fatalf("q=%g kept %d of %d, below the requested fraction", q, len(kept), len(indices))
-		}
-		// The kept count must be expressible as whole groups completed by
-		// the timeout.
-		whole := 0
-		for _, b := range rep.Batches {
-			if b.Done <= timeout {
-				whole += b.Size
-			}
-		}
-		if len(kept) != whole {
-			t.Fatalf("q=%g kept %d jobs but whole groups under the timeout carry %d", q, len(kept), whole)
-		}
-		if saved < 0 || saved > rep.Makespan {
-			t.Fatalf("q=%g saved %g out of makespan %g", q, saved, rep.Makespan)
-		}
-	}
-
-	// q=1 keeps everything and saves nothing.
-	kept, timeout, saved := EagerCutBatched(rep, 1)
-	if len(kept) != len(indices) || saved != 0 {
-		t.Fatalf("q=1 kept %d saved %g", len(kept), saved)
-	}
-	if timeout != rep.Batches[len(rep.Batches)-1].Done {
-		t.Fatalf("q=1 timeout %g, want last group completion %g", timeout, rep.Batches[len(rep.Batches)-1].Done)
-	}
-
-	// A report without batch records falls back to the per-job policy.
-	single, err := ex.Run(g, indices[:20])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(single.Batches) != 0 {
-		t.Fatalf("single-job run recorded %d batch groups", len(single.Batches))
-	}
-	keptS, timeoutS, _ := EagerCutBatched(single, 0.9)
-	if want := TimeoutForFraction(single, 0.9); timeoutS != want {
-		t.Fatalf("fallback timeout %g, want per-job quantile %g", timeoutS, want)
-	}
-	if len(keptS) == 0 || len(keptS) > 20 {
-		t.Fatalf("fallback kept %d", len(keptS))
 	}
 }
 

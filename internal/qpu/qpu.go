@@ -1,26 +1,22 @@
-// Package qpu models the execution fabric of Section 5: multiple quantum
-// processing units with queuing delays and heavy-tailed latency, OSCAR's
-// parallel sampling across them, and eager reconstruction (Section 5.2),
-// which sidesteps Amdahl's law by dropping tail-latency samples.
+// Package qpu models the devices of Section 5's execution fabric: quantum
+// processing units with queuing delays, heavy-tailed latency, failures and
+// time-varying fault scenarios, plus the records a multi-QPU run produces
+// and the eager-reconstruction policies (Section 5.2) that cut such a run
+// at a soft timeout, sidestepping Amdahl's law by dropping tail-latency
+// samples. Dispatching work across devices is internal/fleet's job.
 //
-// Time is virtual: job latencies are drawn from a seeded heavy-tailed model
-// and accumulated per device, so experiments measure the same queue dynamics
-// a real fleet exhibits while running deterministically and instantly.
+// Time is virtual: job latencies are drawn from a seeded heavy-tailed model,
+// so a scheduler measures the same queue dynamics a real fleet exhibits
+// while running deterministically and instantly.
 package qpu
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/backend"
-	"repro/internal/exec"
-	"repro/internal/landscape"
-	"repro/internal/obs"
 )
 
 // LatencyModel describes one device's per-job latency: a lognormal queue
@@ -102,8 +98,7 @@ type Device struct {
 	Latency LatencyModel
 	// FailureProb is the probability a job fails on this device
 	// (calibration drop-out, queue eviction). Failed jobs pay their
-	// latency, then are rescheduled on the earliest-free *other* device
-	// (or retried here if the fleet has a single device).
+	// latency; the scheduler decides where they run next.
 	FailureProb float64
 	// Scenario, when set, perturbs the device's latency, failure
 	// probability, and availability as a function of virtual time —
@@ -146,8 +141,7 @@ type RunReport struct {
 	// Results lists all completed jobs sorted by completion time.
 	Results []Result
 	// Batches lists the successful batch submissions sorted by completion
-	// time (nil for single-job runs). Failed attempts are counted in
-	// Retries but not recorded here.
+	// time. Failed attempts are counted in Retries but not recorded here.
 	Batches []BatchGroup
 	// Makespan is the virtual time at which the last job finished.
 	Makespan float64
@@ -168,30 +162,17 @@ func (r *RunReport) Speedup() float64 {
 	return r.SerialTime / r.Makespan
 }
 
-// maxAttempts caps how often one job or batch may fail in a row on a single
-// device before the run is abandoned.
+// maxAttempts caps how often SerialBaseline retries one job on its single
+// device.
 const maxAttempts = 8
-
-// attemptCap is the consecutive-failure budget for one job or batch: with a
-// single device maxAttempts, with more the budget scales with fleet size —
-// each failure already moves the work to a different device, so the run
-// should only be abandoned once every device has had its share of chances,
-// not after eight unlucky draws while healthy devices remain.
-func attemptCap(devices int) int {
-	if devices <= 1 {
-		return maxAttempts
-	}
-	return maxAttempts * devices
-}
 
 // SerialBaseline draws the virtual time a single device needs to run jobs
 // submitted individually, back to back, with failed submissions retried (and
-// paid for) on that same device. It is the shared one-device no-batching
-// baseline both Executor.RunBatched and the fleet scheduler report as
-// SerialTime, so their Speedup figures stay comparable; it advances rng by
-// the same draw sequence wherever it is used. The baseline is scenario-blind:
-// it measures the undisturbed reference device, so speedup figures stay
-// comparable across injected scenarios.
+// paid for) on that same device. The fleet scheduler reports it as
+// SerialTime, the one-device no-batching baseline its Speedup figures are
+// measured against. The baseline is scenario-blind: it measures the
+// undisturbed reference device, so speedup figures stay comparable across
+// injected scenarios.
 func SerialBaseline(d Device, rng *rand.Rand, jobs int) float64 {
 	var serial float64
 	for i := 0; i < jobs; i++ {
@@ -203,268 +184,6 @@ func SerialBaseline(d Device, rng *rand.Rand, jobs int) float64 {
 		}
 	}
 	return serial
-}
-
-// Executor schedules jobs across devices in virtual time.
-//
-// The latency streams are persistent: successive Run/RunBatched calls on one
-// executor continue the same seeded RNG rather than replaying it, so a
-// long-lived executor (a service simulating a fleet across many requests)
-// draws fresh queue dynamics every run while the whole sequence stays
-// deterministic given the seed. Two executors built with the same seed and
-// run through the same call sequence reproduce each other exactly. Runs on
-// one executor are serialized (they share the streams); use separate
-// executors for concurrent fleets.
-type Executor struct {
-	devices []Device
-	seed    int64
-
-	mu sync.Mutex
-	// rng drives scheduling draws (queue latency, tails, failures).
-	rng *rand.Rand
-	// serialRng drives RunBatched's single-device no-batching baseline from
-	// its own stream so batched and unbatched runs stay independently
-	// reproducible.
-	serialRng *rand.Rand
-}
-
-// NewExecutor builds an executor over the given devices.
-func NewExecutor(seed int64, devices ...Device) (*Executor, error) {
-	if len(devices) == 0 {
-		return nil, errors.New("qpu: no devices")
-	}
-	for _, d := range devices {
-		if d.Eval == nil {
-			return nil, fmt.Errorf("qpu: device %q has no evaluator", d.Name)
-		}
-		if err := d.Latency.Validate(); err != nil {
-			return nil, err
-		}
-		if d.FailureProb < 0 || d.FailureProb >= 1 {
-			return nil, fmt.Errorf("qpu: device %q failure probability %g out of [0,1)", d.Name, d.FailureProb)
-		}
-	}
-	return &Executor{
-		devices:   devices,
-		seed:      seed,
-		rng:       rand.New(rand.NewSource(seed)),
-		serialRng: rand.New(rand.NewSource(seed + 1)),
-	}, nil
-}
-
-// Run executes the cost evaluations for the given flat grid indices,
-// assigning each job to the device that becomes free first (greedy
-// list scheduling). The measured values are real; only time is simulated.
-func (e *Executor) Run(g *landscape.Grid, indices []int) (*RunReport, error) {
-	if len(indices) == 0 {
-		return nil, errors.New("qpu: no jobs")
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	rng := e.rng
-	free := make([]float64, len(e.devices))
-	perDevice := make([]int, len(e.devices))
-	results := make([]Result, 0, len(indices))
-	var serial float64
-
-	retries := 0
-	budget := attemptCap(len(e.devices))
-	for _, idx := range indices {
-		var (
-			done    float64
-			dev     int
-			exclude = -1
-		)
-		for attempt := 0; ; attempt++ {
-			// Earliest-free device, skipping the one that just
-			// failed this job when an alternative exists.
-			dev = -1
-			for d := 0; d < len(free); d++ {
-				if d == exclude && len(free) > 1 {
-					continue
-				}
-				if dev < 0 || free[d] < free[dev] {
-					dev = d
-				}
-			}
-			cond := e.devices[dev].ConditionAt(free[dev])
-			lat := cond.Latency.Sample(rng)
-			// The serial baseline runs the same jobs (same latency
-			// draws, same failures) back to back on a single device.
-			serial += lat
-			free[dev] += lat
-			if cond.Down || (cond.FailureProb > 0 && rng.Float64() < cond.FailureProb) {
-				if attempt+1 >= budget {
-					return nil, fmt.Errorf("qpu: job %d failed %d times in a row", idx, budget)
-				}
-				retries++
-				exclude = dev
-				continue
-			}
-			done = free[dev]
-			break
-		}
-		params := g.Point(idx)
-		v, err := e.devices[dev].Eval.Evaluate(params)
-		if err != nil {
-			return nil, fmt.Errorf("qpu: device %q failed: %w", e.devices[dev].Name, err)
-		}
-		perDevice[dev]++
-		results = append(results, Result{Index: idx, Value: v, Device: dev, Done: done})
-	}
-	sort.Slice(results, func(i, j int) bool { return results[i].Done < results[j].Done })
-	makespan := 0.0
-	for _, f := range free {
-		if f > makespan {
-			makespan = f
-		}
-	}
-	return &RunReport{
-		Results:    results,
-		Makespan:   makespan,
-		SerialTime: serial,
-		PerDevice:  perDevice,
-		Retries:    retries,
-	}, nil
-}
-
-// RunBatched executes the cost evaluations for the given flat grid indices
-// with jobs grouped into batches of batchSize (<= 0 picks a default that
-// gives each device a handful of batches). Each batch goes to the device
-// that becomes free first and pays a single queue-latency draw for all its
-// jobs — the amortization Section 5 intends — with values computed through
-// the device evaluator's native batch path. A batch that fails is re-queued
-// on the earliest-free other device, like single-job failures in Run.
-//
-// SerialTime in the report is the virtual time the fleet's first device
-// would need with every job submitted individually, back to back — failed
-// submissions retried (and paid for) on that same device, mirroring Run's
-// accounting — so Speedup captures both fleet parallelism and queue
-// amortization against the same one-device no-batching baseline.
-func (e *Executor) RunBatched(ctx context.Context, g *landscape.Grid, indices []int, batchSize int) (*RunReport, error) {
-	if len(indices) == 0 {
-		return nil, errors.New("qpu: no jobs")
-	}
-	if batchSize <= 0 {
-		batchSize = (len(indices) + 4*len(e.devices) - 1) / (4 * len(e.devices))
-		if batchSize < 1 {
-			batchSize = 1
-		}
-	}
-	span, ctx := obs.Start(ctx, "qpu.run")
-	defer span.End()
-	span.SetAttr("jobs", len(indices))
-	span.SetAttr("devices", len(e.devices))
-	span.SetAttr("batch_size", batchSize)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	rng, serialRng := e.rng, e.serialRng
-	free := make([]float64, len(e.devices))
-	perDevice := make([]int, len(e.devices))
-	results := make([]Result, 0, len(indices))
-	batches := make([]BatchGroup, 0, (len(indices)+batchSize-1)/batchSize)
-	var serial float64
-	retries := 0
-	budget := attemptCap(len(e.devices))
-
-	evals := make([]exec.BatchEvaluator, len(e.devices))
-	for d := range e.devices {
-		evals[d] = exec.FromEvaluator(e.devices[d].Eval)
-	}
-
-	ref := e.devices[0]
-	for lo := 0; lo < len(indices); lo += batchSize {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		hi := lo + batchSize
-		if hi > len(indices) {
-			hi = len(indices)
-		}
-		batch := indices[lo:hi]
-		serial += SerialBaseline(ref, serialRng, len(batch))
-		var (
-			done           float64
-			dev            int
-			exclude        = -1
-			bstart, bq, bx float64
-		)
-		for attempt := 0; ; attempt++ {
-			dev = -1
-			for d := 0; d < len(free); d++ {
-				if d == exclude && len(free) > 1 {
-					continue
-				}
-				if dev < 0 || free[d] < free[dev] {
-					dev = d
-				}
-			}
-			start := free[dev]
-			cond := e.devices[dev].ConditionAt(start)
-			queue, execT := cond.Latency.SampleBatchParts(rng, len(batch))
-			free[dev] += queue + execT
-			if cond.Down || (cond.FailureProb > 0 && rng.Float64() < cond.FailureProb) {
-				if attempt+1 >= budget {
-					return nil, fmt.Errorf("qpu: batch [%d,%d) failed %d times in a row", lo, hi, budget)
-				}
-				retries++
-				m := span.Child("qpu.retry")
-				m.SetAttr("device", e.devices[dev].Name)
-				m.SetVirtual(free[dev], free[dev])
-				m.End()
-				exclude = dev
-				continue
-			}
-			done = free[dev]
-			bstart, bq, bx = start, queue, execT
-			batches = append(batches, BatchGroup{
-				Device: dev, Size: len(batch), Queue: queue, Exec: execT,
-				Start: start, Done: done,
-			})
-			break
-		}
-		bspan := span.Child("qpu.batch")
-		bspan.SetAttr("device", e.devices[dev].Name)
-		bspan.SetAttr("size", len(batch))
-		bspan.SetVirtual(bstart, done)
-		if qs := bspan.Child("queue"); qs != nil {
-			qs.SetVirtual(bstart, bstart+bq)
-			qs.End()
-		}
-		if xs := bspan.Child("exec"); xs != nil {
-			xs.SetVirtual(bstart+bq, bstart+bq+bx)
-			xs.End()
-		}
-		values, err := evals[dev].EvaluateBatch(ctx, g.Points(batch))
-		bspan.SetError(err)
-		bspan.End()
-		if err != nil {
-			return nil, fmt.Errorf("qpu: device %q failed: %w", e.devices[dev].Name, err)
-		}
-		perDevice[dev] += len(batch)
-		for j, idx := range batch {
-			results = append(results, Result{Index: idx, Value: values[j], Device: dev, Done: done})
-		}
-	}
-	sort.SliceStable(results, func(i, j int) bool { return results[i].Done < results[j].Done })
-	sort.SliceStable(batches, func(i, j int) bool { return batches[i].Done < batches[j].Done })
-	makespan := 0.0
-	for _, f := range free {
-		if f > makespan {
-			makespan = f
-		}
-	}
-	span.SetAttr("retries", retries)
-	span.SetAttr("makespan_s", makespan)
-	span.SetVirtual(0, makespan)
-	return &RunReport{
-		Results:    results,
-		Batches:    batches,
-		Makespan:   makespan,
-		SerialTime: serial,
-		PerDevice:  perDevice,
-		Retries:    retries,
-	}, nil
 }
 
 // EagerCut returns the prefix of results completed by the soft timeout, plus
@@ -528,23 +247,6 @@ func BatchTimeoutForFraction(batches []BatchGroup, q float64) float64 {
 		}
 	}
 	return sorted[len(sorted)-1].Done
-}
-
-// EagerCutBatched is EagerCut with the cut placed at a batch boundary: the
-// soft timeout is the BatchTimeoutForFraction(q) quantile over the report's
-// batch groups, so whole groups are kept or dropped and no partially-paid
-// batch is split. Reports without batch records (single-job runs) degrade to
-// the per-job quantile policy of TimeoutForFraction. It returns the kept
-// results, the effective timeout, and the time saved versus waiting for the
-// full run.
-func EagerCutBatched(rep *RunReport, q float64) (kept []Result, timeout, saved float64) {
-	if len(rep.Batches) > 0 {
-		timeout = BatchTimeoutForFraction(rep.Batches, q)
-	} else {
-		timeout = TimeoutForFraction(rep, q)
-	}
-	kept, saved = EagerCut(rep, timeout)
-	return kept, timeout, saved
 }
 
 // SplitIndices partitions sampled indices between two devices with the

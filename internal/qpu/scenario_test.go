@@ -1,10 +1,6 @@
 package qpu
 
-import (
-	"context"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func baseCond() Condition {
 	return Condition{
@@ -120,113 +116,6 @@ func TestConditionAtWithoutScenario(t *testing.T) {
 	got := d.ConditionAt(123)
 	if got.Latency != d.Latency || got.FailureProb != 0.25 || got.Down {
 		t.Fatalf("bare ConditionAt mangled the base condition: %+v", got)
-	}
-}
-
-func TestRunBatchedSurvivesDropout(t *testing.T) {
-	g, ev := testGrid(t), evalFunc("chaos")
-	lat := LatencyModel{QueueMedian: 20, Sigma: 0.3, Exec: 2}
-	// One device is dark from the start for a long window; the other is
-	// healthy. Every batch first tried on the dark device must reschedule
-	// and the run must still deliver every job.
-	dark := Device{Name: "dark", Eval: ev, Latency: lat, Scenario: Dropout{Start: 0, Duration: 1e9}}
-	ok := Device{Name: "ok", Eval: ev, Latency: lat}
-	e, err := NewExecutor(11, dark, ok)
-	if err != nil {
-		t.Fatal(err)
-	}
-	indices := make([]int, 60)
-	for i := range indices {
-		indices[i] = i
-	}
-	rep, err := e.RunBatched(context.Background(), g, indices, 10)
-	if err != nil {
-		t.Fatalf("RunBatched under dropout: %v", err)
-	}
-	if len(rep.Results) != len(indices) {
-		t.Fatalf("got %d results, want %d", len(rep.Results), len(indices))
-	}
-	if rep.Retries == 0 {
-		t.Fatalf("expected retries from the dark device")
-	}
-	if rep.PerDevice[0] != 0 {
-		t.Fatalf("dark device completed %d jobs", rep.PerDevice[0])
-	}
-}
-
-func TestRunSurvivesHighFailureMultiDevice(t *testing.T) {
-	// Satellite: with >1 device the job must move elsewhere rather than
-	// abandoning the run after 8 consecutive failures. Two very flaky
-	// devices plus a solid one must complete every job.
-	g, ev := testGrid(t), evalFunc("chaos")
-	lat := LatencyModel{QueueMedian: 5, Sigma: 0.3, Exec: 1}
-	e, err := NewExecutor(5,
-		Device{Name: "flaky1", Eval: ev, Latency: lat, FailureProb: 0.9},
-		Device{Name: "flaky2", Eval: ev, Latency: lat, FailureProb: 0.9},
-		Device{Name: "solid", Eval: ev, Latency: lat},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	indices := make([]int, 100)
-	for i := range indices {
-		indices[i] = i
-	}
-	rep, err := e.Run(g, indices)
-	if err != nil {
-		t.Fatalf("Run with flaky fleet: %v", err)
-	}
-	if len(rep.Results) != len(indices) {
-		t.Fatalf("got %d results, want %d", len(rep.Results), len(indices))
-	}
-	if rep.Retries == 0 {
-		t.Fatalf("expected retries")
-	}
-}
-
-func TestSingleDeviceDropoutStillErrors(t *testing.T) {
-	// With one device and nowhere to reschedule, a permanently dark device
-	// must surface an error rather than loop forever.
-	g, ev := testGrid(t), evalFunc("chaos")
-	lat := LatencyModel{QueueMedian: 5, Sigma: 0.3, Exec: 1}
-	e, err := NewExecutor(1, Device{Name: "dark", Eval: ev, Latency: lat, Scenario: Dropout{Start: 0, Duration: 1e9}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = e.Run(g, []int{0, 1, 2})
-	if err == nil || !strings.Contains(err.Error(), "failed") {
-		t.Fatalf("want hard failure on single dark device, got %v", err)
-	}
-}
-
-func TestRunBatchedScenarioDeterministic(t *testing.T) {
-	g, ev := testGrid(t), evalFunc("chaos")
-	lat := LatencyModel{QueueMedian: 20, Sigma: 0.5, Exec: 2, TailProb: 0.05, TailFactor: 15}
-	mk := func() *Executor {
-		e, err := NewExecutor(17,
-			Device{Name: "a", Eval: ev, Latency: lat, Scenario: NewQueueSpikes(5, 300, 80, 8)},
-			Device{Name: "b", Eval: ev, Latency: lat, Scenario: NewRetryStorm(6, 250, 60, 0.7)},
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	indices := make([]int, 80)
-	for i := range indices {
-		indices[i] = i
-	}
-	r1, err := mk().RunBatched(context.Background(), g, indices, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := mk().RunBatched(context.Background(), g, indices, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Makespan != r2.Makespan || r1.Retries != r2.Retries || len(r1.Batches) != len(r2.Batches) {
-		t.Fatalf("scenario run not reproducible: makespan %g/%g retries %d/%d batches %d/%d",
-			r1.Makespan, r2.Makespan, r1.Retries, r2.Retries, len(r1.Batches), len(r2.Batches))
 	}
 }
 

@@ -39,7 +39,7 @@ func (s *Server) observeSpan(e obs.EndedSpan) {
 	if e.HasVirtual {
 		s.metrics.Histogram("oscard_fleet_virtual_seconds", stageVirtHelp,
 			labels, obs.DefaultVirtualBuckets()).Observe(e.Virtual)
-		if e.Name != "fleet.batch" && e.Name != "qpu.batch" {
+		if e.Name != "fleet.batch" {
 			return
 		}
 	}

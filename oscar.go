@@ -105,7 +105,8 @@ type (
 	BatchEvaluator = exec.BatchEvaluator
 	// Engine is the chunking, cache-backed worker pool.
 	Engine = exec.Engine
-	// EngineOptions configures workers, chunk size, and the cache.
+	// EngineOptions configures workers and the cache; the engine sizes its
+	// chunks from the batch size and worker count.
 	EngineOptions = exec.Options
 	// EvalCache memoizes executions by quantized parameter vector.
 	EvalCache = exec.Cache
@@ -435,12 +436,11 @@ func RunCobyla(f optimizer.Objective, x0 []float64, opt optimizer.CobylaOptions)
 // FitNCM trains a noise-compensation model from paired device measurements.
 func FitNCM(source, reference []float64) (*NCModel, error) { return ncm.Fit(source, reference) }
 
-// Multi-QPU execution.
-
-// NewExecutor builds a virtual-time multi-QPU executor.
-func NewExecutor(seed int64, devices ...qpu.Device) (*qpu.Executor, error) {
-	return qpu.NewExecutor(seed, devices...)
-}
+// Multi-QPU execution. A Device is one simulated QPU: an evaluator plus a
+// latency model, failure probability and optional fault scenario. Every
+// multi-QPU run goes through the fleet scheduler below; with
+// FleetOptions{FixedBatch: 1} it dispatches one job at a time to the
+// earliest-free device.
 
 // Device couples an evaluator with a latency model.
 type Device = qpu.Device
