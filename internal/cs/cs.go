@@ -426,21 +426,15 @@ func solveProx(ctx context.Context, op *partialDCT, y []float64, opt Options) (*
 		// Fused gradient step + soft-threshold prox over worker shards:
 		// s = shrink(z - grad, lam). One fan-out and one memory sweep per
 		// iteration instead of two; elementwise, so sharding stays
-		// bit-identical to a serial pass.
-		lamIt := lam
-		shard.ForRange(op.workers, n, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := z[i] - grad[i]
-				switch {
-				case v > lamIt:
-					s[i] = v - lamIt
-				case v < -lamIt:
-					s[i] = v + lamIt
-				default:
-					s[i] = 0
-				}
-			}
-		})
+		// bit-identical to a serial pass. A serial operator runs it
+		// directly: a closure handed to shard.ForRange escapes, so
+		// building one costs an allocation.
+		if op.workers <= 1 {
+			shrinkStep(s, z, grad, lam, 0, n)
+		} else {
+			lamIt := lam
+			shard.ForRange(op.workers, n, func(_, lo, hi int) { shrinkStep(s, z, grad, lamIt, lo, hi) })
+		}
 
 		// One serial pass gathers the convergence sums and the restart
 		// test's (z - s)·(s - prev).
@@ -463,11 +457,11 @@ func solveProx(ctx context.Context, op *partialDCT, y []float64, opt Options) (*
 		default:
 			tNext := (1 + math.Sqrt(1+4*tk*tk)) / 2
 			beta := (tk - 1) / tNext
-			shard.ForRange(op.workers, n, func(_, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					z[i] = s[i] + beta*(s[i]-prev[i])
-				}
-			})
+			if op.workers <= 1 {
+				momentumStep(z, s, prev, beta, 0, n)
+			} else {
+				shard.ForRange(op.workers, n, func(_, lo, hi int) { momentumStep(z, s, prev, beta, lo, hi) })
+			}
 			tk = tNext
 		}
 
@@ -527,6 +521,29 @@ const (
 	debiasMaxSteps = 50
 	ompRefitSteps  = 25
 )
+
+// shrinkStep sets s[i] = shrink(z[i] - grad[i], lam) for i in [lo, hi):
+// the fused gradient step and soft-threshold prox.
+func shrinkStep(s, z, grad []float64, lam float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		v := z[i] - grad[i]
+		switch {
+		case v > lam:
+			s[i] = v - lam
+		case v < -lam:
+			s[i] = v + lam
+		default:
+			s[i] = 0
+		}
+	}
+}
+
+// momentumStep sets z[i] = s[i] + beta·(s[i] - prev[i]) for i in [lo, hi).
+func momentumStep(z, s, prev []float64, beta float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		z[i] = s[i] + beta*(s[i]-prev[i])
+	}
+}
 
 // debias polishes s by least squares restricted to its nonzero coefficients
 // and returns the CGLS steps it took. It does nothing when s is zero or its

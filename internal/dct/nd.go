@@ -216,83 +216,88 @@ func (p *PlanND) apply(dst, src []float64, forward bool) {
 // identity (bit-for-bit), so degenerate axes skip their pass.
 func (p *PlanND) pass(x []float64, k int, forward, sparse bool) {
 	a := &p.axes[k]
-	n, stride := a.n, a.stride
-	if n <= 1 {
+	if a.n <= 1 {
 		return
 	}
 	sparse = sparse && a.pos != nil
 	units := a.units(p.size)
+	// A serial plan runs the range directly: a closure handed to
+	// shard.ForRange escapes, so building one costs an allocation per pass.
+	if p.workers <= 1 {
+		a.passRange(x, forward, sparse, 0, 0, units)
+		return
+	}
+	shard.ForRange(p.workers, units, func(slot, lo, hi int) { a.passRange(x, forward, sparse, slot, lo, hi) })
+}
+
+// passRange runs units [lo, hi) of a pass along a with slot's scratch.
+func (a *ndAxis) passRange(x []float64, forward, sparse bool, slot, lo, hi int) {
+	n, stride := a.n, a.stride
 	switch {
 	case stride == 1:
 		// Contiguous lines: transform each in place, all at once on an
 		// unrolled axis.
-		shard.ForRange(p.workers, units, func(slot, lo, hi int) {
-			plan := a.plans[slot]
-			if plan.unrolled {
-				m, mT := plan.mat, plan.matT
-				if !forward {
-					m, mT = mT, m
-				}
-				lines := x[lo*n : hi*n]
-				vec8(lines, m, mT, lines)
-				return
+		plan := a.plans[slot]
+		if plan.unrolled {
+			m, mT := plan.mat, plan.matT
+			if !forward {
+				m, mT = mT, m
 			}
-			for r := lo; r < hi; r++ {
-				row := x[r*n : (r+1)*n]
-				if sparse && sparseLine(row, plan, a.pos[slot]) {
-					continue
-				}
-				if forward {
-					plan.Forward(row, row)
-				} else {
-					plan.Inverse(row, row)
-				}
+			lines := x[lo*n : hi*n]
+			vec8(lines, m, mT, lines)
+			return
+		}
+		for r := lo; r < hi; r++ {
+			row := x[r*n : (r+1)*n]
+			if sparse && sparseLine(row, plan, a.pos[slot]) {
+				continue
 			}
-		})
+			if forward {
+				plan.Forward(row, row)
+			} else {
+				plan.Inverse(row, row)
+			}
+		}
 	case a.plans[0].mat != nil:
 		// Unit u covers the j-th of chunks even column ranges of outer
 		// block u/chunks, the n rows of length stride starting at
 		// (u/chunks)*n*stride.
 		plan := a.plans[0]
 		chunks := a.chunks()
-		shard.ForRange(p.workers, units, func(slot, lo, hi int) {
-			m, pairs := plan.mat, plan.matPairs
-			if !forward {
-				m, pairs = plan.matT, plan.matTPairs
+		m, pairs := plan.mat, plan.matPairs
+		if !forward {
+			m, pairs = plan.matT, plan.matTPairs
+		}
+		for u := lo; u < hi; u++ {
+			block := x[u/chunks*n*stride : (u/chunks+1)*n*stride]
+			j := u % chunks
+			c0, c1 := j*stride/chunks, (j+1)*stride/chunks
+			if plan.unrolled {
+				cols8(block, m, pairs, stride, c0, c1)
+			} else {
+				matCols(block, m, a.scratch[slot], n, stride, c0, c1)
 			}
-			for u := lo; u < hi; u++ {
-				block := x[u/chunks*n*stride : (u/chunks+1)*n*stride]
-				j := u % chunks
-				c0, c1 := j*stride/chunks, (j+1)*stride/chunks
-				if plan.unrolled {
-					cols8(block, m, pairs, stride, c0, c1)
-				} else {
-					matCols(block, m, a.scratch[slot], n, stride, c0, c1)
-				}
-			}
-		})
+		}
 	default:
 		// Strided lines: line l starts at (l/stride)*stride*n + l%stride
 		// and steps by stride — the same enumeration landscape metrics
 		// use.
-		shard.ForRange(p.workers, units, func(slot, lo, hi int) {
-			plan := a.plans[slot]
-			buf, out := a.scratch[slot][:n], a.scratch[slot][n:]
-			for l := lo; l < hi; l++ {
-				base := (l/stride)*stride*n + l%stride
-				for i := 0; i < n; i++ {
-					buf[i] = x[base+i*stride]
-				}
-				if forward {
-					plan.Forward(out, buf)
-				} else {
-					plan.Inverse(out, buf)
-				}
-				for i := 0; i < n; i++ {
-					x[base+i*stride] = out[i]
-				}
+		plan := a.plans[slot]
+		buf, out := a.scratch[slot][:n], a.scratch[slot][n:]
+		for l := lo; l < hi; l++ {
+			base := (l/stride)*stride*n + l%stride
+			for i := 0; i < n; i++ {
+				buf[i] = x[base+i*stride]
 			}
-		})
+			if forward {
+				plan.Forward(out, buf)
+			} else {
+				plan.Inverse(out, buf)
+			}
+			for i := 0; i < n; i++ {
+				x[base+i*stride] = out[i]
+			}
+		}
 	}
 }
 

@@ -153,38 +153,52 @@ func (s *Sampled) Inverse(out, coeffs []float64) {
 	}
 	a := &p.axes[s.first]
 	n, stride := a.n, a.stride
-	m := a.plans[0].matT
-	if a.plans[0].unrolled {
-		// An 8-point axis never skips, so every dot has all eight terms:
-		// acc8 sums them in the generic loop's order.
-		shard.ForRange(p.workers, len(s.idx), func(_, lo, hi int) {
-			for j := lo; j < hi; j++ {
-				x := grid[s.col[j]:][:7*stride+1]
-				out[j] = acc8(0, (*[8]float64)(m[s.rowOff[j]:]), x[0], x[stride], x[2*stride], x[3*stride],
-					x[4*stride], x[5*stride], x[6*stride], x[7*stride])
+	// Slab i (position i along the first axis) feeds term i of every dot;
+	// on a skipping axis, all-zero slabs drop out. An 8-point axis never
+	// skips and runs its dots unrolled.
+	rows := s.rows[:0]
+	if !a.plans[0].unrolled {
+		for i := 0; i < n; i++ {
+			if !a.skip || !allZero(grid[i*stride:(i+1)*stride]) {
+				rows = append(rows, i)
 			}
-		})
+		}
+	}
+	// A serial plan runs the range directly: a closure handed to
+	// shard.ForRange escapes, so building one costs an allocation per call.
+	if p.workers <= 1 {
+		s.prunedDots(out, rows, 0, len(s.idx))
 		return
 	}
-	// Slab i (position i along the first axis) feeds term i of every dot;
-	// on a skipping axis, all-zero slabs drop out.
-	rows := s.rows[:0]
-	for i := 0; i < n; i++ {
-		if !a.skip || !allZero(grid[i*stride:(i+1)*stride]) {
-			rows = append(rows, i)
-		}
-	}
-	shard.ForRange(p.workers, len(s.idx), func(_, lo, hi int) {
+	shard.ForRange(p.workers, len(s.idx), func(_, lo, hi int) { s.prunedDots(out, rows, lo, hi) })
+}
+
+// prunedDots sets out[j] for samples [lo, hi) from the grid Inverse left
+// transformed along every axis but the first: one dot of the first axis's
+// inverse-matrix row with the sample's column, over the slabs in rows.
+func (s *Sampled) prunedDots(out []float64, rows []int, lo, hi int) {
+	a := &s.p.axes[s.first]
+	n, stride := a.n, a.stride
+	m, grid := a.plans[0].matT, s.grid
+	if a.plans[0].unrolled {
+		// Every dot has all eight terms: acc8 sums them in the generic
+		// loop's order.
 		for j := lo; j < hi; j++ {
-			r := m[s.rowOff[j] : s.rowOff[j]+n]
-			x := grid[s.col[j]:]
-			var sum float64
-			for _, i := range rows {
-				sum += r[i] * x[i*stride]
-			}
-			out[j] = sum
+			x := grid[s.col[j]:][:7*stride+1]
+			out[j] = acc8(0, (*[8]float64)(m[s.rowOff[j]:]), x[0], x[stride], x[2*stride], x[3*stride],
+				x[4*stride], x[5*stride], x[6*stride], x[7*stride])
 		}
-	})
+		return
+	}
+	for j := lo; j < hi; j++ {
+		r := m[s.rowOff[j] : s.rowOff[j]+n]
+		x := grid[s.col[j]:]
+		var sum float64
+		for _, i := range rows {
+			sum += r[i] * x[i*stride]
+		}
+		out[j] = sum
+	}
 }
 
 // Forward sets dst to the forward transform of the grid that holds vals[j]
@@ -198,19 +212,11 @@ func (s *Sampled) Forward(dst, vals []float64) {
 	clear(dst)
 	next := len(p.axes) - 1 // the next axis to pass over
 	if s.pruneForward() {
-		a := &p.axes[s.last]
-		n := a.n
-		shard.ForRange(p.workers, len(s.lines), func(slot, lo, hi int) {
-			val := a.plans[slot].line
-			for l := lo; l < hi; l++ {
-				t0, t1 := s.start[l], s.start[l+1]
-				for t := t0; t < t1; t++ {
-					val[t-t0] = vals[s.src[t]]
-				}
-				line := s.lines[l] * n
-				matVecNZ(dst[line:line+n], a.plans[0].matT, s.pos[t0:t1], val[:t1-t0])
-			}
-		})
+		if p.workers <= 1 {
+			s.prunedLines(dst, vals, 0, 0, len(s.lines))
+		} else {
+			shard.ForRange(p.workers, len(s.lines), func(slot, lo, hi int) { s.prunedLines(dst, vals, slot, lo, hi) })
+		}
 		next = s.last - 1
 	} else {
 		for j, gi := range s.idx {
@@ -219,5 +225,21 @@ func (s *Sampled) Forward(dst, vals []float64) {
 	}
 	for k := next; k >= 0; k-- {
 		p.pass(dst, k, true, false)
+	}
+}
+
+// prunedLines runs Forward's pruned first pass over lines [lo, hi) with
+// slot's line buffer: each line of the last axis that holds a sample is the
+// forward matrix applied to its nonzero terms.
+func (s *Sampled) prunedLines(dst, vals []float64, slot, lo, hi int) {
+	a := &s.p.axes[s.last]
+	n, val := a.n, a.plans[slot].line
+	for l := lo; l < hi; l++ {
+		t0, t1 := s.start[l], s.start[l+1]
+		for t := t0; t < t1; t++ {
+			val[t-t0] = vals[s.src[t]]
+		}
+		line := s.lines[l] * n
+		matVecNZ(dst[line:line+n], a.plans[0].matT, s.pos[t0:t1], val[:t1-t0])
 	}
 }

@@ -178,3 +178,34 @@ func firstBitDiff(a, b []float64) int {
 	}
 	return -1
 }
+
+// TestSerialTransformsDoNotAllocate runs every sampledShapes grid on a
+// serial plan: full transforms and the sample-pruned pair must allocate
+// nothing per call, since the solver runs hundreds of them per solve.
+func TestSerialTransformsDoNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for _, dims := range sampledShapes() {
+		p := NewPlanNDWorkers(dims, 1)
+		size := p.Size()
+		idx := rng.Perm(size)[:max(1, size/5)]
+		s := NewSampled(NewPlanNDWorkers(dims, 1), idx)
+		grid, out := make([]float64, size), make([]float64, size)
+		vals := make([]float64, len(idx))
+		for i := range grid {
+			grid[i] = rng.NormFloat64()
+		}
+		for i := range vals {
+			vals[i] = rng.NormFloat64()
+		}
+		for name, run := range map[string]func(){
+			"PlanND.Forward":  func() { p.Forward(out, grid) },
+			"PlanND.Inverse":  func() { p.Inverse(out, grid) },
+			"Sampled.Forward": func() { s.Forward(out, vals) },
+			"Sampled.Inverse": func() { s.Inverse(vals, grid) },
+		} {
+			if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+				t.Errorf("%s %s: %v allocations per call, want 0", shapeName(dims), name, allocs)
+			}
+		}
+	}
+}

@@ -100,10 +100,10 @@ func (t *Tracer) Len() int {
 
 // Start begins a root span. Returns nil on a nil tracer or past the cap.
 func (t *Tracer) Start(name string) *Span {
-	return t.newSpan(name, 0)
+	return t.newSpan(name, 0, time.Now())
 }
 
-func (t *Tracer) newSpan(name string, parent int64) *Span {
+func (t *Tracer) newSpan(name string, parent int64, start time.Time) *Span {
 	if t == nil {
 		return nil
 	}
@@ -118,7 +118,7 @@ func (t *Tracer) newSpan(name string, parent int64) *Span {
 		return nil
 	}
 	t.nextID++
-	s := &Span{t: t, id: t.nextID, parent: parent, name: name, start: time.Now()}
+	s := &Span{t: t, id: t.nextID, parent: parent, name: name, start: start}
 	t.spans = append(t.spans, s)
 	t.mu.Unlock()
 	return s
@@ -153,7 +153,7 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.t.newSpan(name, s.id)
+	return s.t.newSpan(name, s.id, time.Now())
 }
 
 // SetAttr records a key/value attribute. Values are sanitized for JSON:
@@ -198,7 +198,30 @@ func (s *Span) SetVirtual(start, end float64) {
 
 // End closes the span. Idempotent: only the first call records the end time
 // and fires the tracer's OnEnd hook.
-func (s *Span) End() {
+func (s *Span) End() { s.endAt(time.Now()) }
+
+// Next ends s and begins its sibling name at the same instant, so
+// consecutive stages of one parent leave no gap between them, whatever
+// s's OnEnd hook costs. On a nil span it returns nil.
+func (s *Span) Next(name string) *Span {
+	if s == nil {
+		return nil
+	}
+	now := time.Now()
+	s.endAt(now)
+	return s.t.newSpan(name, s.parent, now)
+}
+
+// EndWith ends the child last, if still open, and s at the same instant,
+// so a span whose stages tile it ends where its last stage does.
+func (s *Span) EndWith(last *Span) {
+	now := time.Now()
+	last.endAt(now)
+	s.endAt(now)
+}
+
+// endAt closes the span at now, once; see End.
+func (s *Span) endAt(now time.Time) {
 	if s == nil {
 		return
 	}
@@ -208,7 +231,7 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	s.end = time.Now()
+	s.end = now
 	es := EndedSpan{
 		Name:       s.name,
 		Wall:       s.end.Sub(s.start),

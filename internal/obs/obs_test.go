@@ -30,6 +30,10 @@ func TestNilTracerAndSpanAreNoOps(t *testing.T) {
 	if c := s.Child("y"); c != nil {
 		t.Fatal("nil span Child should return nil")
 	}
+	if n := s.Next("z"); n != nil {
+		t.Fatal("nil span Next should return nil")
+	}
+	s.EndWith(nil)
 }
 
 func TestStartWithoutSpanInContext(t *testing.T) {
@@ -305,5 +309,37 @@ func BenchmarkSpanEnabled(b *testing.B) {
 		s, _ := Start(ctx, "op")
 		s.SetAttr("k", i)
 		s.End()
+	}
+}
+
+// TestStagesTileParent: Next starts each stage the instant the previous one
+// ends, under its parent, even when the OnEnd hook is slow, and EndWith
+// ends the last stage and the parent together, so the stages' durations
+// add up to the parent's less only the moment before the first stage.
+func TestStagesTileParent(t *testing.T) {
+	tr := NewTracer("stages")
+	tr.OnEnd = func(EndedSpan) { time.Sleep(2 * time.Millisecond) }
+	root := tr.Start("job")
+	a := root.Child("validate")
+	b := a.Next("queue")
+	c := b.Next("run")
+	root.EndWith(c)
+	c.End() // already ended: keeps its end
+
+	tree := tr.Snapshot()
+	if len(tree.Spans) != 1 || len(tree.Spans[0].Children) != 3 {
+		t.Fatalf("want one root with three stages, got %+v", tree.Spans)
+	}
+	job, stages := tree.Spans[0], tree.Spans[0].Children
+	for i, name := range []string{"validate", "queue", "run"} {
+		if stages[i].Name != name || stages[i].Open {
+			t.Fatalf("stage %d = %+v, want closed %q", i, stages[i], name)
+		}
+		if i > 0 && !stages[i].Start.Equal(stages[i-1].End) {
+			t.Fatalf("%s starts at %v, %s ended at %v", name, stages[i].Start, stages[i-1].Name, stages[i-1].End)
+		}
+	}
+	if !job.End.Equal(stages[2].End) {
+		t.Fatalf("job ends at %v, its last stage at %v", job.End, stages[2].End)
 	}
 }

@@ -225,16 +225,30 @@ func (h *Hamiltonian) DiagonalValues() ([]float64, error) {
 	dim := 1 << uint(h.n)
 	out := make([]float64, dim)
 	for _, t := range h.terms {
-		mask := t.P.ZMask()
-		for b := 0; b < dim; b++ {
-			if parity(uint64(b) & mask) {
-				out[b] -= t.Coeff
-			} else {
-				out[b] += t.Coeff
-			}
-		}
+		AddZDiagonal(out, t.P.ZMask(), t.Coeff)
 	}
 	return out, nil
+}
+
+// AddZDiagonal adds coeff times the diagonal of the Z string with bit mask
+// zmask to table: coeff to entry b when b&zmask has even parity, −coeff
+// when odd. x − c ≡ x + (−c) in IEEE arithmetic, so each entry gets
+// exactly the sum a branch on the parity would give. The sign is constant
+// across each aligned run of entries below zmask's lowest bit, so it is
+// picked once per run and the run's adds carry no index math.
+func AddZDiagonal(table []float64, zmask uint64, coeff float64) {
+	signed := [2]float64{coeff, -coeff}
+	run := 1
+	for run < len(table) && zmask&uint64(run) == 0 {
+		run <<= 1
+	}
+	for start := 0; start < len(table); start += run {
+		v := signed[bits.OnesCount64(uint64(start)&zmask)&1]
+		blk := table[start:min(start+run, len(table))]
+		for i := range blk {
+			blk[i] += v
+		}
+	}
 }
 
 // DiagonalTable is DiagonalValues under the name the simulator's fused

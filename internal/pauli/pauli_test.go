@@ -231,3 +231,57 @@ func TestDiagonalTableMatchesEvalBitstring(t *testing.T) {
 		t.Fatal("want error for off-diagonal Hamiltonian")
 	}
 }
+
+// diagonalValuesBranching is DiagonalValues as it was written before its
+// sign choice lost the branch: the reference the table is pinned to.
+func diagonalValuesBranching(h *Hamiltonian) []float64 {
+	dim := 1 << uint(h.n)
+	out := make([]float64, dim)
+	for _, t := range h.terms {
+		mask := t.P.ZMask()
+		for b := 0; b < dim; b++ {
+			if parity(uint64(b) & mask) {
+				out[b] -= t.Coeff
+			} else {
+				out[b] += t.Coeff
+			}
+		}
+	}
+	return out
+}
+
+// TestDiagonalValuesMatchesBranchingLoop pins DiagonalValues by Float64bits
+// to the branching loop on random weighted Z-string Hamiltonians whose
+// coefficients include ±0, subnormals and huge values.
+func TestDiagonalValuesMatchesBranchingLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	specials := []float64{0, math.Copysign(0, -1), 5e-324, -3e-310, 1e308, -1e308}
+	for _, n := range []int{1, 4, 9, 12} {
+		for trial := 0; trial < 4; trial++ {
+			h := NewHamiltonian(n)
+			for k := 0; k < 3*n; k++ {
+				ops := make([]byte, n)
+				for q := range ops {
+					ops[q] = "IZ"[rng.Intn(2)]
+				}
+				coeff := rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+				if rng.Intn(5) == 0 {
+					coeff = specials[rng.Intn(len(specials))]
+				}
+				if err := h.Add(coeff, MustString(string(ops))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := h.DiagonalValues()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := diagonalValuesBranching(h)
+			for b := range want {
+				if math.Float64bits(got[b]) != math.Float64bits(want[b]) {
+					t.Fatalf("n=%d trial %d: entry %d = %v, branching loop %v", n, trial, b, got[b], want[b])
+				}
+			}
+		}
+	}
+}

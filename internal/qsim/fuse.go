@@ -1,10 +1,10 @@
 package qsim
 
 import (
-	"hash/fnv"
 	"math"
-	"math/bits"
 	"sort"
+
+	"repro/internal/pauli"
 )
 
 // fuse.go implements the circuit-level diagonal-fusion peephole pass: every
@@ -54,13 +54,12 @@ func (c *Circuit) FuseDiagonals() *Circuit {
 type tableDedup map[uint64][]*PhaseTable
 
 func (d tableDedup) intern(vals []float64) *PhaseTable {
-	h := fnv.New64a()
-	var buf [8]byte
+	// FNV-1a over whole 8-byte values: a weaker mix than byte-wise FNV,
+	// but equalFloats confirms every hit.
+	key := uint64(14695981039346656037)
 	for _, v := range vals {
-		putFloatLE(&buf, v)
-		h.Write(buf[:])
+		key = (key ^ math.Float64bits(v)) * 1099511628211
 	}
-	key := h.Sum64()
 	for _, t := range d[key] {
 		if equalFloats(t.vals, vals) {
 			return t
@@ -69,13 +68,6 @@ func (d tableDedup) intern(vals []float64) *PhaseTable {
 	t := NewPhaseTable(vals)
 	d[key] = append(d[key], t)
 	return t
-}
-
-func putFloatLE(buf *[8]byte, v float64) {
-	b := math.Float64bits(v)
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(b >> (8 * i))
-	}
 }
 
 func equalFloats(a, b []float64) bool {
@@ -187,15 +179,7 @@ func accumDiagGen(table []float64, w float64, g *Gate) {
 	case GateT: // diag(1, e^{i pi/4})
 		accumBit(table, g.Qubits[0], -w*math.Pi/4)
 	case GateRZ: // diag(e^{-i theta/2}, e^{+i theta/2})
-		half := w / 2
-		bit := 1 << uint(g.Qubits[0])
-		for b := range table {
-			if b&bit == 0 {
-				table[b] += half
-			} else {
-				table[b] -= half
-			}
-		}
+		pauli.AddZDiagonal(table, 1<<uint(g.Qubits[0]), w/2)
 	case GateCZ: // -1 on |11>
 		ab, bb := 1<<uint(g.Qubits[0]), 1<<uint(g.Qubits[1])
 		wpi := w * math.Pi
@@ -205,25 +189,9 @@ func accumDiagGen(table []float64, w float64, g *Gate) {
 			}
 		}
 	case GateRZZ: // exp(-i theta/2) on even parity, exp(+i theta/2) on odd
-		ab, bb := 1<<uint(g.Qubits[0]), 1<<uint(g.Qubits[1])
-		half := w / 2
-		for b := range table {
-			if (b&ab != 0) == (b&bb != 0) {
-				table[b] += half
-			} else {
-				table[b] -= half
-			}
-		}
+		pauli.AddZDiagonal(table, 1<<uint(g.Qubits[0])|1<<uint(g.Qubits[1]), w/2)
 	case GatePauliRot: // diagonal (X-free) string: exp(-i theta/2 * sign(b))
-		z := g.Pauli.ZMask()
-		half := w / 2
-		for b := range table {
-			if bits.OnesCount64(uint64(b)&z)&1 == 0 {
-				table[b] += half
-			} else {
-				table[b] -= half
-			}
-		}
+		pauli.AddZDiagonal(table, g.Pauli.ZMask(), w/2)
 	case GateDiagonal:
 		vals := g.Diag.Values()
 		for b := range table {

@@ -7,6 +7,7 @@ package qsim
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -217,5 +218,110 @@ func TestDiagonalValidation(t *testing.T) {
 	}
 	if got := GateDiagonal.String(); got != "diagonal" {
 		t.Fatalf("GateDiagonal name = %q", got)
+	}
+}
+
+// accumDiagGenBranching is accumDiagGen's RZ, CZ, RZZ and PauliRot cases as
+// they were written before the sign choices lost their branches: the
+// reference the fused tables are pinned to.
+func accumDiagGenBranching(table []float64, w float64, g *Gate) {
+	if w == 0 {
+		return
+	}
+	switch g.Kind {
+	case GateRZ:
+		half := w / 2
+		bit := 1 << uint(g.Qubits[0])
+		for b := range table {
+			if b&bit == 0 {
+				table[b] += half
+			} else {
+				table[b] -= half
+			}
+		}
+	case GateCZ:
+		ab, bb := 1<<uint(g.Qubits[0]), 1<<uint(g.Qubits[1])
+		wpi := w * math.Pi
+		for b := range table {
+			if b&ab != 0 && b&bb != 0 {
+				table[b] += wpi
+			}
+		}
+	case GateRZZ:
+		ab, bb := 1<<uint(g.Qubits[0]), 1<<uint(g.Qubits[1])
+		half := w / 2
+		for b := range table {
+			if (b&ab != 0) == (b&bb != 0) {
+				table[b] += half
+			} else {
+				table[b] -= half
+			}
+		}
+	case GatePauliRot:
+		z := g.Pauli.ZMask()
+		half := w / 2
+		for b := range table {
+			if bits.OnesCount64(uint64(b)&z)&1 == 0 {
+				table[b] += half
+			} else {
+				table[b] -= half
+			}
+		}
+	default:
+		panic("accumDiagGenBranching: " + g.Kind.String())
+	}
+}
+
+// TestAccumDiagGenMatchesBranchingLoop pins accumDiagGen by Float64bits to
+// the branching loops: random RZ, CZ, RZZ and diagonal PauliRot gates with
+// random weights, accumulated into tables that start with ±0, subnormal
+// and huge entries.
+func TestAccumDiagGenMatchesBranchingLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	specials := []float64{0, math.Copysign(0, -1), 5e-324, -3e-310, 1e308, -1e308}
+	for _, n := range []int{1, 5, 10} {
+		c := NewCircuit(n)
+		for k := 0; k < 6*n; k++ {
+			a, b := rng.Intn(n), rng.Intn(n)
+			theta := rng.NormFloat64()
+			switch k % 4 {
+			case 0:
+				c.RZ(a, theta)
+			case 1:
+				if a != b {
+					c.CZ(a, b)
+				}
+			case 2:
+				if a != b {
+					c.RZZ(a, b, theta)
+				}
+			case 3:
+				ops := make([]byte, n)
+				for q := range ops {
+					ops[q] = "IZ"[rng.Intn(2)]
+				}
+				c.PauliRot(pauli.MustString(string(ops)), theta)
+			}
+		}
+		got, want := make([]float64, 1<<uint(n)), make([]float64, 1<<uint(n))
+		for i := range got {
+			got[i] = rng.NormFloat64()
+			if rng.Intn(3) == 0 {
+				got[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+		copy(want, got)
+		gates := c.Gates()
+		for i := range gates {
+			g := &gates[i]
+			w := rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+			accumDiagGen(got, w, g)
+			accumDiagGenBranching(want, w, g)
+			for b := range want {
+				if math.Float64bits(got[b]) != math.Float64bits(want[b]) {
+					t.Fatalf("n=%d gate %d (%s): entry %d = %v, branching loop %v", n, i, g.Kind, b, got[b], want[b])
+				}
+			}
+		}
 	}
 }

@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// mixer_test.go pins mixedPairRange, which runs the SSE2 kernel on amd64,
-// to the portable loop mixedPairRangeGo bit for bit. Off amd64 the two are
-// the same loop and the test checks nothing new.
+// mixer_test.go holds the paired mixer pass's portable checks and its
+// benchmark; mixer_amd64_test.go pins the AVX kernel to the portable loop
+// mixedPairRangeGo bit for bit.
 
 // mixerPairs returns the flip-mask pairs an n-qubit mixer layer issues on
 // s: RX on qubits 0..n-1 in ascending order pairs (q, q+1) for even q, and
@@ -52,55 +52,6 @@ func requireSameBits(t *testing.T, what string, got, want []complex128) {
 		if math.Float64bits(real(g)) != math.Float64bits(real(w)) ||
 			math.Float64bits(imag(g)) != math.Float64bits(imag(w)) {
 			t.Fatalf("%s: amp[%d] = %v, portable %v", what, i, g, w)
-		}
-	}
-}
-
-// TestMixedPairKernelMatchesPortable runs every paired mask a 16-qubit
-// mixer issues, on the full state and on the 15-qubit half state, with RX
-// matrices for β in {0, π/2, random} (each as gate A and as gate B) and
-// amplitudes holding ±0, subnormals and ±Inf. Each pass runs once through applyMixedPairMasks at 1, 2 and 4
-// workers, and once split at w random, mostly odd, group boundaries, so
-// that shard ranges start and end mid-run.
-func TestMixedPairKernelMatchesPortable(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	betas := []float64{0, math.Pi / 2, rng.Float64() * math.Pi}
-	var mats []mixedMatrix
-	for _, b := range betas {
-		mats = append(mats, mixedOf(gateMatrix(GateRX, 2*b)))
-	}
-	for _, n := range []int{16, 15} {
-		circuitQubits := 16 // a 15-qubit state is the half of n = 16
-		src := NewState(n)
-		specialAmplitudes(src, rng)
-		want, got := NewState(n), NewState(n)
-		quarter := len(src.amp) >> 2
-		for _, p := range mixerPairs(src, circuitQubits) {
-			da, db := p[0], p[1]
-			lm, hm := pairMasks(da, db)
-			for ia, ma := range mats {
-				ib := (ia + 1) % len(mats)
-				mb := mats[ib]
-				name := fmt.Sprintf("n=%d masks=(%#x,%#x) betas=(%d,%d)", n, da, db, ia, ib)
-				copy(want.amp, src.amp)
-				want.mixedPairRangeGo(0, quarter, lm, hm, da, db, ma, mb)
-				for _, w := range []int{1, 2, 4} {
-					copy(got.amp, src.amp)
-					got.SetWorkers(w).applyMixedPairMasks(da, db, ma, mb)
-					requireSameBits(t, fmt.Sprintf("%s workers=%d", name, w), got.amp, want.amp)
-
-					copy(got.amp, src.amp)
-					cuts := []int{0}
-					for i := 1; i < w; i++ {
-						cuts = append(cuts, i*quarter/w+rng.Intn(64)|1)
-					}
-					cuts = append(cuts, quarter)
-					for i := 0; i+1 < len(cuts); i++ {
-						got.mixedPairRange(cuts[i], cuts[i+1], lm, hm, da, db, ma, mb)
-					}
-					requireSameBits(t, fmt.Sprintf("%s cuts=%v", name, cuts), got.amp, want.amp)
-				}
-			}
 		}
 	}
 }

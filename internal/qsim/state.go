@@ -217,8 +217,8 @@ func (m mixedMatrix) apply(a0, a1 complex128) (complex128, complex128) {
 // for the mirrored top qubit (see half.go).
 //
 // This is the portable kernel. mixedPairRange runs it on every platform
-// but amd64; on amd64 it runs the SSE2 kernel in mixer_amd64.s, which
-// gives the same bits.
+// but amd64, and on amd64 CPUs without AVX; otherwise it runs the AVX
+// kernel in mixer_amd64.s, which gives the same bits.
 func (s *State) mixedPairRangeGo(klo, khi, lm, hm, da, db int, ma, mb mixedMatrix) {
 	amp := s.amp
 	for k := klo; k < khi; k++ {

@@ -393,7 +393,7 @@ func TestCanceledFleetJobDropsProgress(t *testing.T) {
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.mu.Unlock()
-	s.finishJob(j, nil, context.Canceled)
+	s.finishJob(j, nil, context.Canceled, nil)
 
 	_, out := do(t, s, "GET", "/jobs/"+j.id, "")
 	if out["state"] != string(StateCanceled) {

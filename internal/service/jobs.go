@@ -167,34 +167,33 @@ type JobResult struct {
 }
 
 // runJob drives a job to completion: wait for a worker slot, execute, and
-// record the outcome. It never panics: a panic anywhere below it — on the
-// job goroutine or on any shard worker, however deeply nested — arrives as
-// one *shard.PanicError and fails the job with a 500.
-func (s *Server) runJob(ctx context.Context, j *Job) {
+// record the outcome. queue is the job's open queue span; the run span
+// starts the instant it ends. It never panics: a panic anywhere below it — on
+// the job goroutine or on any shard worker, however deeply nested — arrives
+// as one *shard.PanicError and fails the job with a 500.
+func (s *Server) runJob(ctx context.Context, j *Job, queue *obs.Span) {
 	defer s.wg.Done()
 	// Release the job's context resources once it finishes; without this,
 	// every completed async job would stay registered as a live child of
 	// the server's base context for the process lifetime. CancelFuncs are
 	// idempotent, so a later DELETE on the finished job stays safe.
 	defer j.cancel()
-	qspan, _ := obs.Start(ctx, "queue")
 	select {
 	case s.sem <- struct{}{}:
-		qspan.End()
 		defer func() { <-s.sem }()
 	case <-ctx.Done():
-		qspan.SetError(ctx.Err())
-		qspan.End()
-		s.finishJob(j, nil, ctx.Err())
+		queue.SetError(ctx.Err())
+		s.finishJob(j, nil, ctx.Err(), queue)
 		return
 	}
+	rspan := queue.Next("run")
+	ctx = obs.ContextWithSpan(ctx, rspan)
 	s.mu.Lock()
 	if j.state == StateQueued {
 		j.state = StateRunning
 		j.started = time.Now()
 	}
 	s.mu.Unlock()
-	rspan, ctx := obs.Start(ctx, "run")
 	var res *JobResult
 	err := shard.Try(func() (err error) { res, err = s.execute(ctx, j); return err })
 	var pe *shard.PanicError
@@ -205,8 +204,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 			"error", err.Error(), "stack", string(pe.Stack))
 	}
 	rspan.SetError(err)
-	rspan.End()
-	s.finishJob(j, res, err)
+	s.finishJob(j, res, err, rspan)
 }
 
 // execute runs the OSCAR pipeline for a job.
@@ -397,13 +395,15 @@ func solverMethodName(ss *SolverSpec) string {
 	return strings.ToLower(ss.Method)
 }
 
-// finishJob records a job outcome exactly once, closes the job's root span
-// (open stage spans below it stay serializable: snapshots render them with a
-// provisional end), and emits the structured completion line.
-func (s *Server) finishJob(j *Job, res *JobResult, err error) {
+// finishJob records a job outcome exactly once, ends the last stage span
+// and the job's root span at the same instant (open spans deeper down stay
+// serializable: snapshots render them with a provisional end), and emits
+// the structured completion line.
+func (s *Server) finishJob(j *Job, res *JobResult, err error, stage *obs.Span) {
 	s.mu.Lock()
 	if j.state == StateDone || j.state == StateFailed || j.state == StateCanceled {
 		s.mu.Unlock()
+		stage.End()
 		return
 	}
 	j.finished = time.Now()
@@ -443,7 +443,7 @@ func (s *Server) finishJob(j *Job, res *JobResult, err error) {
 	if errMsg != "" {
 		j.root.SetAttr("error", errMsg)
 	}
-	j.root.End()
+	j.root.EndWith(stage)
 	if d := j.trace.Dropped(); d > 0 {
 		s.droppedSpans.Add(d)
 	}

@@ -287,9 +287,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	vspan := root.Child("validate")
 	built, err := buildJob(spec, s.cfg)
 	vspan.SetError(err)
-	vspan.End()
 	if err != nil {
-		root.End()
+		root.EndWith(vspan)
 		status := http.StatusBadRequest
 		var se *specError
 		if !errors.As(err, &se) {
@@ -299,6 +298,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, map[string]any{"error": err.Error()})
 		return
 	}
+	// Queueing starts the instant validation ends: registration, logging
+	// and the job goroutine's start count as queue time, so validate,
+	// queue and run tile the root span.
+	queue := vspan.Next("queue")
 
 	j := &Job{
 		tag:       spec.Tag,
@@ -346,11 +349,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	s.wg.Add(1)
 	if !spec.Wait {
-		go s.runJob(ctx, j)
+		go s.runJob(ctx, j, queue)
 		writeJSON(w, http.StatusAccepted, map[string]any{"id": j.id, "state": StateQueued})
 		return
 	}
-	s.runJob(ctx, j)
+	s.runJob(ctx, j, queue)
 	s.mu.Lock()
 	status := j.httpStatus
 	view := j.view(time.Now())

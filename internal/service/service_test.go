@@ -355,7 +355,7 @@ func TestJobPanicIsContained(t *testing.T) {
 					Logger:     slog.New(slog.NewTextHandler(&logs, nil)),
 				})
 				j := newInjectedJob(t, s, c.job, c.inject)
-				s.runJob(obs.ContextWithSpan(context.Background(), j.root), j)
+				s.runJob(obs.ContextWithSpan(context.Background(), j.root), j, j.root.Child("queue"))
 
 				s.mu.Lock()
 				state, status, msg := j.state, j.httpStatus, j.errMsg
