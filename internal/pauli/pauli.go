@@ -232,29 +232,69 @@ func (h *Hamiltonian) DiagonalValues() ([]float64, error) {
 
 // AddZDiagonal adds coeff times the diagonal of the Z string with bit mask
 // zmask to table: coeff to entry b when b&zmask has even parity, −coeff
-// when odd. x − c ≡ x + (−c) in IEEE arithmetic, so each entry gets
-// exactly the sum a branch on the parity would give. The sign is constant
-// across each aligned run of entries below zmask's lowest bit, so it is
-// picked once per run and the run's adds carry no index math.
+// when odd, for a table of 2^n entries. x − c ≡ x + (−c) in IEEE
+// arithmetic, so each entry gets exactly the sum a branch on the parity
+// would give. Inside an aligned block of the mask's second-lowest bit only
+// its lowest bit varies, so the sign is picked once per block and then
+// alternates between runs of the lowest bit's length; the adds carry no
+// index math, even when that bit is bit 0 or 1.
 func AddZDiagonal(table []float64, zmask uint64, coeff float64) {
-	signed := [2]float64{coeff, -coeff}
-	run := 1
-	for run < len(table) && zmask&uint64(run) == 0 {
-		run <<= 1
+	n := len(table)
+	run, block := lowBit(zmask, n), n
+	if run < n {
+		block = lowBit(zmask&^uint64(run), n)
 	}
-	for start := 0; start < len(table); start += run {
-		v := signed[bits.OnesCount64(uint64(start)&zmask)&1]
-		blk := table[start:min(start+run, len(table))]
-		for i := range blk {
-			blk[i] += v
+	signed := [2]float64{coeff, -coeff}
+	for start := 0; start < n; start += block {
+		par := bits.OnesCount64(uint64(start)&zmask) & 1
+		v, w := signed[par], signed[par^1]
+		blk := table[start : start+block]
+		switch {
+		case run == block:
+			for i := range blk {
+				blk[i] += v
+			}
+		case run == 1:
+			for i := 0; i+1 < len(blk); i += 2 {
+				blk[i] += v
+				blk[i+1] += w
+			}
+		case run == 2:
+			for i := 0; i+3 < len(blk); i += 4 {
+				blk[i] += v
+				blk[i+1] += v
+				blk[i+2] += w
+				blk[i+3] += w
+			}
+		default:
+			for r := 0; r < len(blk); r += 2 * run {
+				pos, neg := blk[r:r+run], blk[r+run:r+2*run]
+				for i := range pos {
+					pos[i] += v
+				}
+				for i := range neg {
+					neg[i] += w
+				}
+			}
 		}
 	}
+}
+
+// lowBit returns zmask's lowest set bit below n (a power of two), or n if
+// it has none.
+func lowBit(zmask uint64, n int) int {
+	if low := zmask & -zmask; low != 0 && low < uint64(n) {
+		return int(low)
+	}
+	return n
 }
 
 // DiagonalTable is DiagonalValues under the name the simulator's fused
 // expectation path uses: the precomputed 2^n energy vector that turns a
 // per-term O(terms * 2^n) expectation into a single O(2^n) pass (see
-// qsim.State.ExpectationDiagonal). Entry b accumulates terms in term order,
+// qsim.State.ExpectationDiagonal, which sums entry b with its complement's,
+// so a ZZ-only table lets a flip-symmetric state read only its first
+// half). Entry b accumulates terms in term order,
 // exactly like EvalBitstring, so the two agree bit-for-bit. The table is
 // worth caching — problem.Problem memoizes one per Hamiltonian.
 func (h *Hamiltonian) DiagonalTable() ([]float64, error) {

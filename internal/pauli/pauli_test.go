@@ -1,6 +1,7 @@
 package pauli
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -252,17 +253,29 @@ func diagonalValuesBranching(h *Hamiltonian) []float64 {
 
 // TestDiagonalValuesMatchesBranchingLoop pins DiagonalValues by Float64bits
 // to the branching loop on random weighted Z-string Hamiltonians whose
-// coefficients include ±0, subnormals and huge values.
+// coefficients include ±0, subnormals and huge values. Each Hamiltonian
+// ends with four strings whose lowest Z is on qubit 0 or 1, alone or with a
+// second Z higher up: the masks AddZDiagonal walks in alternating runs of
+// one or two entries.
 func TestDiagonalValuesMatchesBranchingLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	specials := []float64{0, math.Copysign(0, -1), 5e-324, -3e-310, 1e308, -1e308}
-	for _, n := range []int{1, 4, 9, 12} {
+	for _, n := range []int{1, 2, 4, 9, 12} {
+		lowBitZs := [][]int{{0}, {1}, {0, n - 1}, {1, n/2 + 1}}
 		for trial := 0; trial < 4; trial++ {
 			h := NewHamiltonian(n)
-			for k := 0; k < 3*n; k++ {
+			for k := 0; k < 3*n+len(lowBitZs); k++ {
 				ops := make([]byte, n)
 				for q := range ops {
 					ops[q] = "IZ"[rng.Intn(2)]
+				}
+				if k >= 3*n {
+					ops = []byte(strings.Repeat("I", n))
+					for _, q := range lowBitZs[k-3*n] {
+						if q < n {
+							ops[q] = 'Z'
+						}
+					}
 				}
 				coeff := rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
 				if rng.Intn(5) == 0 {
@@ -283,5 +296,19 @@ func TestDiagonalValuesMatchesBranchingLoop(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkAddZDiagonal times one Z string added into a 2^16-entry table:
+// masks whose lowest bit is bit 0 (0x21) or bit 1 (0x202) against one
+// with long runs (0x8080).
+func BenchmarkAddZDiagonal(b *testing.B) {
+	table := make([]float64, 1<<16)
+	for _, mask := range []uint64{0x21, 0x202, 0x8080} {
+		b.Run(fmt.Sprintf("mask%#x", mask), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				AddZDiagonal(table, mask, 0.25)
+			}
+		})
 	}
 }

@@ -29,7 +29,8 @@ type Problem struct {
 	// diagOnce guards the lazily computed diagonal energy table shared by
 	// every evaluator on this problem (the O(terms * 2^n) construction is
 	// paid once per problem, then each landscape point is a single fused
-	// pass — see qsim.State.ExpectationDiagonal).
+	// pass, over half the table on the flip-symmetric path — see
+	// qsim.State.ExpectationDiagonal).
 	diagOnce sync.Once
 	diag     []float64
 	diagErr  error

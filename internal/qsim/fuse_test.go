@@ -275,12 +275,23 @@ func accumDiagGenBranching(table []float64, w float64, g *Gate) {
 // TestAccumDiagGenMatchesBranchingLoop pins accumDiagGen by Float64bits to
 // the branching loops: random RZ, CZ, RZZ and diagonal PauliRot gates with
 // random weights, accumulated into tables that start with ±0, subnormal
-// and huge entries.
+// and huge entries. Each circuit opens with RZ and RZZ gates whose lowest
+// qubit is 0 or 1, the masks pauli.AddZDiagonal walks in alternating runs
+// of one or two entries.
 func TestAccumDiagGenMatchesBranchingLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	specials := []float64{0, math.Copysign(0, -1), 5e-324, -3e-310, 1e308, -1e308}
-	for _, n := range []int{1, 5, 10} {
+	for _, n := range []int{1, 2, 5, 10} {
 		c := NewCircuit(n)
+		c.RZ(0, rng.NormFloat64())
+		if n >= 2 {
+			c.RZ(1, rng.NormFloat64())
+			c.RZZ(0, 1, rng.NormFloat64())
+			c.RZZ(0, n-1, rng.NormFloat64())
+		}
+		if n >= 3 {
+			c.RZZ(1, n/2+1, rng.NormFloat64())
+		}
 		for k := 0; k < 6*n; k++ {
 			a, b := rng.Intn(n), rng.Intn(n)
 			theta := rng.NormFloat64()

@@ -19,9 +19,11 @@ import (
 // with low = 2^(n-1)-1. Gates on qubits 0..n-2 run the ordinary kernels;
 // an RX on the top qubit pairs b with b ^ low instead of b with b | top;
 // phase tables read their first half. Every stored amplitude receives
-// exactly the arithmetic the full-state kernels give it, and the
-// expectation visits all 2^n basis states in ExpectationDiagonal's order,
-// so the energy is bit-identical to RunInto plus ExpectationDiagonal.
+// exactly the arithmetic the full-state kernels give it. ExpectationDiagonal
+// sums each basis state k of the lower half together with its complement,
+// whose term has k's bits on such a state, so the expectation reads only
+// the stored half and the table's first half, and the energy is
+// bit-identical to RunInto plus ExpectationDiagonal.
 
 // flipSymmetric reports whether the circuit has the structure the half
 // path needs: at least three qubits, an opening H on every qubit, and after
@@ -106,8 +108,8 @@ func (h *HalfEnergy) N() int { return h.c.n - 1 }
 // that ends up holding the amplitudes with the top qubit clear, and returns
 // <psi|H|psi>: bit-identical to RunInto on an n-qubit state followed by
 // ExpectationDiagonal, for every dst worker setting. A depth-p QAOA circuit
-// costs the sweeps RunInto does, each over half the amplitudes, plus one
-// full-length expectation pass.
+// costs the sweeps RunInto does plus the expectation pass, each over half
+// the amplitudes.
 func (h *HalfEnergy) Energy(dst *State, params []float64) (float64, error) {
 	if dst.n != h.N() {
 		return 0, fmt.Errorf("qsim: %d-qubit half state for a %d-qubit circuit", dst.n, h.c.n)
@@ -121,7 +123,8 @@ func (h *HalfEnergy) Energy(dst *State, params []float64) (float64, error) {
 
 // runHalf is runGates on the stored half of a flip-symmetric circuit's
 // state. prepare needs no change: the opening H layer gives every stored
-// amplitude the full-state value, and a folded phase table is read at the
+// amplitude the full-state value (every stored index lies in its span, so
+// the pass is a pure gather), and a folded phase table is read at the
 // stored indices only.
 func (s *State) runHalf(c *Circuit, params []float64) {
 	gates := c.gates
@@ -160,19 +163,25 @@ func (s *State) flipMask(q int) int {
 }
 
 // expectationMirrored is ExpectationDiagonal over the full state s stores
-// half of. It sums all 2^n basis states in ascending order, reading
-// amplitude b from its stored mirror b ^ (2^n-1) when b's top bit is set.
-// It therefore performs exactly ExpectationDiagonal's additions.
+// half of. ExpectationDiagonal pairs each k below 2^(n-1) with its
+// complement k^full, whose amplitude is the stored amp[k] and whose table
+// entry has table[k]'s bits, so term(k^full) has term(k)'s bits. The pass
+// therefore reads only the stored half and the table's first half, and
+// adds x + x with x = term(k) into accumulator k mod 4: exactly
+// ExpectationDiagonal's additions. The stored half has at least 4 entries
+// (NewHalfEnergy needs three qubits), a multiple of 4.
 func (s *State) expectationMirrored(table []float64) float64 {
 	amp := s.amp
-	full := len(table) - 1
-	var acc float64
-	for b, a := range amp {
-		acc += (real(a)*real(a) + imag(a)*imag(a)) * table[b]
+	table = table[:len(amp)]
+	var a0, a1, a2, a3 float64
+	for k := 0; k < len(amp); k += 4 {
+		a, t := amp[k:k+4:k+4], table[k:k+4:k+4]
+		x0, x1 := energyTerm(a[0], t[0]), energyTerm(a[1], t[1])
+		x2, x3 := energyTerm(a[2], t[2]), energyTerm(a[3], t[3])
+		a0 += x0 + x0
+		a1 += x1 + x1
+		a2 += x2 + x2
+		a3 += x3 + x3
 	}
-	for b := len(amp); b <= full; b++ {
-		a := amp[b^full]
-		acc += (real(a)*real(a) + imag(a)*imag(a)) * table[b]
-	}
-	return acc
+	return (a0 + a1) + (a2 + a3)
 }

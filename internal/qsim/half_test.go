@@ -1,6 +1,7 @@
 package qsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -231,3 +232,54 @@ func TestHalfEnergyValidation(t *testing.T) {
 		t.Error("non-finite parameter accepted")
 	}
 }
+
+// BenchmarkHalfEnergyPasses splits one n=16 p=1 QAOA energy on a 3-regular
+// unit-weight MaxCut (a ring plus its diameters) into the passes it makes
+// over the 15-qubit half state, serially, in µs per pass: the preparation
+// (H layer and cost table in one gather), each of the 8 paired mixer
+// passes and the expectation, then the whole Energy call for reference.
+func BenchmarkHalfEnergyPasses(b *testing.B) {
+	const n = 16
+	edges, weights := make([][2]int, 0, 3*n/2), make([]float64, 0, 3*n/2)
+	for q := 0; q < n; q++ {
+		edges, weights = append(edges, [2]int{q, (q + 1) % n}), append(weights, 1)
+		if q < n/2 {
+			edges, weights = append(edges, [2]int{q, q + n/2}), append(weights, 1)
+		}
+	}
+	c := qaoaLikeCircuit(n, 1, edges, weights).FuseDiagonals()
+	table := cutTable(n, edges, weights)
+	h, ok := NewHalfEnergy(c, table)
+	if !ok {
+		b.Fatal("half path refused")
+	}
+	params := []float64{0.37, 0.61} // beta, gamma
+	s := NewState(h.N())
+	if _, err := h.Energy(s, params); err != nil {
+		b.Fatal(err) // also builds the phase table's compression
+	}
+	pass := func(name string, f func()) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				f()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "us/pass")
+		})
+	}
+	pass("prepare", func() { s.prepare(c.gates, params) })
+	m := mixedOf(gateMatrix(GateRX, 2*params[0]))
+	for q := 0; q < n; q += 2 {
+		da, db := s.flipMask(q), s.flipMask(q+1)
+		pass(fmt.Sprintf("mixer-q%d-q%d", q, q+1), func() { s.applyMixedPairMasks(da, db, m, m) })
+	}
+	pass("expectation", func() { energySink = s.expectationMirrored(table) })
+	pass("energy", func() {
+		var err error
+		if energySink, err = h.Energy(s, params); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
+// energySink keeps the compiler from dropping a benchmarked energy.
+var energySink float64

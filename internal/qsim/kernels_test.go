@@ -9,6 +9,7 @@ package qsim
 // summation order legitimately changed, are held to 1e-12.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -729,6 +730,148 @@ func TestRunIntoMatchesSeedGateByGate(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// --- preparation and expectation order pins ---
+
+// refPrepare is the preparation pass as it ran before the gather tables:
+// the span test and one complex multiply a * lut[idx[b]] per amplitude,
+// with a the H layer's value on the span and 0 elsewhere.
+func refPrepare(amp []complex128, span int, v complex128, idx []uint32, lut []complex128) {
+	for b := range amp {
+		a := v
+		if b&^span != 0 {
+			a = 0
+		}
+		amp[b] = a * lut[idx[b]]
+	}
+}
+
+// TestPrepareGatherBitIdentical pins prepare's compressed path, an H run
+// followed by a phase table, by Float64bits to refPrepare: H on every
+// qubit, on the low half, on the odd qubits and on the top qubit alone,
+// each run on an n-qubit state and, as the half path does, on an
+// (n-1)-qubit one, serial and at 2 and 4 workers (n = 14 shards).
+func TestPrepareGatherBitIdentical(t *testing.T) {
+	for _, n := range []int{5, 8, 14} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		vals := make([]float64, 1<<uint(n))
+		for b := range vals {
+			vals[b] = []float64{-1, 2.5, math.Copysign(0, -1)}[rng.Intn(3)]
+		}
+		tbl := NewPhaseTable(vals)
+		idx, unique, ok := tbl.compressed()
+		if !ok {
+			t.Fatalf("n=%d: table not compressed", n)
+		}
+		spans := map[string][]int{"all": nil, "low-half": nil, "odd": nil, "top-only": {n - 1}}
+		for q := 0; q < n; q++ {
+			spans["all"] = append(spans["all"], q)
+			if q < n/2 {
+				spans["low-half"] = append(spans["low-half"], q)
+			}
+			if q%2 == 1 {
+				spans["odd"] = append(spans["odd"], q)
+			}
+		}
+		for name, qubits := range spans {
+			c := NewCircuit(n)
+			span := 0
+			for _, q := range qubits {
+				c.H(q)
+				span |= 1 << uint(q)
+			}
+			c.DiagonalP(tbl, 0, 1)
+			v := 1.0
+			for range qubits {
+				v *= 1 / math.Sqrt2
+			}
+			for _, stored := range []int{n, n - 1} {
+				for _, theta := range []float64{0.37, -2.5, 0} {
+					lut := make([]complex128, len(unique))
+					buildPhaseLUT(lut, theta, unique)
+					want := make([]complex128, 1<<uint(stored))
+					refPrepare(want, span, complex(v, 0), idx, lut)
+					for _, w := range []int{1, 2, 4} {
+						s := NewState(stored).SetWorkers(w)
+						if k := s.prepare(c.gates, []float64{theta}); k != len(qubits)+1 {
+							t.Fatalf("prepare consumed %d gates, want %d", k, len(qubits)+1)
+						}
+						requireSameBits(t, fmt.Sprintf("n=%d span %s, %d stored qubits, theta %v, %d workers", n, name, stored, theta, w), s.amp, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// refPairedExpectation is ExpectationDiagonal's order written plainly: k
+// ascending over the lower half, term(k) + term(k^full) into accumulator
+// k mod 4, then (a0 + a1) + (a2 + a3).
+func refPairedExpectation(amp []complex128, table []float64) float64 {
+	term := func(b int) float64 {
+		a := amp[b]
+		return (real(a)*real(a) + imag(a)*imag(a)) * table[b]
+	}
+	full := len(amp) - 1
+	var acc [4]float64
+	for k := 0; k < len(amp)/2; k++ {
+		acc[k%4] += term(k) + term(k^full)
+	}
+	return (acc[0] + acc[1]) + (acc[2] + acc[3])
+}
+
+// TestExpectationPairedOrderBitIdentical pins ExpectationDiagonal by
+// Float64bits to refPairedExpectation on states whose components include
+// ±0, subnormals, ±MaxFloat64 and ±Inf, and checks that the half path's
+// expectationMirrored gives the full sum's bits on flip-symmetric states.
+func TestExpectationPairedOrderBitIdentical(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 5, 16} {
+		rng := rand.New(rand.NewSource(int64(40 + n)))
+		for trial := 0; trial < 8; trial++ {
+			s := NewState(n)
+			table := make([]float64, len(s.amp))
+			for b := range table {
+				table[b] = rng.NormFloat64() * 4
+			}
+			table[0] = math.Copysign(0, -1)
+			if trial > 0 {
+				specialAmplitudes(s, rng)
+			} else {
+				for b := range s.amp {
+					s.amp[b] = complex(rng.NormFloat64(), rng.NormFloat64())
+				}
+			}
+			got, err := s.ExpectationDiagonal(table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := refPairedExpectation(s.amp, table); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d trial %d: %v (%#x), reference order %v (%#x)",
+					n, trial, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+	for _, n := range []int{3, 4, 5, 7, 9, 15} {
+		rng := rand.New(rand.NewSource(int64(60 + n)))
+		full := NewState(n)
+		half := NewState(n - 1)
+		table := make([]float64, len(full.amp))
+		mask := len(full.amp) - 1
+		for b := range half.amp {
+			a := complex(rng.NormFloat64(), rng.NormFloat64())
+			e := math.Round(rng.NormFloat64() * 8)
+			half.amp[b], full.amp[b], full.amp[b^mask] = a, a, a
+			table[b], table[b^mask] = e, e
+		}
+		want, err := full.ExpectationDiagonal(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := half.expectationMirrored(table); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d: half path %v (%#x), full %v (%#x)", n, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
 }

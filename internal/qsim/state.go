@@ -678,7 +678,9 @@ func mixedPartner(gates []Gate, i int, m [2][2]complex128, params []float64) (in
 // value, v_k = inv*v_{k-1} + inv*0 with v_0 = 1, and leaves every other
 // amplitude zero. When a GateDiagonal follows the run, the same pass also
 // applies it, with the exact complex multiply of phaseLUTRange or
-// phaseDirectRange. A circuit that does not open with H just resets.
+// phaseDirectRange: on the compressed path those multiplies are taken once
+// per distinct table value (v·lut[k] and 0·lut[k]), and the pass only
+// gathers. A circuit that does not open with H just resets.
 func (s *State) prepare(gates []Gate, params []float64) int {
 	span, k := 0, 0
 	for ; k < len(gates) && gates[k].Kind == GateH; k++ {
@@ -701,8 +703,10 @@ func (s *State) prepare(gates []Gate, params []float64) int {
 		g := &gates[k]
 		p.theta = g.resolveAngle(params)
 		if idx, unique, ok := g.Diag.compressed(); ok {
-			p.idx, p.lut = idx, s.lutScratch(len(unique))
-			buildPhaseLUT(p.lut, p.theta, unique)
+			lut := s.lutScratch(2 * len(unique))
+			p.idx, p.in, p.out = idx, lut[:len(unique)], lut[len(unique):]
+			buildPhaseLUT(p.in, p.theta, unique)
+			premultiplyLUT(p.in, p.out, p.v)
 		} else {
 			p.vals = g.Diag.Values()
 		}
@@ -717,30 +721,53 @@ func (s *State) prepare(gates []Gate, params []float64) int {
 	return k
 }
 
-// prepPass is one preparation write: v on the span of the folded H qubits
-// and zero elsewhere, times the folded phase table if there is one (idx/lut
-// when compressed, vals when direct).
-type prepPass struct {
-	span  int
-	v     complex128
-	theta float64
-	idx   []uint32
-	lut   []complex128
-	vals  []float64
+// premultiplyLUT turns the phase LUT in into the preparation pass's two
+// gather tables: out[k] = 0·lut[k] for amplitudes outside the H span and,
+// in place, in[k] = v·lut[k] for those inside. These are the complex
+// multiplies the pass would otherwise run once per amplitude.
+func premultiplyLUT(in, out []complex128, v complex128) {
+	var zero complex128
+	for k, l := range in {
+		out[k] = zero * l
+		in[k] = v * l
+	}
 }
 
-// run writes amplitudes [lo, hi).
+// prepPass is one preparation write: v on the span of the folded H qubits
+// and zero elsewhere, times the folded phase table if there is one (the
+// premultiplied in/out tables gathered through idx when compressed, vals
+// when direct).
+type prepPass struct {
+	span    int
+	v       complex128
+	theta   float64
+	idx     []uint32
+	in, out []complex128
+	vals    []float64
+}
+
+// run writes amplitudes [lo, hi). On the compressed path the span test
+// leaves the loop when every index in the range lies below the span's
+// lowest clear bit: always so on the half path, and on the full path when
+// H opens every qubit.
 func (p prepPass) run(amp []complex128, lo, hi int) {
 	span, v := p.span, p.v
 	switch {
 	case p.idx != nil:
-		idx, lut := p.idx, p.lut
-		for b := lo; b < hi; b++ {
-			a := v
-			if b&^span != 0 {
-				a = 0
+		idx, in, out := p.idx[lo:hi], p.in, p.out
+		dst := amp[lo:hi][:len(idx)] // same length as idx: no bounds checks on dst
+		if hi-1 <= span&^(span+1) {
+			for i, j := range idx {
+				dst[i] = in[j]
 			}
-			amp[b] = a * lut[idx[b]]
+			return
+		}
+		for i, j := range idx {
+			if (lo+i)&^span != 0 {
+				dst[i] = out[j]
+			} else {
+				dst[i] = in[j]
+			}
 		}
 	case p.vals != nil:
 		theta, vals := p.theta, p.vals
@@ -778,9 +805,10 @@ func Run(c *Circuit, params []float64) (*State, error) {
 // through. dst keeps its worker setting, so large states can shard their
 // gate kernels across goroutines. A depth-p QAOA circuit (H layer, p fused
 // phase tables, p RX layers) costs 1 pass for preparation plus the first
-// phase table, p-1 more phase passes and p*ceil(n/2) paired mixer passes;
-// with the caller's expectation pass that is 10 sweeps at n=16, p=1, where
-// one sweep per gate took 35.
+// phase table (a gather through premultiplied phase tables), p-1 more
+// phase passes and p*ceil(n/2) paired mixer passes; with the caller's
+// ExpectationDiagonal pass (complement-paired, in four independent sums)
+// that is 10 sweeps at n=16, p=1, where one sweep per gate took 35.
 func RunInto(dst *State, c *Circuit, params []float64) error {
 	if dst.n != c.N() {
 		return fmt.Errorf("qsim: %d-qubit circuit into %d-qubit state", c.N(), dst.n)
@@ -860,17 +888,43 @@ func (s *State) Expectation(h *pauli.Hamiltonian) (float64, error) {
 // ExpectationDiagonal computes <psi|H|psi> for a diagonal Hamiltonian from
 // its precomputed energy table (table[b] = <b|H|b>, see
 // pauli.Hamiltonian.DiagonalTable): a single fused |amp|^2 * E pass,
-// independent of the term count. The sum runs serially in ascending index
-// order, so the value is reproducible for every worker setting.
+// independent of the term count. The sum runs serially in a fixed order,
+// so the value is reproducible for every worker setting: with term(b) =
+// |amp[b]|^2 * table[b] and full = 2^n-1, each k in [0, 2^(n-1)) ascending
+// adds term(k) + term(k^full) into accumulator k mod 4, and the result is
+// (a0 + a1) + (a2 + a3). Four independent chains keep the adds from
+// waiting on each other, and pairing b with its complement lets the
+// flip-symmetric half path (HalfEnergy) reproduce the sum from the stored
+// half alone.
 func (s *State) ExpectationDiagonal(table []float64) (float64, error) {
 	if len(table) != len(s.amp) {
 		return 0, fmt.Errorf("qsim: energy table length %d for %d-qubit state", len(table), s.n)
 	}
-	var acc float64
-	for b, a := range s.amp {
-		acc += (real(a)*real(a) + imag(a)*imag(a)) * table[b]
+	amp, full := s.amp, len(s.amp)-1
+	if len(amp) < 8 {
+		var acc [4]float64
+		for k := 0; k < len(amp)/2; k++ {
+			acc[k&3] += energyTerm(amp[k], table[k]) + energyTerm(amp[k^full], table[k^full])
+		}
+		return (acc[0] + acc[1]) + (acc[2] + acc[3]), nil
 	}
-	return acc, nil
+	var a0, a1, a2, a3 float64
+	for k := 0; k < len(amp)/2; k += 4 {
+		m := full - k - 3 // k^full for k..k+3 is m+3..m
+		lo, lt := amp[k:k+4:k+4], table[k:k+4:k+4]
+		hi, ht := amp[m:m+4:m+4], table[m:m+4:m+4]
+		a0 += energyTerm(lo[0], lt[0]) + energyTerm(hi[3], ht[3])
+		a1 += energyTerm(lo[1], lt[1]) + energyTerm(hi[2], ht[2])
+		a2 += energyTerm(lo[2], lt[2]) + energyTerm(hi[1], ht[1])
+		a3 += energyTerm(lo[3], lt[3]) + energyTerm(hi[0], ht[0])
+	}
+	return (a0 + a1) + (a2 + a3), nil
+}
+
+// energyTerm is one basis state's share of a diagonal expectation,
+// |a|^2 * e.
+func energyTerm(a complex128, e float64) float64 {
+	return (real(a)*real(a) + imag(a)*imag(a)) * e
 }
 
 // Sample draws shots basis-state measurements and returns the observed
