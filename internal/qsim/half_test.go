@@ -237,7 +237,8 @@ func TestHalfEnergyValidation(t *testing.T) {
 // unit-weight MaxCut (a ring plus its diameters) into the passes it makes
 // over the 15-qubit half state, serially, in µs per pass: the preparation
 // (H layer and cost table in one gather), each of the 8 paired mixer
-// passes and the expectation, then the whole Energy call for reference.
+// passes and the expectation, then the whole Energy call for reference,
+// which logs the mixer kernel.
 func BenchmarkHalfEnergyPasses(b *testing.B) {
 	const n = 16
 	edges, weights := make([][2]int, 0, 3*n/2), make([]float64, 0, 3*n/2)
@@ -260,6 +261,9 @@ func BenchmarkHalfEnergyPasses(b *testing.B) {
 	}
 	pass := func(name string, f func()) {
 		b.Run(name, func(b *testing.B) {
+			if name == "energy" {
+				logMixer(b)
+			}
 			for i := 0; i < b.N; i++ {
 				f()
 			}

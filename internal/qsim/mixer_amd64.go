@@ -24,18 +24,42 @@ import "fmt"
 //go:noescape
 func mixedPairAVX(amp []complex128, klo, khi, lm, hm, da, db int, ma, mb mixedMatrix)
 
+// mixedPairAVX512 is mixedPairAVX with ZMM registers where the masks allow
+// (mixer_amd64.s), with the same per-component arithmetic and the same
+// preconditions. The (q0, q1) pass, flip masks {1, 2} in either order,
+// holds one whole group per register; a pass whose pivots both sit at bit
+// 2 or higher holds one member of four adjacent groups per register. Every
+// other pass runs mixedPairAVX.
+//
+//go:noescape
+func mixedPairAVX512(amp []complex128, klo, khi, lm, hm, da, db int, ma, mb mixedMatrix)
+
 // hasAVX reports whether the CPU runs AVX and the OS saves YMM state.
 func hasAVX() bool
 
-// useAVX selects the AVX kernel over the portable loop. It is set once,
-// from the CPU; tests clear it to run the portable loop through the
-// public paths.
-var useAVX = hasAVX()
+// hasAVX512 reports whether the CPU runs AVX and AVX-512F and the OS saves
+// YMM, opmask and ZMM state.
+func hasAVX512() bool
+
+// cpuMixer picks the widest mixer kernel the CPU runs.
+func cpuMixer() mixerKernel {
+	switch {
+	case hasAVX512():
+		return mixerAVX512
+	case hasAVX():
+		return mixerAVX
+	}
+	return mixerGo
+}
+
+// mixer selects the kernel mixedPairRange runs. It is set once, from the
+// CPU; tests set it to run the other kernels through the public paths.
+var mixer = cpuMixer()
 
 // mixedPairRange runs the paired mixer pass over compressed indices
-// [klo, khi), with the AVX kernel when the CPU has it. It checks once per
-// call what the portable loop's indexing checks per amplitude: base2
-// never maps k above 4k, so every index it forms is below len(amp) when
+// [klo, khi) with the kernel mixer selects. It checks once per call what
+// the portable loop's indexing checks per amplitude: base2 never maps k
+// above 4k, so every index it forms is below len(amp) when
 // 4·khi <= len(amp), and XOR with a mask below a power-of-two length stays
 // below it.
 func (s *State) mixedPairRange(klo, khi, lm, hm, da, db int, ma, mb mixedMatrix) {
@@ -47,9 +71,12 @@ func (s *State) mixedPairRange(klo, khi, lm, hm, da, db int, ma, mb mixedMatrix)
 		panic(fmt.Sprintf("qsim: mixer pass over groups [%d, %d) with flip masks %#x, %#x out of range for %d amplitudes",
 			klo, khi, da, db, n))
 	}
-	if !useAVX {
+	switch mixer {
+	case mixerAVX512:
+		mixedPairAVX512(s.amp, klo, khi, lm, hm, da, db, ma, mb)
+	case mixerAVX:
+		mixedPairAVX(s.amp, klo, khi, lm, hm, da, db, ma, mb)
+	default:
 		s.mixedPairRangeGo(klo, khi, lm, hm, da, db, ma, mb)
-		return
 	}
-	mixedPairAVX(s.amp, klo, khi, lm, hm, da, db, ma, mb)
 }

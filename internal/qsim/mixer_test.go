@@ -8,21 +8,25 @@ import (
 )
 
 // mixer_test.go holds the paired mixer pass's portable checks and its
-// benchmark; mixer_amd64_test.go pins the AVX kernel to the portable loop
-// mixedPairRangeGo bit for bit.
+// benchmark; mixer_amd64_test.go pins the AVX and AVX-512 kernels to the
+// portable loop mixedPairRangeGo bit for bit.
 
 // mixerPairs returns the flip-mask pairs an n-qubit mixer layer issues on
 // s: RX on qubits 0..n-1 in ascending order pairs (q, q+1) for even q, and
 // in descending order (q+1, q). On a half state s has n-1 qubits, and the
 // top qubit's mask is the complement mask. Two non-adjacent pairs stand
-// for runGates' other mixed-class pairs.
+// for runGates' other mixed-class pairs; the second needs 12 stored qubits.
 func mixerPairs(s *State, n int) [][2]int {
 	var pairs [][2]int
 	for q := 0; q+1 < n; q += 2 {
 		a, b := s.flipMask(q), s.flipMask(q+1)
 		pairs = append(pairs, [2]int{a, b}, [2]int{b, a})
 	}
-	return append(pairs, [2]int{s.flipMask(n - 1), 1}, [2]int{1 << 3, 1 << 11})
+	pairs = append(pairs, [2]int{s.flipMask(n - 1), 1})
+	if 1<<11 < len(s.amp) {
+		pairs = append(pairs, [2]int{1 << 3, 1 << 11})
+	}
+	return pairs
 }
 
 // specialAmplitudes fills a state with random amplitudes, a quarter of
@@ -80,7 +84,7 @@ func TestMixedPairRangePanicsOutOfRange(t *testing.T) {
 
 // BenchmarkMixerPair times each of the 8 paired passes of a p=1 mixer on
 // the 15-qubit half state of an n=16 circuit, serially, and reports
-// ns/group (one group is four amplitudes).
+// ns/group (one group is four amplitudes). The first pass logs the kernel.
 func BenchmarkMixerPair(b *testing.B) {
 	const n = 16
 	rng := rand.New(rand.NewSource(1))
@@ -93,10 +97,22 @@ func BenchmarkMixerPair(b *testing.B) {
 	for q := 0; q < n; q += 2 {
 		da, db := s.flipMask(q), s.flipMask(q+1)
 		b.Run(fmt.Sprintf("q%d-q%d", q, q+1), func(b *testing.B) {
+			if q == 0 {
+				logMixer(b)
+			}
 			for i := 0; i < b.N; i++ {
 				s.applyMixedPairMasks(da, db, m, m)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*groups), "ns/group")
 		})
+	}
+}
+
+// logMixer logs the kernel mixedPairRange runs, once per sub-benchmark run:
+// testing prints the log of a sub-benchmark but not that of a parent that
+// only runs sub-benchmarks, and a sub-benchmark runs with b.N == 1 first.
+func logMixer(b *testing.B) {
+	if b.N == 1 {
+		b.Logf("paired mixer kernel: %v", mixer)
 	}
 }

@@ -196,6 +196,19 @@ func (s *State) applyMixed1Q(d, lm int, m mixedMatrix) {
 	s.mixedDense1Q(0, half, d, lm, m)
 }
 
+// mixerKernel names an implementation of the paired mixer pass.
+type mixerKernel uint8
+
+const (
+	mixerGo     mixerKernel = iota // mixedPairRangeGo
+	mixerAVX                       // mixedPairAVX (amd64)
+	mixerAVX512                    // mixedPairAVX512 (amd64)
+)
+
+func (k mixerKernel) String() string {
+	return [...]string{"portable Go loop", "AVX", "AVX-512"}[k]
+}
+
 // mixedMatrix holds the nonzero components of a mixed-class matrix: the
 // real diagonal and the imaginary parts of the off-diagonal.
 type mixedMatrix struct{ m00, m01i, m10i, m11 float64 }
@@ -217,8 +230,8 @@ func (m mixedMatrix) apply(a0, a1 complex128) (complex128, complex128) {
 // for the mirrored top qubit (see half.go).
 //
 // This is the portable kernel. mixedPairRange runs it on every platform
-// but amd64, and on amd64 CPUs without AVX; otherwise it runs the AVX
-// kernel in mixer_amd64.s, which gives the same bits.
+// but amd64, and on amd64 CPUs without AVX; otherwise it runs the AVX or
+// AVX-512 kernel in mixer_amd64.s, which give the same bits.
 func (s *State) mixedPairRangeGo(klo, khi, lm, hm, da, db int, ma, mb mixedMatrix) {
 	amp := s.amp
 	for k := klo; k < khi; k++ {
