@@ -90,30 +90,6 @@ func shardRange(ctx context.Context, workers, n int, fn func(ctx context.Context
 	return g.Wait()
 }
 
-// Option tunes evaluator construction.
-type Option func(*evalOptions)
-
-type evalOptions struct {
-	noFusion bool
-}
-
-// WithoutDiagonalFusion disables the automatic FuseDiagonals pass on the
-// ansatz circuit, forcing edge-by-edge gate kernels. This is the debugging
-// escape hatch for isolating fusion from a numerical question (fused runs
-// agree with unfused to phase rounding, ~1e-15 per gate, not bit-for-bit)
-// and the baseline leg of the fused-vs-unfused benchmarks.
-func WithoutDiagonalFusion() Option {
-	return func(o *evalOptions) { o.noFusion = true }
-}
-
-func applyOptions(opts []Option) evalOptions {
-	var o evalOptions
-	for _, f := range opts {
-		f(&o)
-	}
-	return o
-}
-
 // StateVector is the exact (infinite-shot) ideal evaluator. It re-runs the
 // ansatz circuit into pooled scratch states (zero allocations per point in
 // steady state) and, for diagonal Hamiltonians (MaxCut, SK), evaluates the
@@ -134,7 +110,7 @@ type StateVector struct {
 	name    string
 	prob    *problem.Problem
 	ans     *ansatz.Ansatz
-	circ    *qsim.Circuit    // ansatz circuit, diagonal-fused unless opted out
+	circ    *qsim.Circuit    // diagonal-fused ansatz circuit
 	diag    []float64        // cached diagonal energy table; nil for off-diagonal H
 	half    *qsim.HalfEnergy // flip-symmetric half-state path; nil runs the full state
 	workers int
@@ -143,7 +119,7 @@ type StateVector struct {
 }
 
 // NewStateVector builds an exact evaluator for an ansatz on a problem.
-func NewStateVector(p *problem.Problem, a *ansatz.Ansatz, opts ...Option) (*StateVector, error) {
+func NewStateVector(p *problem.Problem, a *ansatz.Ansatz) (*StateVector, error) {
 	if p.N() != a.Circuit.N() {
 		return nil, fmt.Errorf("backend: %d-qubit ansatz for %d-qubit problem", a.Circuit.N(), p.N())
 	}
@@ -151,11 +127,8 @@ func NewStateVector(p *problem.Problem, a *ansatz.Ansatz, opts ...Option) (*Stat
 		name:    fmt.Sprintf("sv(%s,%s)", p.Name, a.Name),
 		prob:    p,
 		ans:     a,
-		circ:    a.Circuit,
+		circ:    a.Circuit.FuseDiagonals(),
 		workers: 1,
-	}
-	if !applyOptions(opts).noFusion {
-		e.circ = a.Circuit.FuseDiagonals()
 	}
 	if p.Hamiltonian.IsDiagonal() {
 		diag, err := p.DiagonalTable()
@@ -289,7 +262,7 @@ type Density struct {
 // the depolarizing channels are defined per physical gate, so collapsing a
 // cost layer would change the noise model. Readout error attaches at
 // measurement and does not block fusion.
-func NewDensity(p *problem.Problem, a *ansatz.Ansatz, prof noise.Profile, opts ...Option) (*Density, error) {
+func NewDensity(p *problem.Problem, a *ansatz.Ansatz, prof noise.Profile) (*Density, error) {
 	if p.N() != a.Circuit.N() {
 		return nil, fmt.Errorf("backend: %d-qubit ansatz for %d-qubit problem", a.Circuit.N(), p.N())
 	}
@@ -307,7 +280,7 @@ func NewDensity(p *problem.Problem, a *ansatz.Ansatz, prof noise.Profile, opts .
 		profile: prof,
 		workers: 1,
 	}
-	if prof.P1 == 0 && prof.P2 == 0 && !applyOptions(opts).noFusion {
+	if prof.P1 == 0 && prof.P2 == 0 {
 		e.circ = a.Circuit.FuseDiagonals()
 	}
 	if p.Hamiltonian.IsDiagonal() {

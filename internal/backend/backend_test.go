@@ -9,6 +9,7 @@ import (
 	"repro/internal/ansatz"
 	"repro/internal/noise"
 	"repro/internal/problem"
+	"repro/internal/qsim"
 )
 
 func TestStateVectorEvaluator(t *testing.T) {
@@ -263,7 +264,11 @@ func TestCounting(t *testing.T) {
 	}
 }
 
-func TestDiagonalFusionOption(t *testing.T) {
+// TestDiagonalFusionMatchesUnfused: the fused circuit a StateVector runs
+// agrees with the original edge-by-edge circuit, run through qsim and
+// measured term by term, to phase rounding (~1e-15 per gate), not bit for
+// bit.
+func TestDiagonalFusionMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	p, err := problem.Random3RegularMaxCut(8, rng)
 	if err != nil {
@@ -277,16 +282,10 @@ func TestDiagonalFusionOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := NewStateVector(p, a, WithoutDiagonalFusion())
-	if err != nil {
-		t.Fatal(err)
-	}
 	if fused.circ == a.Circuit {
-		t.Fatal("default StateVector should run the fused circuit")
+		t.Fatal("StateVector should run the fused circuit")
 	}
-	if plain.circ != a.Circuit {
-		t.Fatal("WithoutDiagonalFusion should run the original circuit")
-	}
+	plain := qsim.NewState(a.Circuit.N())
 	for trial := 0; trial < 20; trial++ {
 		params := make([]float64, 4)
 		for i := range params {
@@ -296,7 +295,10 @@ func TestDiagonalFusionOption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vp, err := plain.Evaluate(params)
+		if err := qsim.RunInto(plain, a.Circuit, params); err != nil {
+			t.Fatal(err)
+		}
+		vp, err := plain.Expectation(p.Hamiltonian)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -50,9 +50,9 @@ func withTerm(p *problem.Problem, coeff float64, s string) *problem.Problem {
 }
 
 // TestStateVectorHalfPathSelection: QAOA on MaxCut and SK takes the
-// half-state path; a single-Z energy term, an off-diagonal Hamiltonian, an
-// RY mixer and the unfused circuit stay on the full path. Either way every
-// batch value equals the full-state oracle bit for bit.
+// half-state path; a single-Z energy term, an off-diagonal Hamiltonian and
+// an RY mixer stay on the full path. Either way every batch value equals the
+// full-state oracle bit for bit.
 func TestStateVectorHalfPathSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	cut, err := problem.Random3RegularMaxCut(10, rng)
@@ -80,18 +80,16 @@ func TestStateVectorHalfPathSelection(t *testing.T) {
 		name string
 		p    *problem.Problem
 		a    *ansatz.Ansatz
-		opts []Option
 		half bool
 	}{
-		{"maxcut p=2", cut, qaoa(cut, 2), nil, true},
-		{"sk p=1", sk, qaoa(sk, 1), nil, true},
-		{"maxcut + Z term", withTerm(cut, 0.3, zAt0), qaoa(cut, 1), nil, false},
-		{"maxcut + X term", withTerm(cut, 0.3, xAt0), qaoa(cut, 1), nil, false},
-		{"RY mixer", cut, ryMixer, nil, false},
-		{"unfused", cut, qaoa(cut, 1), []Option{WithoutDiagonalFusion()}, false},
+		{"maxcut p=2", cut, qaoa(cut, 2), true},
+		{"sk p=1", sk, qaoa(sk, 1), true},
+		{"maxcut + Z term", withTerm(cut, 0.3, zAt0), qaoa(cut, 1), false},
+		{"maxcut + X term", withTerm(cut, 0.3, xAt0), qaoa(cut, 1), false},
+		{"RY mixer", cut, ryMixer, false},
 	}
 	for _, tc := range cases {
-		sv, err := NewStateVector(tc.p, tc.a, tc.opts...)
+		sv, err := NewStateVector(tc.p, tc.a)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,10 +25,6 @@ type Config struct {
 	Quick bool
 }
 
-// DefaultConfig is the quick, deterministic configuration used by the
-// benchmark harness.
-func DefaultConfig() Config { return Config{Seed: 2023, Quick: true} }
-
 // Table is a formatted experiment result.
 type Table struct {
 	// ID is the paper artifact it reproduces, e.g. "table2" or "fig4".

@@ -31,40 +31,6 @@ func (g *Graph) Degree() []int {
 	return deg
 }
 
-// AdjacencySet returns, for each vertex, the set of its neighbors.
-func (g *Graph) AdjacencySet() []map[int]bool {
-	adj := make([]map[int]bool, g.N)
-	for i := range adj {
-		adj[i] = make(map[int]bool)
-	}
-	for _, e := range g.Edges {
-		adj[e.U][e.V] = true
-		adj[e.V][e.U] = true
-	}
-	return adj
-}
-
-// CommonNeighbors returns the number of triangles through each edge, indexed
-// like Edges. The analytic depth-1 QAOA formula needs it.
-func (g *Graph) CommonNeighbors() []int {
-	adj := g.AdjacencySet()
-	out := make([]int, len(g.Edges))
-	for i, e := range g.Edges {
-		n := 0
-		small, large := adj[e.U], adj[e.V]
-		if len(small) > len(large) {
-			small, large = large, small
-		}
-		for v := range small {
-			if large[v] {
-				n++
-			}
-		}
-		out[i] = n
-	}
-	return out
-}
-
 // CutValue evaluates the weighted cut of the ±1 assignment. assignment[i]
 // must be 0 or 1; an edge contributes its weight when its endpoints differ.
 func (g *Graph) CutValue(assignment []int) float64 {

@@ -154,18 +154,3 @@ func TestMaxCutUpperBound(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCommonNeighbors(t *testing.T) {
-	k, _ := Complete(4)
-	for i, c := range k.CommonNeighbors() {
-		if c != 2 {
-			t.Fatalf("K4 edge %d common neighbors %d want 2", i, c)
-		}
-	}
-	r, _ := Ring(6)
-	for i, c := range r.CommonNeighbors() {
-		if c != 0 {
-			t.Fatalf("C6 edge %d common neighbors %d want 0", i, c)
-		}
-	}
-}

@@ -1,7 +1,6 @@
 // Package mitigation implements the noise-mitigation methods of the paper's
 // Section 6: Zero-Noise Extrapolation with configurable noise scaling and
-// extrapolation models (Richardson, linear), measurement readout mitigation,
-// and a dynamical-decoupling circuit pass. OSCAR reconstructs mitigated
+// extrapolation models (Richardson, linear). OSCAR reconstructs mitigated
 // landscapes to let users compare configurations without the heavy extra
 // circuit cost mitigation normally incurs.
 package mitigation
@@ -9,10 +8,8 @@ package mitigation
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/backend"
-	"repro/internal/qsim"
 )
 
 // Extrapolation selects the ZNE extrapolation model.
@@ -96,10 +93,6 @@ func (z *ZNE) Name() string { return z.name }
 
 // NumParams implements backend.Evaluator.
 func (z *ZNE) NumParams() int { return z.inner.NumParams() }
-
-// CircuitMultiplier reports how many circuit executions one mitigated
-// expectation costs (the paper's 10x-100x overhead discussion).
-func (z *ZNE) CircuitMultiplier() int { return len(z.scales) }
 
 // ScalableBatchEvaluator is a ScalableEvaluator that can execute a whole
 // (point x scale) sweep in one submission. The returned slice is point-major:
@@ -263,134 +256,3 @@ func VarianceAmplification(xs []float64, model Extrapolation) (float64, error) {
 }
 
 var _ backend.Evaluator = (*ZNE)(nil)
-
-// FoldGates implements the hardware-style noise scaling used when channel
-// probabilities cannot be adjusted directly: every gate G is replaced by
-// G (G† G)^k so the circuit performs the same unitary with (2k+1)x the
-// physical gate count. Only odd integer scale factors are representable;
-// scale must be 1, 3, 5, ...
-func FoldGates(c *qsim.Circuit, scale int) (*qsim.Circuit, error) {
-	if scale < 1 || scale%2 == 0 {
-		return nil, fmt.Errorf("mitigation: fold scale must be odd and >= 1, got %d", scale)
-	}
-	out := qsim.NewCircuit(c.N())
-	k := (scale - 1) / 2
-	for _, g := range c.Gates() {
-		appendGate(out, g)
-		for fold := 0; fold < k; fold++ {
-			appendInverse(out, g)
-			appendGate(out, g)
-		}
-	}
-	return out, nil
-}
-
-func appendGate(c *qsim.Circuit, g qsim.Gate) {
-	switch g.Kind {
-	case qsim.GateH:
-		c.H(g.Qubits[0])
-	case qsim.GateX:
-		c.X(g.Qubits[0])
-	case qsim.GateY:
-		c.Y(g.Qubits[0])
-	case qsim.GateZ:
-		c.Z(g.Qubits[0])
-	case qsim.GateS:
-		c.S(g.Qubits[0])
-	case qsim.GateSdg:
-		c.Sdg(g.Qubits[0])
-	case qsim.GateT:
-		c.T(g.Qubits[0])
-	case qsim.GateRX:
-		appendRot(c, g, qsim.GateRX, 1)
-	case qsim.GateRY:
-		appendRot(c, g, qsim.GateRY, 1)
-	case qsim.GateRZ:
-		appendRot(c, g, qsim.GateRZ, 1)
-	case qsim.GateCNOT:
-		c.CNOT(g.Qubits[0], g.Qubits[1])
-	case qsim.GateCZ:
-		c.CZ(g.Qubits[0], g.Qubits[1])
-	case qsim.GateSWAP:
-		c.SWAP(g.Qubits[0], g.Qubits[1])
-	case qsim.GateRZZ:
-		if g.Param >= 0 {
-			c.RZZP(g.Qubits[0], g.Qubits[1], g.Param, g.Scale)
-		} else {
-			c.RZZ(g.Qubits[0], g.Qubits[1], g.Theta)
-		}
-	case qsim.GatePauliRot:
-		if g.Param >= 0 {
-			c.PauliRotP(g.Pauli, g.Param, g.Scale)
-		} else {
-			c.PauliRot(g.Pauli, g.Theta)
-		}
-	case qsim.GateDiagonal:
-		if g.Param >= 0 {
-			c.DiagonalP(g.Diag, g.Param, g.Scale)
-		} else {
-			c.Diagonal(g.Diag, g.Theta)
-		}
-	}
-}
-
-func appendRot(c *qsim.Circuit, g qsim.Gate, kind qsim.Kind, sign float64) {
-	add := func(q int, param int, scale, theta float64) {
-		switch kind {
-		case qsim.GateRX:
-			if param >= 0 {
-				c.RXP(q, param, scale)
-			} else {
-				c.RX(q, theta)
-			}
-		case qsim.GateRY:
-			if param >= 0 {
-				c.RYP(q, param, scale)
-			} else {
-				c.RY(q, theta)
-			}
-		default:
-			if param >= 0 {
-				c.RZP(q, param, scale)
-			} else {
-				c.RZ(q, theta)
-			}
-		}
-	}
-	add(g.Qubits[0], g.Param, sign*g.Scale, sign*g.Theta)
-}
-
-// appendInverse appends the inverse of g.
-func appendInverse(c *qsim.Circuit, g qsim.Gate) {
-	switch g.Kind {
-	case qsim.GateH, qsim.GateX, qsim.GateY, qsim.GateZ, qsim.GateCNOT, qsim.GateCZ, qsim.GateSWAP:
-		appendGate(c, g) // self-inverse
-	case qsim.GateS:
-		c.Sdg(g.Qubits[0])
-	case qsim.GateSdg:
-		c.S(g.Qubits[0])
-	case qsim.GateT:
-		c.RZ(g.Qubits[0], -math.Pi/4) // T† up to global phase
-	case qsim.GateRX, qsim.GateRY, qsim.GateRZ:
-		appendRot(c, g, g.Kind, -1)
-	case qsim.GateRZZ:
-		if g.Param >= 0 {
-			c.RZZP(g.Qubits[0], g.Qubits[1], g.Param, -g.Scale)
-		} else {
-			c.RZZ(g.Qubits[0], g.Qubits[1], -g.Theta)
-		}
-	case qsim.GatePauliRot:
-		if g.Param >= 0 {
-			c.PauliRotP(g.Pauli, g.Param, -g.Scale)
-		} else {
-			c.PauliRot(g.Pauli, -g.Theta)
-		}
-	case qsim.GateDiagonal:
-		// diag(exp(-i theta t[b])) inverts by negating the angle.
-		if g.Param >= 0 {
-			c.DiagonalP(g.Diag, g.Param, -g.Scale)
-		} else {
-			c.Diagonal(g.Diag, -g.Theta)
-		}
-	}
-}

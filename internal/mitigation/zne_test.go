@@ -4,14 +4,11 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/ansatz"
 	"repro/internal/backend"
-	"repro/internal/graph"
 	"repro/internal/noise"
 	"repro/internal/problem"
-	"repro/internal/qsim"
 )
 
 // scalableDensity adapts a (problem, ansatz, profile) to ScalableEvaluator
@@ -131,9 +128,6 @@ func TestZNERecoversIdealExpectation(t *testing.T) {
 	if math.Abs(mitigated-ideal) >= math.Abs(noisy-ideal)/3 {
 		t.Fatalf("ZNE barely helped: ideal %g noisy %g mitigated %g", ideal, noisy, mitigated)
 	}
-	if zne.CircuitMultiplier() != 3 {
-		t.Fatalf("multiplier %d", zne.CircuitMultiplier())
-	}
 
 	lin, err := NewZNE(sc, []float64{1, 3}, Linear)
 	if err != nil {
@@ -170,117 +164,5 @@ func TestExtrapolationString(t *testing.T) {
 	}
 	if Extrapolation(9).String() == "" {
 		t.Error("unknown model should stringify")
-	}
-}
-
-func TestFoldGatesPreservesUnitary(t *testing.T) {
-	rng := rand.New(rand.NewSource(142))
-	p, _ := problem.Random3RegularMaxCut(4, rng)
-	a, _ := ansatz.QAOA(p.Graph, 1)
-	params := []float64{0.3, -0.7}
-	s0, err := qsim.Run(a.Circuit, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, scale := range []int{1, 3, 5} {
-		folded, err := FoldGates(a.Circuit, scale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if scale == 1 && folded.Len() != a.Circuit.Len() {
-			t.Fatal("scale 1 should not change the circuit")
-		}
-		if scale > 1 && folded.Len() != scale*a.Circuit.Len() {
-			t.Fatalf("scale %d: %d gates want %d", scale, folded.Len(), scale*a.Circuit.Len())
-		}
-		s1, err := qsim.Run(folded, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e0, _ := s0.Expectation(p.Hamiltonian)
-		e1, _ := s1.Expectation(p.Hamiltonian)
-		if math.Abs(e0-e1) > 1e-9 {
-			t.Fatalf("scale %d changed expectation: %g vs %g", scale, e0, e1)
-		}
-	}
-	if _, err := FoldGates(a.Circuit, 2); err == nil {
-		t.Error("want error for even scale")
-	}
-	if _, err := FoldGates(a.Circuit, 0); err == nil {
-		t.Error("want error for zero scale")
-	}
-}
-
-func TestFoldGatesIncreaseNoiseSensitivity(t *testing.T) {
-	rng := rand.New(rand.NewSource(143))
-	p, _ := problem.Random3RegularMaxCut(4, rng)
-	a, _ := ansatz.QAOA(p.Graph, 1)
-	prof := noise.Profile{Name: "m", P1: 0.002, P2: 0.008}
-	params := []float64{0.3, -0.7}
-	sv, _ := backend.NewStateVector(p, a)
-	ideal, _ := sv.Evaluate(params)
-	var prevDev float64
-	for i, scale := range []int{1, 3} {
-		folded, err := FoldGates(a.Circuit, scale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fa := &ansatz.Ansatz{Name: "folded", Circuit: folded, NumParams: a.NumParams}
-		dm, err := backend.NewDensity(p, fa, prof)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, err := dm.Evaluate(params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dev := math.Abs(v - ideal)
-		if i > 0 && dev <= prevDev {
-			t.Fatalf("folding did not increase noise: dev %g <= %g", dev, prevDev)
-		}
-		prevDev = dev
-	}
-}
-
-// TestFoldGatesProperty: for random parameterized circuits and any odd
-// scale, folding preserves the final state distribution.
-func TestFoldGatesProperty(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(144))}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g, err := graph.Random3Regular(4, rng)
-		if err != nil {
-			return false
-		}
-		a, err := ansatz.QAOA(g, 1+rng.Intn(2))
-		if err != nil {
-			return false
-		}
-		params := make([]float64, a.NumParams)
-		for i := range params {
-			params[i] = rng.NormFloat64()
-		}
-		folded, err := FoldGates(a.Circuit, 3)
-		if err != nil {
-			return false
-		}
-		s0, err := qsim.Run(a.Circuit, params)
-		if err != nil {
-			return false
-		}
-		s1, err := qsim.Run(folded, params)
-		if err != nil {
-			return false
-		}
-		p0, p1 := s0.Probabilities(), s1.Probabilities()
-		for i := range p0 {
-			if math.Abs(p0[i]-p1[i]) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
 	}
 }

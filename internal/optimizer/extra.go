@@ -2,7 +2,6 @@ package optimizer
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -143,101 +142,6 @@ func NelderMead(f Objective, x0 []float64, opt NelderMeadOptions) (*Result, erro
 				}
 			}
 		}
-	}
-	res.X, res.F = bestOf(res.Path, res.FPath)
-	res.Queries = c.n
-	return res, nil
-}
-
-// SPSAOptions configures simultaneous-perturbation stochastic approximation.
-type SPSAOptions struct {
-	// A, C are the gain scales (defaults 0.2, 0.1); Alpha and Gamma the
-	// decay exponents (defaults 0.602, 0.101 — the standard Spall values).
-	A, C, Alpha, Gamma float64
-	// MaxIter caps iterations (default 200).
-	MaxIter int
-	// Seed drives the random perturbations.
-	Seed int64
-	// Bounds optionally clips iterates.
-	Bounds []Bounds
-}
-
-func (o *SPSAOptions) fill() {
-	if o.A == 0 {
-		o.A = 0.2
-	}
-	if o.C == 0 {
-		o.C = 0.1
-	}
-	if o.Alpha == 0 {
-		o.Alpha = 0.602
-	}
-	if o.Gamma == 0 {
-		o.Gamma = 0.101
-	}
-	if o.MaxIter == 0 {
-		o.MaxIter = 200
-	}
-}
-
-// SPSA minimizes f with simultaneous-perturbation gradient estimates: two
-// queries per iteration regardless of dimension, the standard choice for
-// noisy VQA objectives.
-func SPSA(f Objective, x0 []float64, opt SPSAOptions) (*Result, error) {
-	if err := validateStart(x0, opt.Bounds); err != nil {
-		return nil, err
-	}
-	opt.fill()
-	rng := rand.New(rand.NewSource(opt.Seed))
-	c := &counter{f: f}
-	n := len(x0)
-	x := append([]float64(nil), x0...)
-	clampToBounds(x, opt.Bounds)
-	res := &Result{}
-	fx, err := c.eval(x)
-	if err != nil {
-		return nil, err
-	}
-	res.Path = append(res.Path, append([]float64(nil), x...))
-	res.FPath = append(res.FPath, fx)
-
-	delta := make([]float64, n)
-	plus := make([]float64, n)
-	minus := make([]float64, n)
-	for it := 1; it <= opt.MaxIter; it++ {
-		res.Iterations = it
-		ak := opt.A / math.Pow(float64(it), opt.Alpha)
-		ck := opt.C / math.Pow(float64(it), opt.Gamma)
-		for i := range delta {
-			if rng.Intn(2) == 0 {
-				delta[i] = 1
-			} else {
-				delta[i] = -1
-			}
-			plus[i] = x[i] + ck*delta[i]
-			minus[i] = x[i] - ck*delta[i]
-		}
-		clampToBounds(plus, opt.Bounds)
-		clampToBounds(minus, opt.Bounds)
-		fp, err := c.eval(plus)
-		if err != nil {
-			return nil, err
-		}
-		fm, err := c.eval(minus)
-		if err != nil {
-			return nil, err
-		}
-		for i := range x {
-			g := (fp - fm) / (2 * ck * delta[i])
-			x[i] -= ak * g
-		}
-		clampToBounds(x, opt.Bounds)
-		fx, err = c.eval(x)
-		if err != nil {
-			return nil, err
-		}
-		res.Path = append(res.Path, append([]float64(nil), x...))
-		res.FPath = append(res.FPath, fx)
 	}
 	res.X, res.F = bestOf(res.Path, res.FPath)
 	res.Queries = c.n

@@ -1,8 +1,8 @@
 // Package optimizer implements the classical optimizers of the VQA
 // workflow: ADAM with finite-difference gradients (gradient-based, many
 // queries), a COBYLA-style derivative-free linear-model trust-region method
-// (few queries), Nelder-Mead, and SPSA. Each optimizer records its query
-// count and the path it traverses, which OSCAR superimposes on reconstructed
+// (few queries), and Nelder-Mead. Each optimizer records its query count
+// and the path it traverses, which OSCAR superimposes on reconstructed
 // landscapes (Figures 2, 11, 13) and uses for the query accounting of
 // Table 6.
 package optimizer

@@ -91,20 +91,6 @@ func TestNelderMeadRosenbrock(t *testing.T) {
 	}
 }
 
-func TestSPSAQuadratic(t *testing.T) {
-	res, err := SPSA(quadratic, []float64{3, 3}, SPSAOptions{MaxIter: 2000, Seed: 7, A: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.X[0]-1) > 0.2 || math.Abs(res.X[1]+2) > 0.2 {
-		t.Fatalf("SPSA ended at %v", res.X)
-	}
-	// SPSA queries: 1 initial + 3 per iteration.
-	if res.Queries != 1+3*res.Iterations {
-		t.Fatalf("queries %d iterations %d", res.Queries, res.Iterations)
-	}
-}
-
 func TestBoundsRespected(t *testing.T) {
 	bounds := []Bounds{{Lo: 0, Hi: 0.5}, {Lo: -1, Hi: 0}}
 	check := func(name string, res *Result, err error) {
@@ -123,14 +109,6 @@ func TestBoundsRespected(t *testing.T) {
 	check("cobyla", res, err)
 	res, err = NelderMead(quadratic, []float64{0.3, -0.5}, NelderMeadOptions{MaxIter: 80, Bounds: bounds})
 	check("neldermead", res, err)
-	res, err = SPSA(quadratic, []float64{0.3, -0.5}, SPSAOptions{MaxIter: 50, Seed: 2, Bounds: bounds})
-	check("spsa", res, err)
-	// The constrained optimum is at the boundary (0.5, 0)... f = 0.25+2*4=8.25
-	// at corner; interior direction is blocked. Just confirm the best point
-	// is the corner nearest the unconstrained optimum.
-	if math.Abs(res.X[0]-0.5) > 0.1 {
-		t.Fatalf("SPSA best %v, expected near x0=0.5 boundary", res.X)
-	}
 }
 
 func TestValidation(t *testing.T) {
@@ -156,9 +134,6 @@ func TestObjectiveErrorPropagates(t *testing.T) {
 	}
 	if _, err := NelderMead(bad, []float64{0, 0}, NelderMeadOptions{MaxIter: 5}); !errors.Is(err, sentinel) {
 		t.Errorf("neldermead err=%v", err)
-	}
-	if _, err := SPSA(bad, []float64{0, 0}, SPSAOptions{MaxIter: 5}); !errors.Is(err, sentinel) {
-		t.Errorf("spsa err=%v", err)
 	}
 }
 

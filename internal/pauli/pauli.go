@@ -217,7 +217,14 @@ func (h *Hamiltonian) IdentityCoeff() float64 {
 
 // DiagonalValues evaluates a diagonal Hamiltonian on every computational
 // basis state, returning a vector of length 2^n with entry b equal to
-// <b|H|b>. It errors if the Hamiltonian has off-diagonal terms.
+// <b|H|b>. It errors if the Hamiltonian has off-diagonal terms. Entry b
+// accumulates terms in term order, exactly like EvalBitstring, so the two
+// agree bit for bit. This is the energy table of the simulator's fused
+// expectation path: it turns a per-term O(terms * 2^n) expectation into a
+// single O(2^n) pass (see qsim.State.ExpectationDiagonal, which sums entry
+// b with its complement's, so a ZZ-only table lets a flip-symmetric state
+// read only its first half). The table is worth caching —
+// problem.Problem memoizes one per Hamiltonian.
 func (h *Hamiltonian) DiagonalValues() ([]float64, error) {
 	if !h.IsDiagonal() {
 		return nil, fmt.Errorf("pauli: Hamiltonian has off-diagonal terms")
@@ -287,18 +294,6 @@ func lowBit(zmask uint64, n int) int {
 		return int(low)
 	}
 	return n
-}
-
-// DiagonalTable is DiagonalValues under the name the simulator's fused
-// expectation path uses: the precomputed 2^n energy vector that turns a
-// per-term O(terms * 2^n) expectation into a single O(2^n) pass (see
-// qsim.State.ExpectationDiagonal, which sums entry b with its complement's,
-// so a ZZ-only table lets a flip-symmetric state read only its first
-// half). Entry b accumulates terms in term order,
-// exactly like EvalBitstring, so the two agree bit-for-bit. The table is
-// worth caching — problem.Problem memoizes one per Hamiltonian.
-func (h *Hamiltonian) DiagonalTable() ([]float64, error) {
-	return h.DiagonalValues()
 }
 
 // EvalBitstring evaluates a diagonal Hamiltonian on a single basis state

@@ -45,7 +45,7 @@ func (p *Problem) N() int { return p.Hamiltonian.N() }
 // an error; their expectations go through the per-term path instead.
 func (p *Problem) DiagonalTable() ([]float64, error) {
 	p.diagOnce.Do(func() {
-		p.diag, p.diagErr = p.Hamiltonian.DiagonalTable()
+		p.diag, p.diagErr = p.Hamiltonian.DiagonalValues()
 	})
 	return p.diag, p.diagErr
 }

@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 
 	"repro/internal/pauli"
 )
 
 // DensityMatrix is an n-qubit mixed state rho stored row-major as a
 // 2^n x 2^n complex matrix. It supports exact simulation of Kraus noise
-// channels (depolarizing, amplitude damping, readout error), which backs the
+// channels (depolarizing, readout error), which backs the
 // "noisy sim" device profiles in the paper reproduction.
 //
 // A DensityMatrix owns up to two scratch matrices of the same 4^n size,
@@ -140,25 +139,6 @@ func pauliPhase(i uint64, z uint64, iPow complex128) complex128 {
 // both the X and Z mask bits set.
 func yCount(p pauli.String) int {
 	return bits.OnesCount64(p.XMask() & p.ZMask())
-}
-
-// conjugatePauli computes rho <- P rho P^dagger for a Pauli string.
-// Because P|i> = c(i)|i^x|, the map is an index permutation with phases:
-// rho'_{i^x, j^x} = c(i) conj(c(j)) rho_{i,j}. The result is built in the
-// reusable scratch matrix and swapped into place.
-func (d *DensityMatrix) conjugatePauli(p pauli.String) {
-	x := int(p.XMask())
-	z := p.ZMask()
-	iPow := iPower(yCount(p))
-	out := d.getScratch()
-	for i := 0; i < d.dim; i++ {
-		ci := pauliPhase(uint64(i), z, iPow)
-		for j := 0; j < d.dim; j++ {
-			cj := pauliPhase(uint64(j), z, iPow)
-			out[(i^x)*d.dim+(j^x)] = ci * complexConj(cj) * d.rho[i*d.dim+j]
-		}
-	}
-	d.rho, d.scratch = out, d.rho
 }
 
 // accumPauli adds w * (P src P^dagger) into acc without touching src — the
@@ -330,7 +310,8 @@ func (d *DensityMatrix) applyGateKind(g *Gate, theta float64) {
 // U rho U^dag = cos^2 rho + sin^2 P rho P - i sin cos [P, rho].
 func (d *DensityMatrix) applyPauliRotDM(p pauli.String, theta float64) {
 	c, s := math.Cos(theta/2), math.Sin(theta/2)
-	// P rho and rho P share structure with conjugatePauli; build them.
+	// P rho and rho P are one-sided forms of accumPauli's phased index
+	// permutation; build them.
 	x := int(p.XMask())
 	z := p.ZMask()
 	iPow := iPower(yCount(p))
@@ -455,34 +436,6 @@ func (d *DensityMatrix) Depolarize2Q(a, b int, p float64) error {
 	return nil
 }
 
-// AmplitudeDamp applies the amplitude-damping channel with rate gamma on
-// qubit q, modeling T1 relaxation.
-func (d *DensityMatrix) AmplitudeDamp(q int, gamma float64) error {
-	if gamma < 0 || gamma > 1 {
-		return fmt.Errorf("qsim: damping rate %g out of [0,1]", gamma)
-	}
-	if gamma == 0 {
-		return nil
-	}
-	// Kraus: K0 = [[1,0],[0,sqrt(1-g)]], K1 = [[0,sqrt(g)],[0,0]].
-	k0 := [2][2]complex128{{1, 0}, {0, complex(math.Sqrt(1-gamma), 0)}}
-	k1 := [2][2]complex128{{0, complex(math.Sqrt(gamma), 0)}, {0, 0}}
-	orig := d.getScratch()
-	copy(orig, d.rho)
-	d.leftMul1Q(q, k0)
-	d.rightMul1QDagger(q, k0)
-	acc := d.getAcc()
-	copy(acc, d.rho) // K0 rho K0^dagger
-	copy(d.rho, orig)
-	d.leftMul1Q(q, k1)
-	d.rightMul1QDagger(q, k1)
-	for i := range acc {
-		acc[i] += d.rho[i]
-	}
-	d.rho, d.acc = acc, d.rho
-	return nil
-}
-
 func singleOp(n, q int, op pauli.Op) pauli.String {
 	b := make([]byte, n)
 	for i := range b {
@@ -595,25 +548,9 @@ func ApplyReadoutError(probs []float64, n int, p01, p10 float64) ([]float64, err
 	return cur, nil
 }
 
-// SampleDistribution draws shots samples from an arbitrary distribution.
-// Repeated draws from the same distribution should build a Sampler once.
-func SampleDistribution(probs []float64, shots int, rng *rand.Rand) map[uint64]int {
-	return NewSampler(probs).Sample(shots, rng)
-}
-
-// ExpectationFromDistribution evaluates a diagonal Hamiltonian against an
-// explicit probability distribution.
-func ExpectationFromDistribution(h *pauli.Hamiltonian, probs []float64) (float64, error) {
-	vals, err := h.DiagonalValues()
-	if err != nil {
-		return 0, err
-	}
-	return ExpectationFromDistributionTable(vals, probs)
-}
-
-// ExpectationFromDistributionTable is ExpectationFromDistribution with the
-// Hamiltonian's energy table precomputed, so repeated evaluations skip the
-// O(terms * 2^n) table construction.
+// ExpectationFromDistributionTable evaluates a diagonal Hamiltonian, given as
+// its energy table (table[b] = <b|H|b>), against an explicit probability
+// distribution.
 func ExpectationFromDistributionTable(table []float64, probs []float64) (float64, error) {
 	if len(table) != len(probs) {
 		return 0, fmt.Errorf("qsim: Hamiltonian dimension %d vs distribution %d", len(table), len(probs))
@@ -623,15 +560,4 @@ func ExpectationFromDistributionTable(table []float64, probs []float64) (float64
 		e += p * table[i]
 	}
 	return e, nil
-}
-
-// Purity returns Tr(rho^2): 1 for pure states, 1/2^n for the maximally
-// mixed state — a convenient scalar summary of accumulated noise.
-func (d *DensityMatrix) Purity() float64 {
-	var t float64
-	// Tr(rho^2) = sum_{ij} rho_ij rho_ji = sum_{ij} |rho_ij|^2 (Hermitian).
-	for _, v := range d.rho {
-		t += real(v)*real(v) + imag(v)*imag(v)
-	}
-	return t
 }

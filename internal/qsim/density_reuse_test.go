@@ -104,22 +104,6 @@ func TestRunDensityIntoReuse(t *testing.T) {
 	}
 }
 
-func TestAmplitudeDampReuseStillTracePreserving(t *testing.T) {
-	rng := rand.New(rand.NewSource(81))
-	d, err := RunDensity(allKindsCircuit(3, 15, rng), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := d.AmplitudeDamp(i%3, 0.1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if tr := d.Trace(); !approx(tr, 1, 1e-9) {
-		t.Fatalf("trace %g after repeated damping", tr)
-	}
-}
-
 func TestDensityExpectationDiagonalMatchesPerTerm(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	const n = 4
@@ -131,7 +115,7 @@ func TestDensityExpectationDiagonalMatchesPerTerm(t *testing.T) {
 	h.MustAdd(0.5, pauli.Identity(n))
 	h.MustAdd(-1.25, pauli.ZZ(n, 0, 3))
 	h.MustAdd(0.75, pauli.SingleZ(n, 1))
-	table, err := h.DiagonalTable()
+	table, err := h.DiagonalValues()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,30 +111,6 @@ func TestDepolarize2QDampsZZ(t *testing.T) {
 	}
 }
 
-func TestAmplitudeDamp(t *testing.T) {
-	// Prepare |1> and damp.
-	c := NewCircuit(1).X(0)
-	d, err := RunDensity(c, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gamma := 0.25
-	if err := d.AmplitudeDamp(0, gamma); err != nil {
-		t.Fatal(err)
-	}
-	z, _ := d.ExpectationPauli(pauli.MustString("Z"))
-	want := 2*gamma - 1
-	if !approx(z, want, 1e-9) {
-		t.Fatalf("<Z>=%g want %g", z, want)
-	}
-	if !approx(d.Trace(), 1, 1e-9) {
-		t.Fatalf("trace %g", d.Trace())
-	}
-	if err := d.AmplitudeDamp(0, -0.1); err == nil {
-		t.Fatal("want error for negative gamma")
-	}
-}
-
 func TestNoiseHookRuns(t *testing.T) {
 	c := NewCircuit(2).H(0).CNOT(0, 1)
 	nCalls := 0
@@ -216,7 +192,7 @@ func TestDensityPauliRotMatchesState(t *testing.T) {
 func TestSampleDistribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	probs := []float64{0.25, 0.25, 0.5, 0}
-	counts := SampleDistribution(probs, 40000, rng)
+	counts := NewSampler(probs).Sample(40000, rng)
 	if counts[3] != 0 {
 		t.Fatal("sampled zero-probability outcome")
 	}

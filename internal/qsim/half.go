@@ -117,39 +117,8 @@ func (h *HalfEnergy) Energy(dst *State, params []float64) (float64, error) {
 	if err := h.c.Validate(params); err != nil {
 		return 0, err
 	}
-	dst.runHalf(h.c, params)
+	dst.runGates(h.c, params)
 	return dst.expectationMirrored(h.table), nil
-}
-
-// runHalf is runGates on the stored half of a flip-symmetric circuit's
-// state. prepare needs no change: the opening H layer gives every stored
-// amplitude the full-state value (every stored index lies in its span, so
-// the pass is a pure gather), and a folded phase table is read at the
-// stored indices only.
-func (s *State) runHalf(c *Circuit, params []float64) {
-	gates := c.gates
-	for i := s.prepare(gates, params); i < len(gates); i++ {
-		g := &gates[i]
-		theta := g.resolveAngle(params)
-		if g.Kind == GateDiagonal {
-			s.applyPhaseTable(g.Diag, theta)
-			continue
-		}
-		m := gateMatrix(g.Kind, theta)
-		if q, mh, ok := mixedPartner(gates, i, m, params); ok {
-			s.applyMixedPairMasks(s.flipMask(g.Qubits[0]), s.flipMask(q), mixedOf(m), mixedOf(mh))
-			i++
-			continue
-		}
-		if d := s.flipMask(g.Qubits[0]); d&(d-1) == 0 {
-			s.apply1Q(g.Qubits[0], m)
-		} else if classify(m) == classMixed {
-			// The top qubit's RX pairs b with b ^ low. RX(0) is the only
-			// other case (classPhase, m11 = 1); it touches only the
-			// unstored half, so it is skipped.
-			s.applyMixed1Q(d, len(s.amp)>>1-1, mixedOf(m))
-		}
-	}
 }
 
 // flipMask returns the index mask qubit q flips on the stored half: its

@@ -373,7 +373,7 @@ func TestExpectationDiagonalMatchesPerTerm(t *testing.T) {
 		h.MustAdd(rng.NormFloat64(), pauli.ZZ(n, a, b))
 		h.MustAdd(rng.NormFloat64(), pauli.SingleZ(n, rng.Intn(n)))
 	}
-	table, err := h.DiagonalTable()
+	table, err := h.DiagonalValues()
 	if err != nil {
 		t.Fatal(err)
 	}

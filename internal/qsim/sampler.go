@@ -63,8 +63,8 @@ func (sp *Sampler) Draw(rng *rand.Rand) uint64 {
 	return uint64(idx)
 }
 
-// Expectation estimates <H> for a diagonal Hamiltonian from shots draws —
-// SampledExpectation with the cumulative table amortized across calls.
+// Expectation estimates <H> for a diagonal Hamiltonian from shots draws,
+// reproducing hardware-style shot noise.
 func (sp *Sampler) Expectation(h *pauli.Hamiltonian, shots int, rng *rand.Rand) (float64, error) {
 	if !h.IsDiagonal() {
 		return 0, fmt.Errorf("qsim: sampled expectation requires a diagonal Hamiltonian")

@@ -45,8 +45,8 @@ func (s *State) Amplitudes() []complex128 { return s.amp }
 // overhead, run serially). Sharded execution is bit-identical to serial for
 // every worker count: each amplitude is produced by exactly one shard with
 // exactly the operations the serial loop would perform, and reductions
-// (Norm, expectations, Fidelity) always run serially so floating-point sums
-// keep a fixed order. Returns s for chaining.
+// (Norm, expectations) always run serially so floating-point sums keep a
+// fixed order. Returns s for chaining.
 func (s *State) SetWorkers(w int) *State {
 	s.workers = w
 	return s
@@ -242,12 +242,6 @@ func (s *State) mixedPairRangeGo(klo, khi, lm, hm, da, db int, ma, mb mixedMatri
 		amp[i0], amp[i2] = mb.apply(x0, x2)
 		amp[i1], amp[i3] = mb.apply(x1, x3)
 	}
-}
-
-// applyMixedPair runs mixedPairRange over all 2^n/4 groups of the distinct
-// qubits a and b.
-func (s *State) applyMixedPair(a, b int, ma, mb mixedMatrix) {
-	s.applyMixedPairMasks(1<<uint(a), 1<<uint(b), ma, mb)
 }
 
 // applyMixedPairMasks runs mixedPairRange over all len(amp)/4 groups
@@ -650,6 +644,14 @@ func (s *State) ApplyGate(g Gate, params []float64) error {
 // right after it); of the rest, two consecutive mixed-class gates (RX, Y) on
 // distinct qubits share one paired pass, and every other gate takes its own
 // kernel.
+//
+// The same loop runs a flip-symmetric circuit on its stored half (see
+// half.go), where s has one qubit fewer than the circuit. prepare needs no
+// change there: the opening H layer gives every stored amplitude the
+// full-state value (every stored index lies in its span, so the pass is a
+// pure gather), and a phase table is read at the stored indices only.
+// One-qubit gates pair through flipMask, which is the qubit's bit on a full
+// state; only the top qubit's lone RX on a half state needs its own case.
 func (s *State) runGates(c *Circuit, params []float64) {
 	gates := c.gates
 	for i := s.prepare(gates, params); i < len(gates); i++ {
@@ -661,11 +663,18 @@ func (s *State) runGates(c *Circuit, params []float64) {
 		}
 		m := gateMatrix(g.Kind, theta)
 		if q, mh, ok := mixedPartner(gates, i, m, params); ok {
-			s.applyMixedPair(g.Qubits[0], q, mixedOf(m), mixedOf(mh))
+			s.applyMixedPairMasks(s.flipMask(g.Qubits[0]), s.flipMask(q), mixedOf(m), mixedOf(mh))
 			i++
 			continue
 		}
-		s.apply1Q(g.Qubits[0], m)
+		if d := s.flipMask(g.Qubits[0]); d&(d-1) == 0 {
+			s.apply1Q(g.Qubits[0], m)
+		} else if classify(m) == classMixed {
+			// The top qubit's RX pairs b with b ^ low. RX(0) is the only
+			// other case (classPhase, m11 = 1); it touches only the
+			// unstored half, so it is skipped.
+			s.applyMixed1Q(d, len(s.amp)>>1-1, mixedOf(m))
+		}
 	}
 }
 
@@ -900,7 +909,7 @@ func (s *State) Expectation(h *pauli.Hamiltonian) (float64, error) {
 
 // ExpectationDiagonal computes <psi|H|psi> for a diagonal Hamiltonian from
 // its precomputed energy table (table[b] = <b|H|b>, see
-// pauli.Hamiltonian.DiagonalTable): a single fused |amp|^2 * E pass,
+// pauli.Hamiltonian.DiagonalValues): a single fused |amp|^2 * E pass,
 // independent of the term count. The sum runs serially in a fixed order,
 // so the value is reproducible for every worker setting: with term(b) =
 // |amp[b]|^2 * table[b] and full = 2^n-1, each k in [0, 2^(n-1)) ascending
@@ -945,38 +954,4 @@ func energyTerm(a complex128, e float64) float64 {
 // Sampler once instead — Sample rebuilds the cumulative table every call.
 func (s *State) Sample(shots int, rng *rand.Rand) map[uint64]int {
 	return s.Sampler().Sample(shots, rng)
-}
-
-// SampledExpectation estimates <H> for a diagonal Hamiltonian from a finite
-// number of measurement shots, reproducing hardware-style shot noise.
-func (s *State) SampledExpectation(h *pauli.Hamiltonian, shots int, rng *rand.Rand) (float64, error) {
-	if !h.IsDiagonal() {
-		return 0, fmt.Errorf("qsim: sampled expectation requires a diagonal Hamiltonian")
-	}
-	if shots <= 0 {
-		return 0, fmt.Errorf("qsim: shots must be positive, got %d", shots)
-	}
-	counts := s.Sample(shots, rng)
-	var total float64
-	for b, c := range counts {
-		v, err := h.EvalBitstring(b)
-		if err != nil {
-			return 0, err
-		}
-		total += v * float64(c)
-	}
-	return total / float64(shots), nil
-}
-
-// Fidelity returns |<a|b>|^2, the state overlap used to compare noisy
-// against ideal evolutions.
-func Fidelity(a, b *State) (float64, error) {
-	if a.n != b.n {
-		return 0, fmt.Errorf("qsim: fidelity of %d- and %d-qubit states", a.n, b.n)
-	}
-	var ip complex128
-	for i := range a.amp {
-		ip += complexConj(a.amp[i]) * b.amp[i]
-	}
-	return real(ip)*real(ip) + imag(ip)*imag(ip), nil
 }

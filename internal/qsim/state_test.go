@@ -261,7 +261,11 @@ func TestExpectationDiagonalAgainstDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaDist, err := ExpectationFromDistribution(h, s.Probabilities())
+	table, err := h.DiagonalValues()
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaDist, err := ExpectationFromDistributionTable(table, s.Probabilities())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,32 +293,6 @@ func TestSampleStatistics(t *testing.T) {
 	f00 := float64(counts[0]) / float64(shots)
 	if math.Abs(f00-0.5) > 0.02 {
 		t.Fatalf("frequency of 00 = %g", f00)
-	}
-}
-
-func TestSampledExpectationConverges(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	n := 3
-	c := randomCircuit(n, 15, rng)
-	s, _ := Run(c, nil)
-	h := pauli.NewHamiltonian(n)
-	h.MustAdd(1, pauli.ZZ(n, 0, 1))
-	h.MustAdd(-0.5, pauli.SingleZ(n, 2))
-	exact, _ := s.Expectation(h)
-	est, err := s.SampledExpectation(h, 100000, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(est-exact) > 0.03 {
-		t.Fatalf("sampled %g exact %g", est, exact)
-	}
-	if _, err := s.SampledExpectation(h, 0, rng); err == nil {
-		t.Fatal("want error for zero shots")
-	}
-	hx := pauli.NewHamiltonian(n)
-	hx.MustAdd(1, pauli.MustString("XII"))
-	if _, err := s.SampledExpectation(hx, 10, rng); err == nil {
-		t.Fatal("want error for off-diagonal Hamiltonian")
 	}
 }
 
@@ -382,49 +360,5 @@ func TestExpectationDimensionMismatch(t *testing.T) {
 	h.MustAdd(1, pauli.Identity(3))
 	if _, err := s.Expectation(h); err == nil {
 		t.Fatal("want error for Hamiltonian mismatch")
-	}
-}
-
-func TestFidelity(t *testing.T) {
-	c := NewCircuit(2).H(0).CNOT(0, 1)
-	s1, _ := Run(c, nil)
-	s2, _ := Run(c, nil)
-	f, err := Fidelity(s1, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(f, 1, 1e-12) {
-		t.Fatalf("self fidelity %g", f)
-	}
-	// Orthogonal states.
-	z := NewState(2)
-	x := NewState(2)
-	x.apply1Q(0, gateMatrix(GateX, 0))
-	f, _ = Fidelity(z, x)
-	if !approx(f, 0, 1e-12) {
-		t.Fatalf("orthogonal fidelity %g", f)
-	}
-	if _, err := Fidelity(NewState(1), NewState(2)); err == nil {
-		t.Fatal("want dimension error")
-	}
-}
-
-func TestPurity(t *testing.T) {
-	d := NewDensityMatrix(2)
-	if !approx(d.Purity(), 1, 1e-12) {
-		t.Fatalf("pure state purity %g", d.Purity())
-	}
-	// Strong depolarizing pushes purity down.
-	if err := d.Depolarize1Q(0, 0.75); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Depolarize1Q(1, 0.75); err != nil {
-		t.Fatal(err)
-	}
-	if d.Purity() >= 0.5 {
-		t.Fatalf("mixed purity %g should drop below 0.5", d.Purity())
-	}
-	if d.Purity() < 0.25-1e-9 {
-		t.Fatalf("purity %g below the 2-qubit floor", d.Purity())
 	}
 }
