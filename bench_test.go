@@ -670,9 +670,9 @@ func BenchmarkStateVectorBatch(b *testing.B) {
 // BenchmarkReconstructParallel compares the serial solver against the
 // sharded solver on the paper's 50x100 Table 1 grid. The samples are
 // measured once outside the timed region, so each sub-benchmark times the
-// reconstruction phase alone — the phase this PR shards. workers-0 resolves
-// to GOMAXPROCS; on a multi-core runner it should beat workers-1
-// measurably, and every variant produces bit-identical output.
+// reconstruction phase alone. workers-0 resolves to GOMAXPROCS. The grid's
+// 5000 points fall under the DCT plan's small-grid serial rule, so every
+// variant runs the same serial solve and produces bit-identical output.
 func BenchmarkReconstructParallel(b *testing.B) {
 	rng := rand.New(rand.NewSource(41))
 	p, err := problem.Random3RegularMaxCut(16, rng)

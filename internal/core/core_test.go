@@ -107,7 +107,7 @@ func TestReconstructValidation(t *testing.T) {
 // TestReconstructWorkersBitIdentical: the Workers option shards the solver
 // without changing a single bit of the reconstruction.
 func TestReconstructWorkersBitIdentical(t *testing.T) {
-	grid := qaoaGrid(t, 64, 70) // above the solver's 4096-point serial floor
+	grid := qaoaGrid(t, 64, 160) // above the solver's 10000-point serial floor
 	eval := qaoaEval(t, 12, 33, noise.Ideal())
 	serial := Options{SamplingFraction: 0.06, Seed: 9, Workers: 1}
 	serial.Solver = cs.DefaultOptions()

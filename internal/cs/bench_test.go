@@ -81,35 +81,43 @@ func BenchmarkPartialDCT(b *testing.B) {
 	}
 }
 
-// BenchmarkSolve times whole solves at one worker and reports the work they
-// run: transforms/op (operator applications, Result.Transforms) and
-// restarts/op. golden2d is TestReconstruct2DGolden's cold 50x100 solve.
-// warm-chain-8^4 is fleet-p2's solve chain: an n=10 p=2 MaxCut QAOA
-// landscape on the 8^4 grid, 819 stratified samples listed in shuffled
-// order (standing in for batch completion order), solved at 50, 75 and 100%
-// of them, each solve warm-started from the one before.
+// BenchmarkSolve times whole solves and reports the work they run:
+// transforms/op (operator applications, Result.Transforms) and restarts/op.
+// golden2d is TestReconstruct2DGolden's cold 50x100 solve at one worker, and
+// golden2d-default-workers the same solve at the default worker count
+// (Workers: 0, GOMAXPROCS, so a -cpu sweep sets it; the plan's small-grid
+// rule may still run it serially). warm-chain-8^4 is fleet-p2's solve chain
+// at one worker: an n=10 p=2 MaxCut QAOA landscape on the 8^4 grid, 819
+// stratified samples listed in shuffled order (standing in for batch
+// completion order), solved at 50, 75 and 100% of them, each solve
+// warm-started from the one before.
 func BenchmarkSolve(b *testing.B) {
-	b.Run("golden2d", func(b *testing.B) {
-		dims, idx, y, _, _ := goldenCase(b, true)
-		benchChain(b, dims, idx, y, []float64{1})
-	})
+	for _, c := range []struct {
+		name    string
+		workers int
+	}{{"golden2d", 1}, {"golden2d-default-workers", 0}} {
+		b.Run(c.name, func(b *testing.B) {
+			dims, idx, y, _, _ := goldenCase(b, true)
+			benchChain(b, dims, idx, y, []float64{1}, c.workers)
+		})
+	}
 	b.Run("warm-chain-8^4", func(b *testing.B) {
 		dims, idx, y := qaoaP2Samples(b)
-		benchChain(b, dims, idx, y, []float64{0.5, 0.75, 1})
+		benchChain(b, dims, idx, y, []float64{0.5, 0.75, 1}, 1)
 	})
 }
 
 // benchChain solves on the leading fraction of the samples for each of
-// fracs in turn, each solve warm-started from the one before, and reports
-// the chain's transforms and restarts.
-func benchChain(b *testing.B, dims, idx []int, y, fracs []float64) {
+// fracs in turn at the given worker count, each solve warm-started from the
+// one before, and reports the chain's transforms and restarts.
+func benchChain(b *testing.B, dims, idx []int, y, fracs []float64, workers int) {
 	var transforms, restarts int
 	for i := 0; i < b.N; i++ {
 		transforms, restarts = 0, 0
 		var warm []float64
 		for _, frac := range fracs {
 			m := int(frac * float64(len(idx)))
-			res, err := ReconstructND(dims, idx[:m], y[:m], Options{Workers: 1, Warm: warm})
+			res, err := ReconstructND(dims, idx[:m], y[:m], Options{Workers: workers, Warm: warm})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -101,7 +101,7 @@ type Options struct {
 	// per-element FISTA kernels — across a worker pool: any non-positive
 	// value selects GOMAXPROCS, 1 forces the serial solver, and n > 1
 	// uses n workers (dct.NewPlanNDWorkers owns this resolution). Grids
-	// smaller than 4096 points always solve serially. Sharding is
+	// smaller than 10000 points always solve serially. Sharding is
 	// bit-identical to the serial solver for every worker count.
 	Workers int
 }

@@ -379,7 +379,7 @@ func TestStratifiedIndicesDeterministic(t *testing.T) {
 // on a grid large enough to defeat the serial fallback.
 func TestReconstructParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	rows, cols := 64, 70 // 4480 points: above the 4096 serial-fallback floor
+	rows, cols := 64, 160 // 10240 points: above the 10000-point serial floor
 	x, _ := sparseLandscape(rng, rows, cols, 6)
 	idx, err := SampleIndices(rng, rows*cols, 500)
 	if err != nil {

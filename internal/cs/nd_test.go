@@ -236,7 +236,7 @@ func TestReconstructNDExactSparse(t *testing.T) {
 // serial one bit for bit at every worker count.
 func TestReconstructNDWorkersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	dims := []int{9, 11, 8, 10} // 7920 points, above the serial floor
+	dims := []int{9, 11, 8, 13} // 10296 points, above the serial floor
 	x := sparseND(rng, dims, 5)
 	idx, err := SampleIndices(rng, len(x), len(x)/4)
 	if err != nil {

@@ -27,6 +27,26 @@ package dct
 //
 // The sample-pruned kernels rely on it too: a scattered sample grid is zero
 // off the samples.
+//
+// The kernels, by axis and path:
+//
+//   - matVec: a contiguous line of a full pass; matVec8 (through vec8) on
+//     8-point axes;
+//   - matCols: a column block of a strided pass; matCols8 (through cols8)
+//     on 8-point axes;
+//   - matVecNZ: a contiguous line from its nonzero terms (sparseLine), and
+//     a line of Sampled.Forward's pruned first pass;
+//   - acc8 and the loop of Sampled.prunedDots: Sampled.Inverse's pruned
+//     last pass.
+//
+// On amd64 three of them are assembly: cols8 and vec8 in SSE2 (dense_amd64.s,
+// every amd64 CPU), and matCols and matVecNZ in AVX-512 or AVX, picked once
+// from the CPU (kernel), on lines of 8 points or more for matCols and 16 or
+// more for matVecNZ. Those two vectorise across outputs: each lane sums one
+// output from +0 in ascending term order, one VMULPD and one VADDPD per
+// term and no FMA, the IEEE operations of the Go loops matColsGo and
+// matVecNZGo, so every output is bit for bit theirs. Every other CPU and
+// architecture runs the Go loops.
 
 // denseCols caps the columns a strided-axis unit covers, so a worker's
 // scratch is n×denseCols floats whatever the grid size.
@@ -63,17 +83,17 @@ func matVec(dst, m, x []float64) {
 	}
 }
 
-// matVecNZ is matVec for an input held as its terms: positions pos
+// matVecNZGo is matVec for an input held as its terms: positions pos
 // (ascending) and values val. mT is m's transpose, so each term is an axpy of
 // the contiguous row mT[pos[t]*n:] into dst, and dst[o] sums
 // m[o*n+pos[t]]*val[t] for t ascending from zero. Positions left out are
 // terms whose input is zero, so the result matches matVec bit for bit.
-func matVecNZ(dst, mT []float64, pos []int, val []float64) {
+func matVecNZGo(dst, mT []float64, pos []int, val []float64) {
 	n := len(dst)
 	clear(dst)
 	t := 0
 	// Four terms per statement round exactly like four single-term passes
-	// (see matCols).
+	// (see matColsGo).
 	for ; t+4 <= len(pos); t += 4 {
 		a0, a1, a2, a3 := val[t], val[t+1], val[t+2], val[t+3]
 		r0 := mT[pos[t]*n : pos[t]*n+n][:len(dst)]
@@ -92,11 +112,11 @@ func matVecNZ(dst, mT []float64, pos []int, val []float64) {
 	}
 }
 
-// matCols applies the n×n matrix m in place to columns [c0, c1) of the n
+// matColsGo applies the n×n matrix m in place to columns [c0, c1) of the n
 // rows x[i*stride : i*stride+stride], i = 0..n-1: every column is one line of
 // a strided axis. tmp (at least n*(c1-c0) long) receives a copy of the input
 // columns; each output row is then an axpy over contiguous memory.
-func matCols(x, m, tmp []float64, n, stride, c0, c1 int) {
+func matColsGo(x, m, tmp []float64, n, stride, c0, c1 int) {
 	w := c1 - c0
 	for i := 0; i < n; i++ {
 		copy(tmp[i*w:(i+1)*w], x[i*stride+c0:i*stride+c1])

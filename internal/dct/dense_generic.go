@@ -12,3 +12,9 @@ func vec8(dst, m, _, x []float64) {
 		matVec8(dst[l:l+8], m, x[l:l+8])
 	}
 }
+
+// matCols is matColsGo.
+func matCols(x, m, tmp []float64, n, stride, c0, c1 int) { matColsGo(x, m, tmp, n, stride, c0, c1) }
+
+// matVecNZ is matVecNZGo.
+func matVecNZ(dst, mT []float64, pos []int, val []float64) { matVecNZGo(dst, mT, pos, val) }

@@ -82,8 +82,12 @@ func (a *ndAxis) chunks() int { return (a.stride + denseCols - 1) / denseCols }
 
 // serialMinSize is the grid size below which parallel plans fall back to a
 // single worker: per-transform work is so small there that goroutine fan-out
-// costs more than it saves.
-const serialMinSize = 4096
+// costs more than it saves. Set from the solver's sample-pruned operator
+// (forward plus adjoint, 10% samples, a 0.5%-dense iterate) at 1 and 2
+// workers on a 2-CPU AVX-512 host, with the vector kernels of dense.go:
+// one worker wins by 20-40% on 50x100 (sv-cold's grid) and 96x90, the two
+// tie on 100x100 and 10x10x12x12, and two win by 20-30% on 128x130.
+const serialMinSize = 10000
 
 // NewPlanND creates a serial N-dimensional DCT plan for row-major data of the
 // given per-axis lengths (last axis fastest).
@@ -91,8 +95,9 @@ func NewPlanND(dims []int) *PlanND { return NewPlanNDWorkers(dims, 1) }
 
 // NewPlanNDWorkers creates an N-dimensional DCT plan that shards each axis
 // pass across up to workers goroutines (0 = GOMAXPROCS). Small grids (fewer
-// than 4096 points) fall back to a serial plan regardless of workers; the
-// result is bit-identical to NewPlanND's in every case.
+// than serialMinSize = 10000 points, 50x100 among them) fall back to a serial
+// plan regardless of workers; the result is bit-identical to NewPlanND's in
+// every case.
 func NewPlanNDWorkers(dims []int, workers int) *PlanND {
 	return newPlanND(dims, workers, useDense)
 }

@@ -99,7 +99,7 @@ func ndShapes() [][]int {
 // column blocks per strided pass), plus degenerate single-line grids above
 // the serial floor on the radix-2 FFT path.
 func shapes2D() [][]int {
-	return [][]int{{50, 100}, {70, 90}, {144, 225}, {1, 8192}, {4096, 1}}
+	return [][]int{{50, 100}, {70, 90}, {144, 225}, {1, 16384}, {16384, 1}}
 }
 
 func randND(rng *rand.Rand, dims []int) []float64 {
@@ -232,11 +232,11 @@ func TestPlan2DIsometry(t *testing.T) {
 }
 
 func TestPlanNDParallelBitIdentical(t *testing.T) {
-	checkParallelBitIdentical(t, rand.New(rand.NewSource(44)), append([][]int{{24, 16, 20}, {64, 8, 8}, {8, 8, 8, 8}}, denseStraddle()...))
+	checkParallelBitIdentical(t, rand.New(rand.NewSource(44)), append([][]int{{24, 16, 30}, {64, 8, 8, 3}, {8, 8, 8, 8, 3}}, denseStraddle()...))
 }
 
 func TestPlan2DParallelBitIdentical(t *testing.T) {
-	checkParallelBitIdentical(t, rand.New(rand.NewSource(21)), append([][]int{{64, 64}, {3, 5}}, shapes2D()...))
+	checkParallelBitIdentical(t, rand.New(rand.NewSource(21)), append([][]int{{100, 120}, {3, 5}}, shapes2D()...))
 }
 
 // TestPlan2DDegenerateAxisMatches1D: a 1xN (or Nx1) plan must equal the 1-D
@@ -269,7 +269,8 @@ func TestPlan2DDegenerateAxisMatches1D(t *testing.T) {
 	}
 }
 
-// TestPlan2DSerialFallback pins the small-grid rule: under 4096 points a
+// TestPlan2DSerialFallback pins the small-grid rule: under serialMinSize
+// (10000) points, sv-cold's 50x100 grid and fleet-p2's 8^4 among them, a
 // parallel plan degrades to one worker.
 func TestPlan2DSerialFallback(t *testing.T) {
 	cases := []struct {
@@ -278,9 +279,11 @@ func TestPlan2DSerialFallback(t *testing.T) {
 		want    int
 	}{
 		{[]int{10, 10}, 8, 1},
-		{[]int{63, 65}, 8, 1}, // 4095 points
-		{[]int{64, 64}, 8, 8},
-		{[]int{8, 8, 8, 8}, 8, 8},
+		{[]int{50, 100}, 8, 1},
+		{[]int{8, 8, 8, 8}, 8, 1},
+		{[]int{99, 101}, 8, 1}, // 9999 points
+		{[]int{100, 100}, 8, 8},
+		{[]int{10, 10, 12, 12}, 8, 8},
 	}
 	for _, c := range cases {
 		if w := NewPlanNDWorkers(c.dims, c.workers).Workers(); w != c.want {
@@ -288,10 +291,10 @@ func TestPlan2DSerialFallback(t *testing.T) {
 		}
 	}
 	// Worker count never exceeds the busiest pass's line count.
-	if w := NewPlanNDWorkers([]int{2, 4096}, 16384).Workers(); w > 4096 {
-		t.Errorf("2x4096 plan reports %d workers, want <= 4096", w)
+	if w := NewPlanNDWorkers([]int{2, 8192}, 32768).Workers(); w > 8192 {
+		t.Errorf("2x8192 plan reports %d workers, want <= 8192", w)
 	}
-	if NewPlanNDWorkers([]int{64, 64}, 0).Workers() < 1 {
+	if NewPlanNDWorkers([]int{100, 100}, 0).Workers() < 1 {
 		t.Error("workers=0 must resolve to at least one worker")
 	}
 }
@@ -301,12 +304,12 @@ func TestPlan2DSerialFallback(t *testing.T) {
 // race detector.
 func TestPlan2DParallelReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	p := NewPlanNDWorkers([]int{50, 100}, 4)
-	x := randVec(rng, 5000)
-	first := make([]float64, 5000)
+	p := NewPlanNDWorkers([]int{100, 120}, 4)
+	x := randVec(rng, 12000)
+	first := make([]float64, 12000)
 	p.Forward(first, x)
 	for trial := 0; trial < 10; trial++ {
-		got := make([]float64, 5000)
+		got := make([]float64, 12000)
 		p.Forward(got, x)
 		for i := range got {
 			if got[i] != first[i] {

@@ -10,9 +10,11 @@ import (
 
 // sampledShapes mix dense and FFT-path axes, long (zero-skipping) and short
 // dense axes, contiguous and strided, and degenerate axes in leading, middle
-// and trailing position.
+// and trailing position. The last two hold more than serialMinSize points,
+// so their plans shard.
 func sampledShapes() [][]int {
-	return [][]int{{5000}, {50, 100}, {8, 8, 8, 8}, {1, 5000}, {50, 1, 100}, {3, 64, 40}, {500, 7}, {300}, {20, 30, 1}}
+	return [][]int{{5000}, {50, 100}, {8, 8, 8, 8}, {1, 5000}, {50, 1, 100}, {3, 64, 40}, {500, 7}, {300}, {20, 30, 1},
+		{100, 120}, {8, 8, 8, 8, 3}}
 }
 
 // sampledInputs returns the inputs the differential test feeds a length-n

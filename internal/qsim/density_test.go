@@ -189,19 +189,6 @@ func TestDensityPauliRotMatchesState(t *testing.T) {
 	}
 }
 
-func TestSampleDistribution(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	probs := []float64{0.25, 0.25, 0.5, 0}
-	counts := NewSampler(probs).Sample(40000, rng)
-	if counts[3] != 0 {
-		t.Fatal("sampled zero-probability outcome")
-	}
-	f2 := float64(counts[2]) / 40000
-	if math.Abs(f2-0.5) > 0.02 {
-		t.Fatalf("frequency %g want 0.5", f2)
-	}
-}
-
 func TestDensityClone(t *testing.T) {
 	d := NewDensityMatrix(2)
 	c := d.Clone()

@@ -402,48 +402,6 @@ func TestExpectationDiagonalMatchesPerTerm(t *testing.T) {
 	}
 }
 
-// TestSamplerMatchesSample pins the amortized Sampler to State.Sample: same
-// rng stream, same draws.
-func TestSamplerMatchesSample(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	s, err := Run(allKindsCircuit(4, 30, rng), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const shots = 4000
-	direct := s.Sample(shots, rand.New(rand.NewSource(9)))
-	sp := s.Sampler()
-	amortized := sp.Sample(shots, rand.New(rand.NewSource(9)))
-	if len(direct) != len(amortized) {
-		t.Fatalf("outcome sets differ: %d vs %d", len(direct), len(amortized))
-	}
-	for b, c := range direct {
-		if amortized[b] != c {
-			t.Fatalf("counts[%d] = %d vs %d", b, amortized[b], c)
-		}
-	}
-	// Repeated draws reuse the table and stay consistent with the state.
-	h := pauli.NewHamiltonian(4)
-	h.MustAdd(1, pauli.ZZ(4, 0, 2))
-	h.MustAdd(-0.5, pauli.SingleZ(4, 1))
-	exact, _ := s.Expectation(h)
-	est, err := sp.Expectation(h, 200000, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(est-exact) > 0.05 {
-		t.Fatalf("sampler expectation %g, exact %g", est, exact)
-	}
-	if _, err := sp.Expectation(h, 0, rng); err == nil {
-		t.Fatal("want shots error")
-	}
-	hx := pauli.NewHamiltonian(4)
-	hx.MustAdd(1, pauli.MustString("XIII"))
-	if _, err := sp.Expectation(hx, 10, rng); err == nil {
-		t.Fatal("want off-diagonal error")
-	}
-}
-
 // --- fused diagonal phase-table pins ---
 
 // refApplyPhaseTable is the reference phase-table sweep: one Sincos per

@@ -1,6 +1,10 @@
 package qsim
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/cpuid"
+)
 
 // mixedPairAVX is mixedPairRangeGo in AVX assembly (mixer_amd64.s). It
 // enumerates the same groups with the same base2 index math and runs two
@@ -34,19 +38,12 @@ func mixedPairAVX(amp []complex128, klo, khi, lm, hm, da, db int, ma, mb mixedMa
 //go:noescape
 func mixedPairAVX512(amp []complex128, klo, khi, lm, hm, da, db int, ma, mb mixedMatrix)
 
-// hasAVX reports whether the CPU runs AVX and the OS saves YMM state.
-func hasAVX() bool
-
-// hasAVX512 reports whether the CPU runs AVX and AVX-512F and the OS saves
-// YMM, opmask and ZMM state.
-func hasAVX512() bool
-
 // cpuMixer picks the widest mixer kernel the CPU runs.
 func cpuMixer() mixerKernel {
 	switch {
-	case hasAVX512():
+	case cpuid.AVX512():
 		return mixerAVX512
-	case hasAVX():
+	case cpuid.AVX():
 		return mixerAVX
 	}
 	return mixerGo

@@ -8,13 +8,15 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/cpuid"
 )
 
 // requireAVX skips the test on a CPU without AVX, where no assembly
 // kernel runs and mixedPairRange is the portable loop.
 func requireAVX(t *testing.T) {
 	t.Helper()
-	if !hasAVX() {
+	if !cpuid.AVX() {
 		t.Skip("CPU without AVX: the mixer runs the portable loop")
 	}
 }
@@ -23,10 +25,10 @@ func requireAVX(t *testing.T) {
 func mixerKernels(t *testing.T) []mixerKernel {
 	t.Helper()
 	kernels := []mixerKernel{mixerGo}
-	if hasAVX() {
+	if cpuid.AVX() {
 		kernels = append(kernels, mixerAVX)
 	}
-	if hasAVX512() {
+	if cpuid.AVX512() {
 		kernels = append(kernels, mixerAVX512)
 	} else {
 		t.Log("CPU without AVX-512: the AVX-512 kernel is not checked")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 
 	"repro/internal/pauli"
 	"repro/internal/shard"
@@ -947,11 +946,4 @@ func (s *State) ExpectationDiagonal(table []float64) (float64, error) {
 // |a|^2 * e.
 func energyTerm(a complex128, e float64) float64 {
 	return (real(a)*real(a) + imag(a)*imag(a)) * e
-}
-
-// Sample draws shots basis-state measurements and returns the observed
-// bitstring counts. Repeated draws from the same state should build a
-// Sampler once instead — Sample rebuilds the cumulative table every call.
-func (s *State) Sample(shots int, rng *rand.Rand) map[uint64]int {
-	return s.Sampler().Sample(shots, rng)
 }

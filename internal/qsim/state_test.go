@@ -274,28 +274,6 @@ func TestExpectationDiagonalAgainstDistribution(t *testing.T) {
 	}
 }
 
-func TestSampleStatistics(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	c := NewCircuit(2).H(0).CNOT(0, 1)
-	s, _ := Run(c, nil)
-	shots := 20000
-	counts := s.Sample(shots, rng)
-	total := 0
-	for _, v := range counts {
-		total += v
-	}
-	if total != shots {
-		t.Fatalf("counts sum %d want %d", total, shots)
-	}
-	if counts[1] != 0 || counts[2] != 0 {
-		t.Fatalf("impossible outcomes sampled: %v", counts)
-	}
-	f00 := float64(counts[0]) / float64(shots)
-	if math.Abs(f00-0.5) > 0.02 {
-		t.Fatalf("frequency of 00 = %g", f00)
-	}
-}
-
 func TestCloneAndReset(t *testing.T) {
 	c := NewCircuit(2).H(0).CNOT(0, 1)
 	s, _ := Run(c, nil)
