@@ -42,6 +42,8 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/dct"
+	"repro/internal/qsim"
 	"repro/internal/service"
 )
 
@@ -71,6 +73,10 @@ func main() {
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 	slog.SetDefault(logger)
+	// The vector kernels are picked once from CPUID; an AVX-only or
+	// pre-AVX host runs the simulator and the dense DCT axes markedly
+	// slower, and this line says which it got.
+	logger.Info("vector kernels", "qsim", qsim.KernelName(), "dct", dct.KernelName())
 
 	srv := service.New(service.Config{
 		MaxConcurrent:  *jobs,

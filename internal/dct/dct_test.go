@@ -244,3 +244,14 @@ func BenchmarkDCTDirect1024(b *testing.B) {
 		ForwardDirect(x)
 	}
 }
+
+// TestKernelName checks that KernelName, which oscard logs at start-up,
+// names one of the dense-axis kernels.
+func TestKernelName(t *testing.T) {
+	switch name := KernelName(); name {
+	case "AVX-512", "AVX", "portable Go loop":
+		t.Logf("dense-axis kernels: %s", name)
+	default:
+		t.Fatalf("KernelName() = %q, not a dense-axis kernel", name)
+	}
+}

@@ -134,6 +134,12 @@ func cpuDense() denseKernel {
 // once, from the CPU; tests set it to run the other kernels.
 var kernel = cpuDense()
 
+// KernelName names the kernels the dense axes of 8 or more points (matCols
+// and matVecNZ) run on this CPU: "AVX-512", "AVX" or "portable Go loop".
+// The choice is made once, at start-up; the 8-point kernels are SSE2 on
+// every amd64 CPU.
+func KernelName() string { return kernel.String() }
+
 // matCols runs matColsGo with the kernel that kernel selects. The assembly
 // needs 8 rows (and colsAVX 4 columns); smaller blocks run the Go loop. One
 // check per call covers every element the assembly touches.

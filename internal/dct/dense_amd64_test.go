@@ -216,6 +216,9 @@ func TestDenseKernelSelected(t *testing.T) {
 	if kernel != cpuDense() {
 		t.Fatalf("kernel = %v, but the CPU check picks %v", kernel, cpuDense())
 	}
+	if KernelName() != kernel.String() {
+		t.Fatalf("KernelName() = %q, but the dense axes run the %v kernel", KernelName(), kernel)
+	}
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
 		t.Skipf("no /proc/cpuinfo to check the choice against: %v", err)

@@ -18,3 +18,6 @@ func matCols(x, m, tmp []float64, n, stride, c0, c1 int) { matColsGo(x, m, tmp, 
 
 // matVecNZ is matVecNZGo.
 func matVecNZ(dst, mT []float64, pos []int, val []float64) { matVecNZGo(dst, mT, pos, val) }
+
+// KernelName names the kernels the dense axes run: the Go loops.
+func KernelName() string { return "portable Go loop" }

@@ -55,32 +55,65 @@ func (t *PhaseTable) Values() []float64 { return t.vals }
 // built once and shared by every worker and evaluator using the table.
 func (t *PhaseTable) compressed() ([]uint32, []float64, bool) {
 	t.once.Do(func() {
-		limit := len(t.vals) / phaseLUTFactor
-		if limit < 1 {
-			return
+		if limit := len(t.vals) / phaseLUTFactor; limit >= 1 {
+			t.idx, t.unique = compressValues(t.vals, limit)
 		}
-		seen := make(map[uint64]uint32, limit+1)
-		idx := make([]uint32, len(t.vals))
-		unique := make([]float64, 0, limit)
-		for b, v := range t.vals {
-			key := math.Float64bits(v)
-			k, ok := seen[key]
-			if !ok {
-				if len(unique) >= limit {
-					return // too many distinct values: direct path
-				}
-				k = uint32(len(unique))
-				seen[key] = k
-				unique = append(unique, v)
-			}
-			idx[b] = k
-		}
-		t.idx, t.unique = idx, unique
 	})
 	if t.idx == nil {
 		return nil, nil, false
 	}
 	return t.idx, t.unique, true
+}
+
+// compressValues returns vals' value compression: unique holds each
+// distinct bit pattern of vals (so +0 and −0, and NaNs with different
+// payloads, are distinct) in order of first occurrence, and vals[b] is
+// unique[idx[b]]. It returns nil, nil once more than limit patterns turn
+// up. The patterns are found through an open-addressed table (see probe)
+// that doubles whenever it is a quarter full, so it stays as small as the
+// distinct values (a few dozen for a cost spectrum, against a limit of
+// 8192 at n=16) and cache-resident.
+func compressValues(vals []float64, limit int) ([]uint32, []float64) {
+	idx := make([]uint32, len(vals))
+	var unique []float64
+	slots, keys, shift := make([]uint32, 256), make([]uint64, 256), uint(64-8)
+	for b, v := range vals {
+		key := math.Float64bits(v)
+		i := probe(slots, keys, key, shift)
+		if slots[i] != 0 {
+			idx[b] = slots[i] - 1
+			continue
+		}
+		if len(unique) >= limit {
+			return nil, nil // too many distinct values: direct path
+		}
+		idx[b] = uint32(len(unique))
+		unique = append(unique, v)
+		slots[i], keys[i] = uint32(len(unique)), key
+		if 4*len(unique) > len(slots) {
+			slots, keys, shift = make([]uint32, 2*len(slots)), make([]uint64, 2*len(keys)), shift-1
+			for u, w := range unique {
+				key := math.Float64bits(w)
+				j := probe(slots, keys, key, shift)
+				slots[j], keys[j] = uint32(u+1), key
+			}
+		}
+	}
+	return idx, unique
+}
+
+// probe returns the slot of key in the open-addressed table of
+// len(slots) = 2^(64-shift) entries: where it is, or the empty slot where
+// it belongs. slots[i] is 0 for an empty slot and 1 + an index into unique
+// otherwise, keys[i] the bits stored there; the probe starts from a
+// multiplicative hash of key and runs linearly.
+func probe(slots []uint32, keys []uint64, key uint64, shift uint) int {
+	mask := len(slots) - 1
+	i := int(key * 0x9E3779B97F4A7C15 >> shift)
+	for slots[i] != 0 && keys[i] != key {
+		i = (i + 1) & mask
+	}
+	return i
 }
 
 // buildPhaseLUT fills dst[k] = exp(-i * theta * unique[k]). Both the LUT and

@@ -138,11 +138,20 @@ func (s *State) flipMask(q int) int {
 // therefore reads only the stored half and the table's first half, and
 // adds x + x with x = term(k) into accumulator k mod 4: exactly
 // ExpectationDiagonal's additions. The stored half has at least 4 entries
-// (NewHalfEnergy needs three qubits), a multiple of 4.
+// (NewHalfEnergy needs three qubits), a multiple of 4. mirroredSums runs
+// the accumulators with the kernel that kernel selects (AVX-512 or AVX
+// assembly on amd64, mirroredSumsGo elsewhere); each kernel makes the same
+// additions in the same order, so every one gives the same bits.
 func (s *State) expectationMirrored(table []float64) float64 {
-	amp := s.amp
+	a0, a1, a2, a3 := mirroredSums(s.amp, table)
+	return (a0 + a1) + (a2 + a3)
+}
+
+// mirroredSumsGo returns expectationMirrored's four accumulators: a_j sums
+// x + x, x = term(k), over every k = j mod 4 in ascending order, from +0.
+// len(amp) must be a multiple of 4, and table at least as long.
+func mirroredSumsGo(amp []complex128, table []float64) (a0, a1, a2, a3 float64) {
 	table = table[:len(amp)]
-	var a0, a1, a2, a3 float64
 	for k := 0; k < len(amp); k += 4 {
 		a, t := amp[k:k+4:k+4], table[k:k+4:k+4]
 		x0, x1 := energyTerm(a[0], t[0]), energyTerm(a[1], t[1])
@@ -152,5 +161,5 @@ func (s *State) expectationMirrored(table []float64) float64 {
 		a2 += x2 + x2
 		a3 += x3 + x3
 	}
-	return (a0 + a1) + (a2 + a3)
+	return a0, a1, a2, a3
 }

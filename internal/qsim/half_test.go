@@ -236,9 +236,11 @@ func TestHalfEnergyValidation(t *testing.T) {
 // BenchmarkHalfEnergyPasses splits one n=16 p=1 QAOA energy on a 3-regular
 // unit-weight MaxCut (a ring plus its diameters) into the passes it makes
 // over the 15-qubit half state, serially, in µs per pass: the preparation
-// (H layer and cost table in one gather), each of the 8 paired mixer
-// passes and the expectation, then the whole Energy call for reference,
-// which logs the mixer kernel.
+// (H layer and cost table in one gather) and the expectation, each with the
+// Go loop and with each kernel the CPU has (prepare/go, prepare/avx,
+// prepare/avx512, and so on; prepare/avx512 runs the AVX gather, as
+// AVX-512 CPUs do), then each of the 8 paired mixer passes and the whole
+// Energy call with the kernel the CPU picks, which logs it.
 func BenchmarkHalfEnergyPasses(b *testing.B) {
 	const n = 16
 	edges, weights := make([][2]int, 0, 3*n/2), make([]float64, 0, 3*n/2)
@@ -259,10 +261,13 @@ func BenchmarkHalfEnergyPasses(b *testing.B) {
 	if _, err := h.Energy(s, params); err != nil {
 		b.Fatal(err) // also builds the phase table's compression
 	}
-	pass := func(name string, f func()) {
+	pick := kernel
+	pass := func(name string, k simKernel, f func()) {
 		b.Run(name, func(b *testing.B) {
+			setKernel(k)
+			defer setKernel(pick)
 			if name == "energy" {
-				logMixer(b)
+				logKernel(b)
 			}
 			for i := 0; i < b.N; i++ {
 				f()
@@ -270,20 +275,28 @@ func BenchmarkHalfEnergyPasses(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "us/pass")
 		})
 	}
-	pass("prepare", func() { s.prepare(c.gates, params) })
+	kernels := simKernels(b)
+	for _, k := range kernels {
+		pass("prepare/"+kernelTag(k), k, func() { s.prepare(c.gates, params) })
+	}
 	m := mixedOf(gateMatrix(GateRX, 2*params[0]))
 	for q := 0; q < n; q += 2 {
 		da, db := s.flipMask(q), s.flipMask(q+1)
-		pass(fmt.Sprintf("mixer-q%d-q%d", q, q+1), func() { s.applyMixedPairMasks(da, db, m, m) })
+		pass(fmt.Sprintf("mixer-q%d-q%d", q, q+1), pick, func() { s.applyMixedPairMasks(da, db, m, m) })
 	}
-	pass("expectation", func() { energySink = s.expectationMirrored(table) })
-	pass("energy", func() {
+	for _, k := range kernels {
+		pass("expectation/"+kernelTag(k), k, func() { energySink = s.expectationMirrored(table) })
+	}
+	pass("energy", pick, func() {
 		var err error
 		if energySink, err = h.Energy(s, params); err != nil {
 			b.Fatal(err)
 		}
 	})
 }
+
+// kernelTag is k's sub-benchmark name.
+func kernelTag(k simKernel) string { return [...]string{"go", "avx", "avx512"}[k] }
 
 // energySink keeps the compiler from dropping a benchmarked energy.
 var energySink float64

@@ -38,25 +38,26 @@ func mixedPairAVX(amp []complex128, klo, khi, lm, hm, da, db int, ma, mb mixedMa
 //go:noescape
 func mixedPairAVX512(amp []complex128, klo, khi, lm, hm, da, db int, ma, mb mixedMatrix)
 
-// cpuMixer picks the widest mixer kernel the CPU runs.
-func cpuMixer() mixerKernel {
+// cpuKernel picks the widest kernels the CPU runs.
+func cpuKernel() simKernel {
 	switch {
 	case cpuid.AVX512():
-		return mixerAVX512
+		return kernelAVX512
 	case cpuid.AVX():
-		return mixerAVX
+		return kernelAVX
 	}
-	return mixerGo
+	return kernelGo
 }
 
-// mixer selects the kernel mixedPairRange runs. It is set once, from the
-// CPU; tests set it to run the other kernels through the public paths.
-var mixer = cpuMixer()
+// kernel selects the kernels mixedPairRange, gatherLUT and mirroredSums
+// run. It is set once, from the CPU; tests set it to run the other kernels
+// through the public paths.
+var kernel = cpuKernel()
 
 // mixedPairRange runs the paired mixer pass over compressed indices
-// [klo, khi) with the kernel mixer selects. It checks once per call what
-// the portable loop's indexing checks per amplitude: base2 never maps k
-// above 4k, so every index it forms is below len(amp) when
+// [klo, khi) with the kernel that kernel selects. It checks once per call
+// what the portable loop's indexing checks per amplitude: base2 never maps
+// k above 4k, so every index it forms is below len(amp) when
 // 4·khi <= len(amp), and XOR with a mask below a power-of-two length stays
 // below it.
 func (s *State) mixedPairRange(klo, khi, lm, hm, da, db int, ma, mb mixedMatrix) {
@@ -68,10 +69,10 @@ func (s *State) mixedPairRange(klo, khi, lm, hm, da, db int, ma, mb mixedMatrix)
 		panic(fmt.Sprintf("qsim: mixer pass over groups [%d, %d) with flip masks %#x, %#x out of range for %d amplitudes",
 			klo, khi, da, db, n))
 	}
-	switch mixer {
-	case mixerAVX512:
+	switch kernel {
+	case kernelAVX512:
 		mixedPairAVX512(s.amp, klo, khi, lm, hm, da, db, ma, mb)
-	case mixerAVX:
+	case kernelAVX:
 		mixedPairAVX(s.amp, klo, khi, lm, hm, da, db, ma, mb)
 	default:
 		s.mixedPairRangeGo(klo, khi, lm, hm, da, db, ma, mb)

@@ -21,20 +21,23 @@ func requireAVX(t *testing.T) {
 	}
 }
 
-// mixerKernels returns the kernels the CPU runs, the portable loop first.
-func mixerKernels(t *testing.T) []mixerKernel {
-	t.Helper()
-	kernels := []mixerKernel{mixerGo}
+// simKernels returns the kernels the CPU runs, the portable loop first.
+func simKernels(tb testing.TB) []simKernel {
+	tb.Helper()
+	kernels := []simKernel{kernelGo}
 	if cpuid.AVX() {
-		kernels = append(kernels, mixerAVX)
+		kernels = append(kernels, kernelAVX)
 	}
 	if cpuid.AVX512() {
-		kernels = append(kernels, mixerAVX512)
+		kernels = append(kernels, kernelAVX512)
 	} else {
-		t.Log("CPU without AVX-512: the AVX-512 kernel is not checked")
+		tb.Log("CPU without AVX-512: the AVX-512 kernel is not checked")
 	}
 	return kernels
 }
+
+// setKernel makes the vector passes run k.
+func setKernel(k simKernel) { kernel = k }
 
 // asmPass is the signature of the assembly kernels.
 type asmPass func(amp []complex128, klo, khi, lm, hm, da, db int, ma, mb mixedMatrix)
@@ -52,8 +55,8 @@ type asmPass func(amp []complex128, klo, khi, lm, hm, da, db int, ma, mb mixedMa
 // end, which must stay put.
 func TestMixedPairKernelMatchesPortable(t *testing.T) {
 	requireAVX(t)
-	defer func(k mixerKernel) { mixer = k }(mixer)
-	passes := map[mixerKernel]asmPass{mixerAVX: mixedPairAVX, mixerAVX512: mixedPairAVX512}
+	defer func(k simKernel) { kernel = k }(kernel)
+	passes := map[simKernel]asmPass{kernelAVX: mixedPairAVX, kernelAVX512: mixedPairAVX512}
 	rng := rand.New(rand.NewSource(23))
 	betas := []float64{0, math.Pi / 2, rng.Float64() * math.Pi}
 	var mats []mixedMatrix
@@ -62,9 +65,9 @@ func TestMixedPairKernelMatchesPortable(t *testing.T) {
 	}
 	const pad = 8
 	sentinel := complex(math.NaN(), -1)
-	for _, kernel := range mixerKernels(t)[1:] {
-		kernelPass := passes[kernel]
-		mixer = kernel
+	for _, k := range simKernels(t)[1:] {
+		kernelPass := passes[k]
+		kernel = k
 		for _, n := range []int{3, 4, 5, 9, 15, 16} {
 			src := NewState(n)
 			specialAmplitudes(src, rng)
@@ -97,7 +100,7 @@ func TestMixedPairKernelMatchesPortable(t *testing.T) {
 					for ia, ma := range mats {
 						ib := (ia + 1) % len(mats)
 						mb := mats[ib]
-						name := fmt.Sprintf("%v n=%d/%d masks=(%#x,%#x) betas=(%d,%d)", kernel, n, circuitQubits, da, db, ia, ib)
+						name := fmt.Sprintf("%v n=%d/%d masks=(%#x,%#x) betas=(%d,%d)", k, n, circuitQubits, da, db, ia, ib)
 						run(name, 0, quarter, lm, hm, da, db, ma, mb)
 						for _, klo := range []int{0, 1, 2, 3, 7, quarter - 10} {
 							for size := 1; size <= 9 && ia == len(mats)-1 && klo >= 0 && klo+size <= quarter; size++ {
@@ -132,12 +135,18 @@ func TestMixedPairKernelMatchesPortable(t *testing.T) {
 
 // TestMixerKernelSelected checks the kernel choice against the flags the
 // OS reports: a CPU whose /proc/cpuinfo lists avx512f must run the AVX-512
-// kernel, and one that lists avx but not avx512f the AVX kernel, or the
-// kernel tests above would not check the kernel the CPU runs.
+// kernels, and one that lists avx but not avx512f the AVX kernels, or the
+// kernel tests would not check the kernels the CPU runs. The one choice
+// covers all three vector passes: mixedPairRange, gatherLUT and
+// mirroredSums each switch on kernel and on nothing else, and KernelName
+// reports it.
 func TestMixerKernelSelected(t *testing.T) {
-	t.Logf("paired mixer kernel: %v", mixer)
-	if mixer != cpuMixer() {
-		t.Fatalf("mixer = %v, but the CPU check picks %v", mixer, cpuMixer())
+	t.Logf("mixer, preparation gather and expectation sum kernel: %v", kernel)
+	if kernel != cpuKernel() {
+		t.Fatalf("kernel = %v, but the CPU check picks %v", kernel, cpuKernel())
+	}
+	if KernelName() != kernel.String() {
+		t.Fatalf("KernelName() = %q, but the passes run the %v kernel", KernelName(), kernel)
 	}
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
@@ -148,17 +157,17 @@ func TestMixerKernelSelected(t *testing.T) {
 		if !ok || strings.TrimSpace(name) != "flags" {
 			continue
 		}
-		want := mixerGo
+		want := kernelGo
 		for _, f := range strings.Fields(flags) {
 			switch {
 			case f == "avx512f":
-				want = mixerAVX512
-			case f == "avx" && want == mixerGo:
-				want = mixerAVX
+				want = kernelAVX512
+			case f == "avx" && want == kernelGo:
+				want = kernelAVX
 			}
 		}
-		if mixer != want {
-			t.Fatalf("/proc/cpuinfo flags call for the %v kernel, but the mixer runs the %v", want, mixer)
+		if kernel != want {
+			t.Fatalf("/proc/cpuinfo flags call for the %v kernel, but the passes run the %v", want, kernel)
 		}
 		return
 	}
@@ -171,8 +180,8 @@ func TestMixerKernelSelected(t *testing.T) {
 // oracle.
 func TestHalfEnergyPortableMixer(t *testing.T) {
 	requireAVX(t)
-	defer func(k mixerKernel) { mixer = k }(mixer)
-	kernels := mixerKernels(t)
+	defer func(k simKernel) { kernel = k }(kernel)
+	kernels := simKernels(t)
 	for _, n := range []int{7, 12} {
 		rng := rand.New(rand.NewSource(int64(27 + n)))
 		edges, weights := randomEdges(n, rng)
@@ -188,12 +197,12 @@ func TestHalfEnergyPortableMixer(t *testing.T) {
 			}
 			var portable float64
 			for _, k := range kernels {
-				mixer = k
+				kernel = k
 				e, err := h.Energy(NewState(h.N()), params)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if k == mixerGo {
+				if k == kernelGo {
 					portable = e
 				} else if math.Float64bits(e) != math.Float64bits(portable) {
 					t.Fatalf("n=%d: %v energy %v, portable %v", n, k, e, portable)

@@ -2,8 +2,9 @@
 
 package qsim
 
-// mixer names the kernel mixedPairRange runs: the portable loop.
-const mixer = mixerGo
+// kernel names the kernels mixedPairRange, gatherLUT and mirroredSums run:
+// the portable loops.
+const kernel = kernelGo
 
 // mixedPairRange runs the paired mixer pass over compressed indices
 // [klo, khi) with the portable kernel.

@@ -98,7 +98,7 @@ func BenchmarkMixerPair(b *testing.B) {
 		da, db := s.flipMask(q), s.flipMask(q+1)
 		b.Run(fmt.Sprintf("q%d-q%d", q, q+1), func(b *testing.B) {
 			if q == 0 {
-				logMixer(b)
+				logKernel(b)
 			}
 			for i := 0; i < b.N; i++ {
 				s.applyMixedPairMasks(da, db, m, m)
@@ -108,11 +108,12 @@ func BenchmarkMixerPair(b *testing.B) {
 	}
 }
 
-// logMixer logs the kernel mixedPairRange runs, once per sub-benchmark run:
-// testing prints the log of a sub-benchmark but not that of a parent that
-// only runs sub-benchmarks, and a sub-benchmark runs with b.N == 1 first.
-func logMixer(b *testing.B) {
+// logKernel logs the kernel the vector passes run, once per sub-benchmark
+// run: testing prints the log of a sub-benchmark but not that of a parent
+// that only runs sub-benchmarks, and a sub-benchmark runs with b.N == 1
+// first.
+func logKernel(b *testing.B) {
 	if b.N == 1 {
-		b.Logf("paired mixer kernel: %v", mixer)
+		b.Logf("simulator kernel: %v", kernel)
 	}
 }

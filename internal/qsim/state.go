@@ -195,18 +195,25 @@ func (s *State) applyMixed1Q(d, lm int, m mixedMatrix) {
 	s.mixedDense1Q(0, half, d, lm, m)
 }
 
-// mixerKernel names an implementation of the paired mixer pass.
-type mixerKernel uint8
+// simKernel names an implementation of the three vector passes of a
+// half-state energy: the paired mixer pass, the preparation gather and the
+// mirrored expectation sum.
+type simKernel uint8
 
 const (
-	mixerGo     mixerKernel = iota // mixedPairRangeGo
-	mixerAVX                       // mixedPairAVX (amd64)
-	mixerAVX512                    // mixedPairAVX512 (amd64)
+	kernelGo     simKernel = iota // mixedPairRangeGo, gatherGo, mirroredSumsGo
+	kernelAVX                     // mixedPairAVX, gatherAVX, mirroredSumsAVX (amd64)
+	kernelAVX512                  // mixedPairAVX512, gatherAVX, mirroredSumsAVX512 (amd64)
 )
 
-func (k mixerKernel) String() string {
+func (k simKernel) String() string {
 	return [...]string{"portable Go loop", "AVX", "AVX-512"}[k]
 }
+
+// KernelName names the kernels the simulator's vector passes run on this
+// CPU: "AVX-512", "AVX" or "portable Go loop". The choice is made once, at
+// start-up.
+func KernelName() string { return kernel.String() }
 
 // mixedMatrix holds the nonzero components of a mixed-class matrix: the
 // real diagonal and the imaginary parts of the off-diagonal.
@@ -770,7 +777,10 @@ type prepPass struct {
 // run writes amplitudes [lo, hi). On the compressed path the span test
 // leaves the loop when every index in the range lies below the span's
 // lowest clear bit: always so on the half path, and on the full path when
-// H opens every qubit.
+// H opens every qubit. That range is then a pure gather, dst[i] = in[idx[i]],
+// which gatherLUT runs in AVX assembly on amd64 CPUs with AVX and with
+// gatherGo elsewhere; a gather moves bits and computes nothing, so both
+// write the same amplitudes.
 func (p prepPass) run(amp []complex128, lo, hi int) {
 	span, v := p.span, p.v
 	switch {
@@ -778,9 +788,7 @@ func (p prepPass) run(amp []complex128, lo, hi int) {
 		idx, in, out := p.idx[lo:hi], p.in, p.out
 		dst := amp[lo:hi][:len(idx)] // same length as idx: no bounds checks on dst
 		if hi-1 <= span&^(span+1) {
-			for i, j := range idx {
-				dst[i] = in[j]
-			}
+			gatherLUT(dst, idx, in)
 			return
 		}
 		for i, j := range idx {
@@ -808,6 +816,15 @@ func (p prepPass) run(amp []complex128, lo, hi int) {
 				amp[b] = v
 			}
 		}
+	}
+}
+
+// gatherGo sets dst[i] = in[idx[i]] for every i below len(dst): the
+// portable gather, and the tail of the assembly ones.
+func gatherGo(dst []complex128, idx []uint32, in []complex128) {
+	idx = idx[:len(dst)]
+	for i, j := range idx {
+		dst[i] = in[j]
 	}
 }
 

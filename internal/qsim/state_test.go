@@ -340,3 +340,14 @@ func TestExpectationDimensionMismatch(t *testing.T) {
 		t.Fatal("want error for Hamiltonian mismatch")
 	}
 }
+
+// TestKernelName checks that KernelName, which oscard logs at start-up,
+// names one of the simulator's kernels.
+func TestKernelName(t *testing.T) {
+	switch name := KernelName(); name {
+	case "AVX-512", "AVX", "portable Go loop":
+		t.Logf("simulator kernels: %s", name)
+	default:
+		t.Fatalf("KernelName() = %q, not a simulator kernel", name)
+	}
+}
