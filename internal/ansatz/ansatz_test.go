@@ -42,6 +42,37 @@ func TestQAOAStructure(t *testing.T) {
 	}
 }
 
+// TestGateCounts pins the one- and two-qubit gate counts of every ansatz;
+// experiments' noise damping (fig4) is set by them. A Pauli rotation of
+// weight w counts w+1 one-qubit and w-1 two-qubit gates.
+func TestGateCounts(t *testing.T) {
+	g, err := graph.Random3Regular(8, rand.New(rand.NewSource(81))) // 12 edges
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name     string
+		build    func() (*Ansatz, error)
+		one, two int
+	}{
+		{"qaoa-p1", func() (*Ansatz, error) { return QAOA(g, 1) }, 16, 12},        // 8 H + 8 RX; 12 RZZ
+		{"qaoa-p2", func() (*Ansatz, error) { return QAOA(g, 2) }, 24, 24},        // 8 H + 16 RX; 24 RZZ
+		{"two-local-n4", func() (*Ansatz, error) { return TwoLocal(4, 1) }, 8, 4}, // 8 RY; 4 CZ
+		{"two-local-n6", func() (*Ansatz, error) { return TwoLocal(6, 0) }, 6, 0}, // 6 RY
+		{"uccsd-h2", UCCSDH2, 8, 1},    // X; rotations of weight 1, 1, 2
+		{"uccsd-lih", UCCSDLiH, 26, 8}, // 2 X; rotations of weight 1 (x4), 2 (x2), 4 (x2)
+	}
+	for _, tc := range cases {
+		a, err := tc.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if one, two := a.Circuit.OneQubitCount(), a.Circuit.TwoQubitCount(); one != tc.one || two != tc.two {
+			t.Errorf("%s: %d one-qubit and %d two-qubit gates, want %d and %d", tc.name, one, two, tc.one, tc.two)
+		}
+	}
+}
+
 func TestQAOAGridAxes(t *testing.T) {
 	bMin, bMax, gMin, gMax := QAOAGridAxes(1)
 	if bMin != -math.Pi/4 || bMax != math.Pi/4 || gMin != -math.Pi/2 || gMax != math.Pi/2 {

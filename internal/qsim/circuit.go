@@ -1,8 +1,8 @@
 // Package qsim is a from-scratch quantum circuit simulator: a state-vector
-// backend for ideal execution, a density-matrix backend with Kraus noise
-// channels for exact noisy execution at small qubit counts, and measurement
-// sampling for finite-shot estimates. It executes the parameterized circuits
-// (ansatzes) whose cost landscapes OSCAR reconstructs.
+// backend for ideal execution and a density-matrix backend with Kraus noise
+// channels for exact noisy execution at small qubit counts. It executes the
+// parameterized circuits (ansatzes) whose cost landscapes OSCAR
+// reconstructs.
 package qsim
 
 import (
@@ -20,18 +20,10 @@ type Kind int
 const (
 	GateH Kind = iota
 	GateX
-	GateY
-	GateZ
-	GateS
-	GateSdg
-	GateT
 	GateRX
 	GateRY
-	GateRZ
-	GateCNOT
 	GateCZ
 	GateRZZ
-	GateSWAP
 	GatePauliRot
 	// GateDiagonal multiplies amplitude b by exp(-i * theta * Diag[b]): an
 	// n-qubit diagonal unitary driven by a shared phase table, the target
@@ -41,10 +33,8 @@ const (
 )
 
 var kindNames = map[Kind]string{
-	GateH: "h", GateX: "x", GateY: "y", GateZ: "z", GateS: "s",
-	GateSdg: "sdg", GateT: "t", GateRX: "rx", GateRY: "ry", GateRZ: "rz",
-	GateCNOT: "cx", GateCZ: "cz", GateRZZ: "rzz", GateSWAP: "swap",
-	GatePauliRot: "pauli-rot", GateDiagonal: "diagonal",
+	GateH: "h", GateX: "x", GateRX: "rx", GateRY: "ry", GateCZ: "cz",
+	GateRZZ: "rzz", GatePauliRot: "pauli-rot", GateDiagonal: "diagonal",
 }
 
 // String returns the gate mnemonic.
@@ -59,7 +49,7 @@ func (k Kind) String() string {
 // variable (PauliRot) or whole-register (Diagonal).
 func (k Kind) qubitCount() int {
 	switch k {
-	case GateCNOT, GateCZ, GateRZZ, GateSWAP:
+	case GateCZ, GateRZZ:
 		return 2
 	case GatePauliRot, GateDiagonal:
 		return 0
@@ -70,7 +60,7 @@ func (k Kind) qubitCount() int {
 
 func (k Kind) parametric() bool {
 	switch k {
-	case GateRX, GateRY, GateRZ, GateRZZ, GatePauliRot, GateDiagonal:
+	case GateRX, GateRY, GateRZZ, GatePauliRot, GateDiagonal:
 		return true
 	default:
 		return false
@@ -168,7 +158,7 @@ func (c *Circuit) TwoQubitCount() int {
 	n := 0
 	for _, g := range c.gates {
 		switch g.Kind {
-		case GateCNOT, GateCZ, GateRZZ, GateSWAP:
+		case GateCZ, GateRZZ:
 			n++
 		case GatePauliRot:
 			if g.Pauli.Weight() > 1 {
@@ -185,7 +175,7 @@ func (c *Circuit) OneQubitCount() int {
 	n := 0
 	for _, g := range c.gates {
 		switch g.Kind {
-		case GateCNOT, GateCZ, GateRZZ, GateSWAP, GateDiagonal:
+		case GateCZ, GateRZZ, GateDiagonal:
 		case GatePauliRot:
 			n += g.Pauli.Weight() + 1
 		default:
@@ -223,54 +213,6 @@ func (c *Circuit) X(q int) *Circuit {
 	return c.add(Gate{Kind: GateX, Qubits: []int{q}, Param: -1})
 }
 
-// Y appends a Pauli-Y on q.
-func (c *Circuit) Y(q int) *Circuit {
-	c.checkQubit(q)
-	return c.add(Gate{Kind: GateY, Qubits: []int{q}, Param: -1})
-}
-
-// Z appends a Pauli-Z on q.
-func (c *Circuit) Z(q int) *Circuit {
-	c.checkQubit(q)
-	return c.add(Gate{Kind: GateZ, Qubits: []int{q}, Param: -1})
-}
-
-// S appends the phase gate on q.
-func (c *Circuit) S(q int) *Circuit {
-	c.checkQubit(q)
-	return c.add(Gate{Kind: GateS, Qubits: []int{q}, Param: -1})
-}
-
-// Sdg appends the inverse phase gate on q.
-func (c *Circuit) Sdg(q int) *Circuit {
-	c.checkQubit(q)
-	return c.add(Gate{Kind: GateSdg, Qubits: []int{q}, Param: -1})
-}
-
-// T appends the T gate on q.
-func (c *Circuit) T(q int) *Circuit {
-	c.checkQubit(q)
-	return c.add(Gate{Kind: GateT, Qubits: []int{q}, Param: -1})
-}
-
-// RX appends a fixed-angle X rotation.
-func (c *Circuit) RX(q int, theta float64) *Circuit {
-	c.checkQubit(q)
-	return c.add(Gate{Kind: GateRX, Qubits: []int{q}, Theta: theta, Param: -1})
-}
-
-// RY appends a fixed-angle Y rotation.
-func (c *Circuit) RY(q int, theta float64) *Circuit {
-	c.checkQubit(q)
-	return c.add(Gate{Kind: GateRY, Qubits: []int{q}, Theta: theta, Param: -1})
-}
-
-// RZ appends a fixed-angle Z rotation.
-func (c *Circuit) RZ(q int, theta float64) *Circuit {
-	c.checkQubit(q)
-	return c.add(Gate{Kind: GateRZ, Qubits: []int{q}, Theta: theta, Param: -1})
-}
-
 // RXP appends a parameter-bound X rotation with angle scale*params[param].
 func (c *Circuit) RXP(q, param int, scale float64) *Circuit {
 	c.checkQubit(q)
@@ -285,35 +227,10 @@ func (c *Circuit) RYP(q, param int, scale float64) *Circuit {
 	return c.add(Gate{Kind: GateRY, Qubits: []int{q}, Param: param, Scale: scale})
 }
 
-// RZP appends a parameter-bound Z rotation.
-func (c *Circuit) RZP(q, param int, scale float64) *Circuit {
-	c.checkQubit(q)
-	c.trackParam(param)
-	return c.add(Gate{Kind: GateRZ, Qubits: []int{q}, Param: param, Scale: scale})
-}
-
-// CNOT appends a controlled-X with control ctl and target tgt.
-func (c *Circuit) CNOT(ctl, tgt int) *Circuit {
-	c.checkQubit(ctl, tgt)
-	return c.add(Gate{Kind: GateCNOT, Qubits: []int{ctl, tgt}, Param: -1})
-}
-
 // CZ appends a controlled-Z.
 func (c *Circuit) CZ(a, b int) *Circuit {
 	c.checkQubit(a, b)
 	return c.add(Gate{Kind: GateCZ, Qubits: []int{a, b}, Param: -1})
-}
-
-// SWAP appends a swap gate.
-func (c *Circuit) SWAP(a, b int) *Circuit {
-	c.checkQubit(a, b)
-	return c.add(Gate{Kind: GateSWAP, Qubits: []int{a, b}, Param: -1})
-}
-
-// RZZ appends a fixed-angle ZZ rotation exp(-i theta/2 Z_a Z_b).
-func (c *Circuit) RZZ(a, b int, theta float64) *Circuit {
-	c.checkQubit(a, b)
-	return c.add(Gate{Kind: GateRZZ, Qubits: []int{a, b}, Theta: theta, Param: -1})
 }
 
 // RZZP appends a parameter-bound ZZ rotation.
@@ -321,37 +238,6 @@ func (c *Circuit) RZZP(a, b, param int, scale float64) *Circuit {
 	c.checkQubit(a, b)
 	c.trackParam(param)
 	return c.add(Gate{Kind: GateRZZ, Qubits: []int{a, b}, Param: param, Scale: scale})
-}
-
-// Diagonal appends a fixed-angle phase-table gate: amplitude b is
-// multiplied by exp(-i theta t[b]). The table is shared, not copied.
-func (c *Circuit) Diagonal(t *PhaseTable, theta float64) *Circuit {
-	c.checkDiag(t)
-	return c.add(Gate{Kind: GateDiagonal, Diag: t, Theta: theta, Param: -1})
-}
-
-// DiagonalP appends a parameter-bound phase-table gate with angle
-// scale*params[param]: the table is angle-independent, so one table serves
-// every parameter value (e.g. every gamma of a QAOA cost-layer sweep).
-func (c *Circuit) DiagonalP(t *PhaseTable, param int, scale float64) *Circuit {
-	c.checkDiag(t)
-	c.trackParam(param)
-	return c.add(Gate{Kind: GateDiagonal, Diag: t, Param: param, Scale: scale})
-}
-
-func (c *Circuit) checkDiag(t *PhaseTable) {
-	if t == nil {
-		panic("qsim: nil phase table")
-	}
-	if t.Len() != 1<<uint(c.n) {
-		panic(fmt.Sprintf("qsim: phase table length %d on %d-qubit circuit", t.Len(), c.n))
-	}
-}
-
-// PauliRot appends exp(-i theta/2 P) with fixed angle.
-func (c *Circuit) PauliRot(p pauli.String, theta float64) *Circuit {
-	c.checkPauli(p)
-	return c.add(Gate{Kind: GatePauliRot, Pauli: p, Theta: theta, Param: -1})
 }
 
 // PauliRotP appends a parameter-bound exp(-i scale*params[param]/2 P).
@@ -377,8 +263,7 @@ func (c *Circuit) trackParam(param int) {
 }
 
 // Validate checks that a parameter vector has the right arity and that
-// every GateDiagonal carries a full-register phase table (length 2^n) —
-// hand-built gate lists can miss the builder-time checks.
+// every GateDiagonal carries a full-register phase table (length 2^n).
 func (c *Circuit) Validate(params []float64) error {
 	if len(params) < c.numParams {
 		return fmt.Errorf("qsim: circuit needs %d parameters, got %d", c.numParams, len(params))

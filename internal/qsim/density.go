@@ -21,8 +21,8 @@ type DensityMatrix struct {
 	n   int
 	dim int
 	rho []complex128
-	// scratch and acc are reusable 4^n work buffers for the permutation /
-	// Pauli-rotation / Kraus-channel kernels. They hold no state between
+	// scratch and acc are reusable 4^n work buffers for the
+	// Pauli-rotation and Kraus-channel kernels. They hold no state between
 	// operations; buffers are swapped with rho rather than copied.
 	scratch []complex128
 	acc     []complex128
@@ -214,19 +214,6 @@ func (d *DensityMatrix) applyPhaseTableDM(t *PhaseTable, theta float64) {
 	d.applyDiagonalVec(pv)
 }
 
-// applyPermutation conjugates rho by a basis permutation perm (unitary with
-// one 1 per row), building the result in scratch and swapping.
-func (d *DensityMatrix) applyPermutation(perm func(i int) int) {
-	out := d.getScratch()
-	for i := 0; i < d.dim; i++ {
-		pi := perm(i)
-		for j := 0; j < d.dim; j++ {
-			out[pi*d.dim+perm(j)] = d.rho[i*d.dim+j]
-		}
-	}
-	d.rho, d.scratch = out, d.rho
-}
-
 // ApplyGate applies one circuit gate with resolved parameters.
 func (d *DensityMatrix) ApplyGate(g Gate, params []float64) error {
 	theta, err := g.Angle(params)
@@ -243,26 +230,6 @@ func (d *DensityMatrix) ApplyGate(g Gate, params []float64) error {
 // applyGateKind dispatches one gate with its angle already resolved.
 func (d *DensityMatrix) applyGateKind(g *Gate, theta float64) {
 	switch g.Kind {
-	case GateCNOT:
-		cb := 1 << uint(g.Qubits[0])
-		tb := 1 << uint(g.Qubits[1])
-		d.applyPermutation(func(i int) int {
-			if i&cb != 0 {
-				return i ^ tb
-			}
-			return i
-		})
-	case GateSWAP:
-		ab := 1 << uint(g.Qubits[0])
-		bb := 1 << uint(g.Qubits[1])
-		d.applyPermutation(func(i int) int {
-			b1 := i&ab != 0
-			b2 := i&bb != 0
-			if b1 == b2 {
-				return i
-			}
-			return i ^ ab ^ bb
-		})
 	case GateCZ:
 		ab := 1 << uint(g.Qubits[0])
 		bb := 1 << uint(g.Qubits[1])

@@ -54,8 +54,8 @@ func refDepolarize1Q(rho []complex128, dim, n, q int, p float64) []complex128 {
 func TestDepolarizeBitIdenticalToSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	const n = 4
-	c := allKindsCircuit(n, 20, rng)
-	d, err := RunDensity(c, nil, nil)
+	c, ang := allKindsCircuit(n, 20, rng)
+	d, err := RunDensity(c, ang, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +85,11 @@ func TestRunDensityIntoReuse(t *testing.T) {
 	}
 	dst := NewDensityMatrix(n)
 	for trial := 0; trial < 6; trial++ {
-		c := allKindsCircuit(n, 15, rng)
-		if err := RunDensityInto(dst, c, nil, hook); err != nil {
+		c, ang := allKindsCircuit(n, 15, rng)
+		if err := RunDensityInto(dst, c, ang, hook); err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := RunDensity(c, nil, hook)
+		fresh, err := RunDensity(c, ang, hook)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestRunDensityIntoReuse(t *testing.T) {
 			}
 		}
 	}
-	if err := RunDensityInto(dst, allKindsCircuit(2, 4, rng), nil, nil); err == nil {
+	if c, ang := allKindsCircuit(2, 4, rng); RunDensityInto(dst, c, ang, nil) == nil {
 		t.Fatal("want dimension mismatch error")
 	}
 }
@@ -107,7 +107,8 @@ func TestRunDensityIntoReuse(t *testing.T) {
 func TestDensityExpectationDiagonalMatchesPerTerm(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	const n = 4
-	d, err := RunDensity(allKindsCircuit(n, 25, rng), nil, nil)
+	c, ang := allKindsCircuit(n, 25, rng)
+	d, err := RunDensity(c, ang, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,12 +12,12 @@ func TestDensityMatchesStateVector(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 8; trial++ {
 		n := 1 + rng.Intn(4)
-		c := randomCircuit(n, 20, rng)
-		sv, err := Run(c, nil)
+		c, ang := allKindsCircuit(n, 20, rng)
+		sv, err := Run(c, ang)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dm, err := RunDensity(c, nil, nil)
+		dm, err := RunDensity(c, ang, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,9 +112,8 @@ func TestDepolarize2QDampsZZ(t *testing.T) {
 }
 
 func TestNoiseHookRuns(t *testing.T) {
-	c := NewCircuit(2).H(0).CNOT(0, 1)
 	nCalls := 0
-	d, err := RunDensity(c, nil, func(d *DensityMatrix, g Gate) error {
+	d, err := RunDensity(bellCircuit(), nil, func(d *DensityMatrix, g Gate) error {
 		nCalls++
 		if len(g.Qubits) == 1 {
 			return d.Depolarize1Q(g.Qubits[0], 0.01)
@@ -127,7 +126,7 @@ func TestNoiseHookRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nCalls != 2 {
+	if nCalls != 4 {
 		t.Fatalf("hook called %d times", nCalls)
 	}
 	zz, _ := d.ExpectationPauli(pauli.MustString("ZZ"))
@@ -171,15 +170,12 @@ func TestDensityPauliRotMatchesState(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for trial := 0; trial < 6; trial++ {
 		n := 2 + rng.Intn(2)
-		pre := randomCircuit(n, 10, rng)
+		c, ang := allKindsCircuit(n, 10, rng)
 		p := randomPauli(n, rng)
-		theta := rng.Float64() * 2 * math.Pi
-		c := NewCircuit(n)
-		c.gates = append(c.gates, pre.gates...)
-		c.PauliRot(p, theta)
+		c.PauliRotP(p, ang.bind(rng.Float64()*2*math.Pi), 1)
 
-		sv, _ := Run(c, nil)
-		dm, _ := RunDensity(c, nil, nil)
+		sv, _ := Run(c, ang)
+		dm, _ := RunDensity(c, ang, nil)
 		obs := randomPauli(n, rng)
 		want, _ := sv.ExpectationPauli(obs)
 		got, _ := dm.ExpectationPauli(obs)

@@ -8,8 +8,8 @@ import (
 )
 
 // fuse.go implements the circuit-level diagonal-fusion peephole pass: every
-// maximal run of adjacent diagonal gates (RZ/Z/S/Sdg/T/CZ/RZZ, diagonal
-// Pauli rotations, and existing GateDiagonal gates) collapses into at most
+// maximal run of adjacent diagonal gates (CZ, RZZ, diagonal Pauli
+// rotations, and existing GateDiagonal gates) collapses into at most
 // one GateDiagonal per parameter index. A diagonal unitary is exp(-i f(b))
 // for a real per-basis exponent f, and diagonal gates commute, so a run's
 // exponents simply add: fixed-angle gates accumulate into one constant
@@ -22,7 +22,7 @@ import (
 // basis (multiplies each amplitude by a phase), making it fusible.
 func (g *Gate) IsDiagonal() bool {
 	switch g.Kind {
-	case GateZ, GateS, GateSdg, GateT, GateRZ, GateCZ, GateRZZ, GateDiagonal:
+	case GateCZ, GateRZZ, GateDiagonal:
 		return true
 	case GatePauliRot:
 		return g.Pauli.XMask() == 0
@@ -128,7 +128,7 @@ func (out *Circuit) flushRun(run []*Gate, dedup tableDedup) {
 	}
 	for _, g := range run {
 		switch {
-		case !g.Kind.parametric(): // Z, S, Sdg, T, CZ: fixed phases
+		case !g.Kind.parametric(): // CZ: a fixed phase
 			accumDiagGen(get(-1), 1, g)
 		case g.Param < 0:
 			accumDiagGen(get(-1), g.Theta, g)
@@ -163,23 +163,13 @@ func (out *Circuit) flushRun(run []*Gate, dedup tableDedup) {
 
 // accumDiagGen adds w times gate g's per-basis phase generator into table,
 // where g applied with angle theta multiplies amplitude b by
-// exp(-i * theta * gen(b)) (theta taken as 1 for the non-parametric
-// Cliffords, whose full phase lives in the generator).
+// exp(-i * theta * gen(b)) (theta taken as 1 for the non-parametric CZ,
+// whose full phase lives in the generator).
 func accumDiagGen(table []float64, w float64, g *Gate) {
 	if w == 0 {
 		return
 	}
 	switch g.Kind {
-	case GateZ: // diag(1, -1) = exp(-i pi) on |1>
-		accumBit(table, g.Qubits[0], w*math.Pi)
-	case GateS: // diag(1, i) = exp(-i (-pi/2)) on |1>
-		accumBit(table, g.Qubits[0], -w*math.Pi/2)
-	case GateSdg: // diag(1, -i)
-		accumBit(table, g.Qubits[0], w*math.Pi/2)
-	case GateT: // diag(1, e^{i pi/4})
-		accumBit(table, g.Qubits[0], -w*math.Pi/4)
-	case GateRZ: // diag(e^{-i theta/2}, e^{+i theta/2})
-		pauli.AddZDiagonal(table, 1<<uint(g.Qubits[0]), w/2)
 	case GateCZ: // -1 on |11>
 		ab, bb := 1<<uint(g.Qubits[0]), 1<<uint(g.Qubits[1])
 		wpi := w * math.Pi
@@ -199,15 +189,5 @@ func accumDiagGen(table []float64, w float64, g *Gate) {
 		}
 	default:
 		panic("qsim: accumDiagGen on non-diagonal gate " + g.Kind.String())
-	}
-}
-
-// accumBit adds v to every basis state with qubit q set.
-func accumBit(table []float64, q int, v float64) {
-	bit := 1 << uint(q)
-	for b := range table {
-		if b&bit != 0 {
-			table[b] += v
-		}
 	}
 }

@@ -104,16 +104,16 @@ func TestFuseDiagonalsMemoized(t *testing.T) {
 }
 
 func TestFuseDiagonalsBreaksOnNonDiagonal(t *testing.T) {
-	// RX, H, and CNOT each split a would-be run; every surviving fragment
-	// has one gate, so nothing fuses and the original circuit is returned.
+	// RX, H, and X each split a would-be run; every surviving fragment has
+	// one gate, so nothing fuses and the original circuit is returned.
 	c := NewCircuit(3)
-	c.RZ(0, 0.3)
-	c.RX(1, 0.7)
-	c.RZZ(0, 1, 0.9)
+	c.PauliRotP(pauli.SingleZ(3, 0), 0, 1)
+	c.RXP(1, 1, 1)
+	c.RZZP(0, 1, 2, 1)
 	c.H(2)
 	c.CZ(1, 2)
-	c.CNOT(0, 2)
-	c.Z(1)
+	c.X(0)
+	c.PauliRotP(pauli.SingleZ(3, 1), 3, 1)
 	if f := c.FuseDiagonals(); f != c {
 		t.Fatalf("singleton runs should leave the circuit unfused (got %d gates, had %d)",
 			len(f.Gates()), len(c.Gates()))
@@ -121,20 +121,17 @@ func TestFuseDiagonalsBreaksOnNonDiagonal(t *testing.T) {
 }
 
 func TestFuseDiagonalsMixedRun(t *testing.T) {
-	// One run mixing fixed-angle Cliffords, fixed rotations, and gates bound
-	// to two different parameters: fusion emits one constant table plus one
-	// table per parameter, in ascending order.
+	// One run mixing CZ gates (fixed phases) with gates bound to two
+	// different parameters: fusion emits one constant table plus one table
+	// per parameter, in ascending order.
 	c := NewCircuit(3)
 	c.H(0).H(1).H(2)
-	c.Z(0)
-	c.S(1)
-	c.T(2)
 	c.CZ(0, 1)
-	c.RZ(2, 0.4)
-	c.RZZ(0, 2, 1.1)
+	c.CZ(1, 2)
 	c.RZZP(0, 1, 1, 0.8)
+	c.CZ(0, 2)
 	c.RZZP(1, 2, 0, -0.5)
-	c.RZP(0, 1, 2.0)
+	c.PauliRotP(pauli.SingleZ(3, 0), 1, 2.0)
 	f := c.FuseDiagonals()
 	if f == c {
 		t.Fatal("expected fusion")
@@ -149,6 +146,11 @@ func TestFuseDiagonalsMixedRun(t *testing.T) {
 	}
 	if fused[1].Param != 0 || fused[2].Param != 1 {
 		t.Fatalf("param buckets out of order: %d, %d", fused[1].Param, fused[2].Param)
+	}
+	// A fused run has one table per bucket already, so fusing again (the
+	// constant bucket through the Param < 0 branch) leaves it as it is.
+	if f.FuseDiagonals() != f {
+		t.Fatal("fusing a fused circuit changed it")
 	}
 
 	rng := rand.New(rand.NewSource(42))
@@ -174,39 +176,36 @@ func TestFuseDiagonalsPauliRotRuns(t *testing.T) {
 	// Diagonal (X-free) Pauli rotations fuse; any X/Y in the string blocks.
 	c := NewCircuit(3)
 	c.H(0).H(1).H(2)
-	c.PauliRot(pauli.MustString("ZZI"), 0.7)
-	c.PauliRot(pauli.MustString("IZZ"), 0.3)
-	c.PauliRot(pauli.MustString("ZIZ"), 1.2)
+	c.PauliRotP(pauli.MustString("ZZI"), 0, 0.7)
+	c.PauliRotP(pauli.MustString("IZZ"), 0, 0.3)
+	c.PauliRotP(pauli.MustString("ZIZ"), 0, 1.2)
 	f := c.FuseDiagonals()
 	if f == c || len(f.Gates()) != 4 {
 		t.Fatalf("ZZ rotations should fuse to one table gate, got %d gates", len(f.Gates()))
 	}
 	c2 := NewCircuit(3)
-	c2.PauliRot(pauli.MustString("ZZI"), 0.7)
-	c2.PauliRot(pauli.MustString("XZI"), 0.3)
-	c2.PauliRot(pauli.MustString("ZIZ"), 1.2)
+	c2.PauliRotP(pauli.MustString("ZZI"), 0, 0.7)
+	c2.PauliRotP(pauli.MustString("XZI"), 0, 0.3)
+	c2.PauliRotP(pauli.MustString("ZIZ"), 0, 1.2)
 	if f2 := c2.FuseDiagonals(); f2 != c2 {
 		t.Fatal("X-bearing Pauli rotation should break the run")
 	}
 }
 
 func TestDiagonalValidation(t *testing.T) {
-	tbl := NewPhaseTable(make([]float64, 8))
-	c := NewCircuit(3)
-	c.Diagonal(tbl, 0.5)
-	if err := c.Validate(nil); err != nil {
+	edges, weights := ringEdges(3)
+	if err := qaoaLikeCircuit(3, 1, edges, weights).FuseDiagonals().Validate([]float64{0.1, 0.2}); err != nil {
 		t.Fatalf("valid diagonal circuit rejected: %v", err)
 	}
 	short := NewPhaseTable(make([]float64, 4))
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("builder accepted a wrong-length table")
-			}
-		}()
-		NewCircuit(3).Diagonal(short, 0.5)
-	}()
-	// ApplyGate re-checks hand-built gates on both engines.
+	// Validate and ApplyGate re-check hand-built gates on both engines.
+	for _, g := range []Gate{{Kind: GateDiagonal, Param: -1}, {Kind: GateDiagonal, Diag: short, Param: -1}} {
+		c := NewCircuit(3)
+		c.gates = append(c.gates, g)
+		if err := c.Validate(nil); err == nil {
+			t.Fatalf("Validate accepted a diagonal gate with table %v", g.Diag)
+		}
+	}
 	if err := NewState(3).ApplyGate(Gate{Kind: GateDiagonal}, nil); err == nil {
 		t.Fatal("state ApplyGate accepted a nil table")
 	}
@@ -221,7 +220,7 @@ func TestDiagonalValidation(t *testing.T) {
 	}
 }
 
-// accumDiagGenBranching is accumDiagGen's RZ, CZ, RZZ and PauliRot cases as
+// accumDiagGenBranching is accumDiagGen's CZ, RZZ and PauliRot cases as
 // they were written before the sign choices lost their branches: the
 // reference the fused tables are pinned to.
 func accumDiagGenBranching(table []float64, w float64, g *Gate) {
@@ -229,16 +228,6 @@ func accumDiagGenBranching(table []float64, w float64, g *Gate) {
 		return
 	}
 	switch g.Kind {
-	case GateRZ:
-		half := w / 2
-		bit := 1 << uint(g.Qubits[0])
-		for b := range table {
-			if b&bit == 0 {
-				table[b] += half
-			} else {
-				table[b] -= half
-			}
-		}
 	case GateCZ:
 		ab, bb := 1<<uint(g.Qubits[0]), 1<<uint(g.Qubits[1])
 		wpi := w * math.Pi
@@ -273,45 +262,44 @@ func accumDiagGenBranching(table []float64, w float64, g *Gate) {
 }
 
 // TestAccumDiagGenMatchesBranchingLoop pins accumDiagGen by Float64bits to
-// the branching loops: random RZ, CZ, RZZ and diagonal PauliRot gates with
-// random weights, accumulated into tables that start with ±0, subnormal
-// and huge entries. Each circuit opens with RZ and RZZ gates whose lowest
-// qubit is 0 or 1, the masks pauli.AddZDiagonal walks in alternating runs
-// of one or two entries.
+// the branching loops: random single-Z and diagonal PauliRot, CZ and RZZ
+// gates with random weights, accumulated into tables that start with ±0,
+// subnormal and huge entries. Each circuit opens with single-Z rotations
+// and RZZ gates whose lowest qubit is 0 or 1, the masks
+// pauli.AddZDiagonal walks in alternating runs of one or two entries.
 func TestAccumDiagGenMatchesBranchingLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	specials := []float64{0, math.Copysign(0, -1), 5e-324, -3e-310, 1e308, -1e308}
 	for _, n := range []int{1, 2, 5, 10} {
 		c := NewCircuit(n)
-		c.RZ(0, rng.NormFloat64())
+		c.PauliRotP(pauli.SingleZ(n, 0), 0, 1)
 		if n >= 2 {
-			c.RZ(1, rng.NormFloat64())
-			c.RZZ(0, 1, rng.NormFloat64())
-			c.RZZ(0, n-1, rng.NormFloat64())
+			c.PauliRotP(pauli.SingleZ(n, 1), 0, 1)
+			c.RZZP(0, 1, 0, 1)
+			c.RZZP(0, n-1, 0, 1)
 		}
 		if n >= 3 {
-			c.RZZ(1, n/2+1, rng.NormFloat64())
+			c.RZZP(1, n/2+1, 0, 1)
 		}
 		for k := 0; k < 6*n; k++ {
 			a, b := rng.Intn(n), rng.Intn(n)
-			theta := rng.NormFloat64()
 			switch k % 4 {
 			case 0:
-				c.RZ(a, theta)
+				c.PauliRotP(pauli.SingleZ(n, a), 0, 1)
 			case 1:
 				if a != b {
 					c.CZ(a, b)
 				}
 			case 2:
 				if a != b {
-					c.RZZ(a, b, theta)
+					c.RZZP(a, b, 0, 1)
 				}
 			case 3:
 				ops := make([]byte, n)
 				for q := range ops {
 					ops[q] = "IZ"[rng.Intn(2)]
 				}
-				c.PauliRot(pauli.MustString(string(ops)), theta)
+				c.PauliRotP(pauli.MustString(string(ops)), 0, 1)
 			}
 		}
 		got, want := make([]float64, 1<<uint(n)), make([]float64, 1<<uint(n))

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/pauli"
 )
 
 // half_test.go pins the flip-symmetric half-state path to the full-state
@@ -191,8 +193,8 @@ func TestHalfEnergyRefusesAsymmetric(t *testing.T) {
 		missingH.RXP(q, 0, 2)
 	}
 	zPhase := qaoaLikeCircuit(n, p, edges, weights)
-	zPhase.RZ(0, 0.3)
-	zPhase.RZ(1, 0.2)
+	zPhase.PauliRotP(pauli.SingleZ(n, 0), 0, 0.3)
+	zPhase.PauliRotP(pauli.SingleZ(n, 1), 0, 0.2)
 
 	cases := []struct {
 		name  string
@@ -201,7 +203,7 @@ func TestHalfEnergyRefusesAsymmetric(t *testing.T) {
 	}{
 		{"single-Z energy term", qaoaLikeCircuit(n, p, edges, weights).FuseDiagonals(), zTerm},
 		{"RY mixer", mixer(func(c *Circuit, q int) { c.RYP(q, 0, 2) }), table},
-		{"RZ mixer", mixer(func(c *Circuit, q int) { c.RZP(q, 0, 2) }), table},
+		{"Z-rotation mixer", mixer(func(c *Circuit, q int) { c.PauliRotP(pauli.SingleZ(n, q), 0, 2) }), table},
 		{"missing H", missingH.FuseDiagonals(), table},
 		{"asymmetric phase table", zPhase.FuseDiagonals(), table},
 		{"unfused RZZ", qaoaLikeCircuit(n, p, edges, weights), table},

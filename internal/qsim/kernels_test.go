@@ -49,34 +49,12 @@ func refApply1Q(amp []complex128, q int, m [2][2]complex128) {
 	}
 }
 
-func refApplyCNOT(amp []complex128, ctl, tgt int) {
-	cb := 1 << uint(ctl)
-	tb := 1 << uint(tgt)
-	for i := range amp {
-		if i&cb != 0 && i&tb == 0 {
-			j := i | tb
-			amp[i], amp[j] = amp[j], amp[i]
-		}
-	}
-}
-
 func refApplyCZ(amp []complex128, a, b int) {
 	ab := 1 << uint(a)
 	bb := 1 << uint(b)
 	for i := range amp {
 		if i&ab != 0 && i&bb != 0 {
 			amp[i] = -amp[i]
-		}
-	}
-}
-
-func refApplySWAP(amp []complex128, a, b int) {
-	ab := 1 << uint(a)
-	bb := 1 << uint(b)
-	for i := range amp {
-		if i&ab != 0 && i&bb == 0 {
-			j := i&^ab | bb
-			amp[i], amp[j] = amp[j], amp[i]
 		}
 	}
 }
@@ -139,12 +117,8 @@ func refApplyGate(amp []complex128, g Gate, params []float64) {
 		panic(err)
 	}
 	switch g.Kind {
-	case GateCNOT:
-		refApplyCNOT(amp, g.Qubits[0], g.Qubits[1])
 	case GateCZ:
 		refApplyCZ(amp, g.Qubits[0], g.Qubits[1])
-	case GateSWAP:
-		refApplySWAP(amp, g.Qubits[0], g.Qubits[1])
 	case GateRZZ:
 		refApplyRZZ(amp, g.Qubits[0], g.Qubits[1], theta)
 	case GatePauliRot:
@@ -177,52 +151,52 @@ func refExpectationPauli(amp []complex128, p pauli.String) float64 {
 	return real(acc)
 }
 
-// allKindsCircuit builds a random fixed-angle circuit that exercises every
-// gate kind, including the diagonal 1Q fast paths and SWAP.
-func allKindsCircuit(n, depth int, rng *rand.Rand) *Circuit {
+// angles holds a test circuit's parameter vector, one entry per fixed
+// angle: c.RXP(q, a.bind(theta), 1) appends an RX(theta) that Run(c, a)
+// resolves to exactly theta (1*theta + 0).
+type angles []float64
+
+// bind appends theta and returns its parameter index.
+func (a *angles) bind(theta float64) int {
+	*a = append(*a, theta)
+	return len(*a) - 1
+}
+
+// allKindsCircuit builds a random circuit that exercises every gate kind
+// the builders make and every single-qubit kernel class, including a
+// zero-angle rotation (an exact identity, which takes the phase kernel).
+// Every rotation binds its own parameter; the returned angles bind them.
+func allKindsCircuit(n, depth int, rng *rand.Rand) (*Circuit, angles) {
 	c := NewCircuit(n)
-	pick2 := func() (int, int) {
-		a := rng.Intn(n)
-		b := (a + 1 + rng.Intn(n-1)) % n
-		return a, b
-	}
+	var ang angles
+	angle := func() int { return ang.bind(rng.Float64() * 4 * math.Pi) }
 	for d := 0; d < depth; d++ {
-		switch k := rng.Intn(15); k {
+		switch k := rng.Intn(8); k {
 		case 0:
 			c.H(rng.Intn(n))
 		case 1:
 			c.X(rng.Intn(n))
 		case 2:
-			c.Y(rng.Intn(n))
+			c.RXP(rng.Intn(n), angle(), 1)
 		case 3:
-			c.Z(rng.Intn(n))
+			c.RYP(rng.Intn(n), angle(), 1)
 		case 4:
-			c.S(rng.Intn(n))
-		case 5:
-			c.Sdg(rng.Intn(n))
-		case 6:
-			c.T(rng.Intn(n))
-		case 7:
-			c.RX(rng.Intn(n), rng.Float64()*4*math.Pi)
-		case 8:
-			c.RY(rng.Intn(n), rng.Float64()*4*math.Pi)
-		case 9:
-			c.RZ(rng.Intn(n), rng.Float64()*4*math.Pi)
-		case 10, 11, 12, 13:
+			if q := rng.Intn(n); rng.Intn(2) == 0 {
+				c.RXP(q, ang.bind(0), 1)
+			} else {
+				c.RYP(q, ang.bind(0), 1)
+			}
+		case 5, 6:
 			if n == 1 {
 				c.H(0)
 				continue
 			}
-			a, b := pick2()
-			switch k {
-			case 10:
-				c.CNOT(a, b)
-			case 11:
+			a := rng.Intn(n)
+			b := (a + 1 + rng.Intn(n-1)) % n
+			if k == 5 {
 				c.CZ(a, b)
-			case 12:
-				c.SWAP(a, b)
-			default:
-				c.RZZ(a, b, rng.Float64()*4*math.Pi)
+			} else {
+				c.RZZP(a, b, angle(), 1)
 			}
 		default:
 			ops := []byte{'I', 'X', 'Y', 'Z'}
@@ -237,10 +211,10 @@ func allKindsCircuit(n, depth int, rng *rand.Rand) *Circuit {
 			if !nonI {
 				b[rng.Intn(n)] = ops[1+rng.Intn(3)]
 			}
-			c.PauliRot(pauli.MustString(string(b)), rng.Float64()*4*math.Pi)
+			c.PauliRotP(pauli.MustString(string(b)), angle(), 1)
 		}
 	}
-	return c
+	return c, ang
 }
 
 // TestKernelsBitIdenticalToSeed drives random circuits gate-by-gate through
@@ -251,15 +225,15 @@ func TestKernelsBitIdenticalToSeed(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 10} {
 		for _, workers := range []int{1, 3} {
 			rng := rand.New(rand.NewSource(int64(100*n + workers)))
-			c := allKindsCircuit(n, 60, rng)
+			c, ang := allKindsCircuit(n, 60, rng)
 			s := NewState(n).SetWorkers(workers)
 			ref := make([]complex128, 1<<uint(n))
 			ref[0] = 1
 			for gi, g := range c.Gates() {
-				if err := s.ApplyGate(g, nil); err != nil {
+				if err := s.ApplyGate(g, ang); err != nil {
 					t.Fatal(err)
 				}
-				refApplyGate(ref, g, nil)
+				refApplyGate(ref, g, ang)
 				for i := range ref {
 					if s.amp[i] != ref[i] {
 						t.Fatalf("n=%d workers=%d gate %d (%s): amp[%d] = %v, seed %v",
@@ -277,14 +251,14 @@ func TestKernelsBitIdenticalToSeed(t *testing.T) {
 func TestKernelShardingBitIdentical(t *testing.T) {
 	const n = 15
 	rng := rand.New(rand.NewSource(99))
-	c := allKindsCircuit(n, 25, rng)
-	serial, err := Run(c, nil)
+	c, ang := allKindsCircuit(n, 25, rng)
+	serial, err := Run(c, ang)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8} {
 		s := NewState(n).SetWorkers(workers)
-		if err := RunInto(s, c, nil); err != nil {
+		if err := RunInto(s, c, ang); err != nil {
 			t.Fatal(err)
 		}
 		for i := range serial.amp {
@@ -301,11 +275,11 @@ func TestRunIntoReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := NewState(5)
 	for trial := 0; trial < 10; trial++ {
-		c := allKindsCircuit(5, 40, rng)
-		if err := RunInto(s, c, nil); err != nil {
+		c, ang := allKindsCircuit(5, 40, rng)
+		if err := RunInto(s, c, ang); err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := Run(c, nil)
+		fresh, err := Run(c, ang)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,7 +289,7 @@ func TestRunIntoReuse(t *testing.T) {
 			}
 		}
 	}
-	if err := RunInto(s, allKindsCircuit(3, 5, rng), nil); err == nil {
+	if c, ang := allKindsCircuit(3, 5, rng); RunInto(s, c, ang) == nil {
 		t.Fatal("want dimension mismatch error")
 	}
 }
@@ -327,7 +301,7 @@ func TestRunIntoReuse(t *testing.T) {
 func TestExpectationPauliMatchesSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, n := range []int{1, 2, 4, 6} {
-		s, err := Run(allKindsCircuit(n, 50, rng), nil)
+		s, err := Run(allKindsCircuit(n, 50, rng))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +335,7 @@ func TestExpectationPauliMatchesSeed(t *testing.T) {
 func TestExpectationDiagonalMatchesPerTerm(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	n := 6
-	s, err := Run(allKindsCircuit(n, 60, rng), nil)
+	s, err := Run(allKindsCircuit(n, 60, rng))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,16 +534,17 @@ func TestDensityDiagonalPrecomputeBitIdentical(t *testing.T) {
 	for q := 0; q < n; q++ {
 		c.H(q)
 	}
+	ang := angles{0.8, 1.3, rng.Float64()}
 	c.CZ(0, 1)
-	c.RZZ(1, 2, 0.8)
-	c.PauliRot(pauli.MustString("ZZIZZ"), 1.3)
-	c.RX(3, rng.Float64())
+	c.RZZP(1, 2, 0, 1)
+	c.PauliRotP(pauli.MustString("ZZIZZ"), 1, 1)
+	c.RXP(3, 2, 1)
 	c.CZ(2, 4)
-	s, err := Run(c, nil)
+	s, err := Run(c, ang)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := RunDensity(c, nil, nil)
+	d, err := RunDensity(c, ang, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,31 +568,52 @@ type runGatesCase struct {
 	c    *Circuit
 }
 
+// runGatesAngles are the fixed mixer angles of runGatesCases, bound to
+// parameters 2 and up after its beta (0) and gamma (1).
+var runGatesAngles = []float64{0.3, -0.7, 2.3, 0, 1.1, -1.9, 0.4}
+
 // runGatesCases builds the circuit shapes the preparation pass and the
 // paired mixer kernel must reproduce: full, partial, repeated-qubit and
 // missing H prefixes; a prefix followed by a compressed or a direct phase
-// table; and RX/Y runs on distinct and repeated qubits with odd lengths,
-// including an RX(0) that dispatches to the phase kernel instead.
+// table; and RX runs on distinct and repeated qubits with odd lengths,
+// including an RX(0) that dispatches to the phase kernel instead. The
+// phase tables are what FuseDiagonals makes of a diagonal run, as it does
+// of a QAOA cost layer: a repeated single-Z rotation has two values (the
+// LUT path from n = 4), and ZZ rotations on every pair plus a Z rotation
+// on every qubit, at random weights, have all values distinct (the direct
+// path).
 func runGatesCases(n int, rng *rand.Rand) []runGatesCase {
-	dim := 1 << uint(n)
-	few := make([]float64, dim)  // two distinct values: LUT path from n = 4
-	many := make([]float64, dim) // all distinct: direct path
-	for b := range few {
-		few[b] = float64(rng.Intn(2)*3 - 1)
-		many[b] = rng.NormFloat64() * 3
+	z0 := pauli.SingleZ(n, 0)
+	lutRun := func(c *Circuit, scale float64) *Circuit {
+		return c.PauliRotP(z0, 1, scale).PauliRotP(z0, 1, 2*scale)
 	}
-	lutTable, directTable := NewPhaseTable(few), NewPhaseTable(many)
+	weights := make([]float64, n*(n+1)/2)
+	for i := range weights {
+		weights[i] = rng.NormFloat64() * 3
+	}
+	directRun := func(c *Circuit, scale float64) *Circuit {
+		w := weights
+		for a := 0; a < n; a++ {
+			c.PauliRotP(pauli.SingleZ(n, a), 1, scale*w[0])
+			w = w[1:]
+			for b := a + 1; b < n; b++ {
+				c.RZZP(a, b, 1, scale*w[0])
+				w = w[1:]
+			}
+		}
+		return c
+	}
 	perm := rng.Perm(n)
 
 	// mixer appends a QAOA-style RX layer (odd length when n is odd) and a
-	// run of RX/Y gates with repeats and an RX(0).
+	// run of RX gates with repeats and an RX(0).
 	mixer := func(c *Circuit, param int) *Circuit {
 		for _, q := range perm {
 			c.RXP(q, param, 2)
 		}
-		c.RX(0, 0.3).RX(0, -0.7).Y(n - 1)
+		c.RXP(0, 2, 1).RXP(0, 3, 1).RXP(n-1, 4, 1)
 		if n > 1 {
-			c.RX(1, 0).RX(0, 1.1).Y(1).RX(n-2, 0.4)
+			c.RXP(1, 5, 1).RXP(0, 6, 1).RXP(1, 7, 1).RXP(n-2, 8, 1)
 		}
 		return c
 	}
@@ -629,20 +625,20 @@ func runGatesCases(n int, rng *rand.Rand) []runGatesCase {
 	}
 
 	var cases []runGatesCase
-	add := func(name string, c *Circuit) { cases = append(cases, runGatesCase{name, c}) }
+	add := func(name string, c *Circuit) { cases = append(cases, runGatesCase{name, c.FuseDiagonals()}) }
 
-	c := hLayer(NewCircuit(n), perm).DiagonalP(lutTable, 1, 1)
-	add("full-prefix-lut", mixer(c, 0).DiagonalP(lutTable, 1, 0.5))
-	c = hLayer(NewCircuit(n), perm).DiagonalP(directTable, 1, 1)
-	add("full-prefix-direct", mixer(c, 0).DiagonalP(directTable, 1, -1))
+	c := lutRun(hLayer(NewCircuit(n), perm), 1)
+	add("full-prefix-lut", lutRun(mixer(c, 0), 0.5))
+	c = directRun(hLayer(NewCircuit(n), perm), 1)
+	add("full-prefix-direct", directRun(mixer(c, 0), -1))
 	add("full-prefix-no-diagonal", mixer(hLayer(NewCircuit(n), perm), 0))
-	c = hLayer(NewCircuit(n), perm[:(n+1)/2]).DiagonalP(lutTable, 1, 1)
+	c = lutRun(hLayer(NewCircuit(n), perm[:(n+1)/2]), 1)
 	add("partial-prefix-lut", mixer(c, 0))
-	c = hLayer(NewCircuit(n), perm[:(n+1)/2]).DiagonalP(directTable, 1, 1)
+	c = directRun(hLayer(NewCircuit(n), perm[:(n+1)/2]), 1)
 	add("partial-prefix-direct", mixer(c, 0))
 	c = NewCircuit(n).H(perm[0]).H(perm[0])
-	add("repeated-h", mixer(hLayer(c, perm).DiagonalP(lutTable, 1, 1), 0))
-	add("no-prefix", mixer(NewCircuit(n).X(0).DiagonalP(directTable, 1, 1), 0).H(0))
+	add("repeated-h", mixer(lutRun(hLayer(c, perm), 1), 0))
+	add("no-prefix", mixer(directRun(NewCircuit(n).X(0), 1), 0).H(0))
 	add("empty", NewCircuit(n))
 	return cases
 }
@@ -657,7 +653,7 @@ func runGatesCases(n int, rng *rand.Rand) []runGatesCase {
 func TestRunIntoMatchesSeedGateByGate(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 10, 15} {
 		rng := rand.New(rand.NewSource(int64(500 + n)))
-		params := []float64{rng.Float64() - 0.5, rng.Float64()*2 - 1}
+		params := append([]float64{rng.Float64() - 0.5, rng.Float64()*2 - 1}, runGatesAngles...)
 		cases := runGatesCases(n, rng)
 		if n >= 4 {
 			// The fixture's first two shapes must cover both table paths.
@@ -741,7 +737,7 @@ func TestPrepareGatherBitIdentical(t *testing.T) {
 				c.H(q)
 				span |= 1 << uint(q)
 			}
-			c.DiagonalP(tbl, 0, 1)
+			c.gates = append(c.gates, Gate{Kind: GateDiagonal, Diag: tbl, Param: 0, Scale: 1})
 			v := 1.0
 			for range qubits {
 				v *= 1 / math.Sqrt2

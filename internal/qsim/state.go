@@ -124,33 +124,11 @@ func masks2(a, b int) (lm, hm int) {
 // mixer kernel (mixedPairRange) — and both give every amplitude exactly the
 // arithmetic the one-gate kernels would.
 
-// phase1Q multiplies the |1> half by m11 (Z, S, Sdg, T: m00 = 1).
+// phase1Q multiplies the |1> half by m11 (m00 = 1: a zero-angle RX or RY).
 func (s *State) phase1Q(klo, khi, bit, lm int, m11 complex128) {
 	amp := s.amp
 	for k := klo; k < khi; k++ {
 		amp[(k&^lm)<<1|k&lm|bit] *= m11
-	}
-}
-
-// diag1Q multiplies both halves by their phases (RZ).
-func (s *State) diag1Q(klo, khi, bit, lm int, m00, m11 complex128) {
-	amp := s.amp
-	for k := klo; k < khi; k++ {
-		i := (k&^lm)<<1 | k&lm
-		amp[i] *= m00
-		amp[i|bit] *= m11
-	}
-}
-
-// dense1Q applies a full 2x2 matrix.
-func (s *State) dense1Q(klo, khi, bit, lm int, m00, m01, m10, m11 complex128) {
-	amp := s.amp
-	for k := klo; k < khi; k++ {
-		i := (k&^lm)<<1 | k&lm
-		j := i | bit
-		a0, a1 := amp[i], amp[j]
-		amp[i] = m00*a0 + m01*a1
-		amp[j] = m10*a0 + m11*a1
 	}
 }
 
@@ -172,7 +150,7 @@ func (s *State) realDense1Q(klo, khi, bit, lm int, m00, m01, m10, m11 float64) {
 }
 
 // mixedDense1Q applies a matrix with real diagonal and purely imaginary
-// off-diagonal entries (RX, Y), again performing exactly the generic
+// off-diagonal entries (RX), again performing exactly the generic
 // path's nonzero-component operations. Each index i with pivot bit lm+1
 // clear pairs with i^d: d is the qubit bit on a full state, and the
 // complement mask on a half state (see half.go).
@@ -281,27 +259,23 @@ func pairMasks(da, db int) (lm, hm int) {
 type kernelClass uint8
 
 const (
-	classPhase kernelClass = iota // m00 = 1, zero off-diagonal (Z, S, Sdg, T)
-	classDiag                     // zero off-diagonal (RZ)
+	classPhase kernelClass = iota // m00 = 1, zero off-diagonal (RX(0), RY(0))
 	classReal                     // all-real (H, X, RY)
-	classMixed                    // real diagonal, imaginary off-diagonal (RX, Y)
-	classDense                    // anything else
+	classMixed                    // real diagonal, imaginary off-diagonal (RX)
 )
 
-// classify picks the kernel for m. The order of the tests is the dispatch
-// rule: a matrix in two classes takes the earlier one.
+// classify picks the kernel for m, a gateMatrix matrix. The order of the
+// tests is the dispatch rule: a matrix in two classes takes the earlier one.
+// gateMatrix yields no matrix outside the three classes, so one that is
+// neither a phase nor real is an RX with a nonzero angle: mixed.
 func classify(m [2][2]complex128) kernelClass {
 	switch {
 	case m[0][1] == 0 && m[1][0] == 0 && m[0][0] == 1:
 		return classPhase
-	case m[0][1] == 0 && m[1][0] == 0:
-		return classDiag
 	case imag(m[0][0]) == 0 && imag(m[0][1]) == 0 && imag(m[1][0]) == 0 && imag(m[1][1]) == 0:
 		return classReal
-	case imag(m[0][0]) == 0 && imag(m[1][1]) == 0 && real(m[0][1]) == 0 && real(m[1][0]) == 0:
-		return classMixed
 	default:
-		return classDense
+		return classMixed
 	}
 }
 
@@ -311,8 +285,8 @@ func mixedOf(m [2][2]complex128) mixedMatrix {
 }
 
 // apply1Q applies the 2x2 matrix m to qubit q as a strided two-level loop
-// over compressed indices. Diagonal matrices (RZ, Z, S, Sdg, T) take a pure
-// phase path, and phase gates with m00 = 1 touch only the |1> half.
+// over compressed indices. An exact identity (a zero angle) takes the phase
+// path, which touches only the |1> half.
 func (s *State) apply1Q(q int, m [2][2]complex128) {
 	bit := 1 << uint(q)
 	lm := bit - 1
@@ -325,12 +299,6 @@ func (s *State) apply1Q(q int, m [2][2]complex128) {
 			return
 		}
 		s.phase1Q(0, half, bit, lm, m[1][1])
-	case classDiag:
-		if w > 1 {
-			shard.ForRange(w, half, func(_, lo, hi int) { s.diag1Q(lo, hi, bit, lm, m[0][0], m[1][1]) })
-			return
-		}
-		s.diag1Q(0, half, bit, lm, m[0][0], m[1][1])
 	case classReal:
 		r00, r01, r10, r11 := real(m[0][0]), real(m[0][1]), real(m[1][0]), real(m[1][1])
 		if w > 1 {
@@ -340,37 +308,7 @@ func (s *State) apply1Q(q int, m [2][2]complex128) {
 		s.realDense1Q(0, half, bit, lm, r00, r01, r10, r11)
 	case classMixed:
 		s.applyMixed1Q(bit, lm, mixedOf(m))
-	default:
-		if w > 1 {
-			shard.ForRange(w, half, func(_, lo, hi int) {
-				s.dense1Q(lo, hi, bit, lm, m[0][0], m[0][1], m[1][0], m[1][1])
-			})
-			return
-		}
-		s.dense1Q(0, half, bit, lm, m[0][0], m[0][1], m[1][0], m[1][1])
 	}
-}
-
-func (s *State) cnotRange(klo, khi, lm, hm, cb, tb int) {
-	amp := s.amp
-	for k := klo; k < khi; k++ {
-		i := base2(k, lm, hm) | cb
-		j := i | tb
-		amp[i], amp[j] = amp[j], amp[i]
-	}
-}
-
-// applyCNOT swaps the target pair in every |ctl=1> group: a branch-free
-// strided loop over the 2^n/4 groups the gate touches.
-func (s *State) applyCNOT(ctl, tgt int) {
-	cb, tb := 1<<uint(ctl), 1<<uint(tgt)
-	lm, hm := masks2(cb, tb)
-	quarter := len(s.amp) >> 2
-	if w := s.kernelWorkers(quarter); w > 1 {
-		shard.ForRange(w, quarter, func(_, lo, hi int) { s.cnotRange(lo, hi, lm, hm, cb, tb) })
-		return
-	}
-	s.cnotRange(0, quarter, lm, hm, cb, tb)
 }
 
 func (s *State) czRange(klo, khi, lm, hm, mask int) {
@@ -391,27 +329,6 @@ func (s *State) applyCZ(a, b int) {
 		return
 	}
 	s.czRange(0, quarter, lm, hm, ab|bb)
-}
-
-func (s *State) swapRange(klo, khi, lm, hm, ab, bb int) {
-	amp := s.amp
-	for k := klo; k < khi; k++ {
-		base := base2(k, lm, hm)
-		i, j := base|ab, base|bb
-		amp[i], amp[j] = amp[j], amp[i]
-	}
-}
-
-// applySWAP exchanges the |01> and |10> amplitudes of every group.
-func (s *State) applySWAP(a, b int) {
-	ab, bb := 1<<uint(a), 1<<uint(b)
-	lm, hm := masks2(ab, bb)
-	quarter := len(s.amp) >> 2
-	if w := s.kernelWorkers(quarter); w > 1 {
-		shard.ForRange(w, quarter, func(_, lo, hi int) { s.swapRange(lo, hi, lm, hm, ab, bb) })
-		return
-	}
-	s.swapRange(0, quarter, lm, hm, ab, bb)
 }
 
 func (s *State) rzzRange(klo, khi, lm, hm, ab, bb int, pPlus, pMinus complex128) {
@@ -585,26 +502,11 @@ func gateMatrix(k Kind, theta float64) [2][2]complex128 {
 		return [2][2]complex128{{inv, inv}, {inv, -inv}}
 	case GateX:
 		return [2][2]complex128{{0, 1}, {1, 0}}
-	case GateY:
-		return [2][2]complex128{{0, complex(0, -1)}, {complex(0, 1), 0}}
-	case GateZ:
-		return [2][2]complex128{{1, 0}, {0, -1}}
-	case GateS:
-		return [2][2]complex128{{1, 0}, {0, complex(0, 1)}}
-	case GateSdg:
-		return [2][2]complex128{{1, 0}, {0, complex(0, -1)}}
-	case GateT:
-		return [2][2]complex128{{1, 0}, {0, complex(math.Cos(math.Pi/4), math.Sin(math.Pi/4))}}
 	case GateRX:
 		return [2][2]complex128{{c, -sI}, {-sI, c}}
 	case GateRY:
 		sR := complex(math.Sin(theta/2), 0)
 		return [2][2]complex128{{c, -sR}, {sR, c}}
-	case GateRZ:
-		return [2][2]complex128{
-			{complex(math.Cos(theta/2), -math.Sin(theta/2)), 0},
-			{0, complex(math.Cos(theta/2), math.Sin(theta/2))},
-		}
 	default:
 		panic(fmt.Sprintf("qsim: %v is not a single-qubit matrix gate", k))
 	}
@@ -613,12 +515,8 @@ func gateMatrix(k Kind, theta float64) [2][2]complex128 {
 // applyKind dispatches one gate with its angle already resolved.
 func (s *State) applyKind(g *Gate, theta float64) {
 	switch g.Kind {
-	case GateCNOT:
-		s.applyCNOT(g.Qubits[0], g.Qubits[1])
 	case GateCZ:
 		s.applyCZ(g.Qubits[0], g.Qubits[1])
-	case GateSWAP:
-		s.applySWAP(g.Qubits[0], g.Qubits[1])
 	case GateRZZ:
 		s.applyRZZ(g.Qubits[0], g.Qubits[1], theta)
 	case GatePauliRot:
@@ -647,9 +545,8 @@ func (s *State) ApplyGate(g Gate, params []float64) error {
 // the state held before. Validate has already checked parameter arity and
 // finiteness, so angle resolution cannot fail and the per-gate error path is
 // skipped entirely. prepare consumes the leading H run (and a phase table
-// right after it); of the rest, two consecutive mixed-class gates (RX, Y) on
-// distinct qubits share one paired pass, and every other gate takes its own
-// kernel.
+// right after it); of the rest, two consecutive RX gates on distinct qubits
+// share one paired pass, and every other gate takes its own kernel.
 //
 // The same loop runs a flip-symmetric circuit on its stored half (see
 // half.go), where s has one qubit fewer than the circuit. prepare needs no

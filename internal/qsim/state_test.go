@@ -14,60 +14,6 @@ const tol = 1e-10
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-// randomCircuit builds a random fixed-angle circuit touching every gate kind.
-func randomCircuit(n, depth int, rng *rand.Rand) *Circuit {
-	c := NewCircuit(n)
-	for d := 0; d < depth; d++ {
-		switch rng.Intn(10) {
-		case 0:
-			c.H(rng.Intn(n))
-		case 1:
-			c.X(rng.Intn(n))
-		case 2:
-			c.RX(rng.Intn(n), rng.Float64()*2*math.Pi)
-		case 3:
-			c.RY(rng.Intn(n), rng.Float64()*2*math.Pi)
-		case 4:
-			c.RZ(rng.Intn(n), rng.Float64()*2*math.Pi)
-		case 5:
-			if n > 1 {
-				a := rng.Intn(n)
-				b := (a + 1 + rng.Intn(n-1)) % n
-				c.CNOT(a, b)
-			}
-		case 6:
-			if n > 1 {
-				a := rng.Intn(n)
-				b := (a + 1 + rng.Intn(n-1)) % n
-				c.CZ(a, b)
-			}
-		case 7:
-			if n > 1 {
-				a := rng.Intn(n)
-				b := (a + 1 + rng.Intn(n-1)) % n
-				c.RZZ(a, b, rng.Float64()*2*math.Pi)
-			}
-		case 8:
-			c.S(rng.Intn(n)).T(rng.Intn(n))
-		default:
-			ops := []byte{'I', 'X', 'Y', 'Z'}
-			b := make([]byte, n)
-			nonI := false
-			for i := range b {
-				b[i] = ops[rng.Intn(4)]
-				if b[i] != 'I' {
-					nonI = true
-				}
-			}
-			if !nonI {
-				b[0] = 'X'
-			}
-			c.PauliRot(pauli.MustString(string(b)), rng.Float64()*2*math.Pi)
-		}
-	}
-	return c
-}
-
 func TestStateInitial(t *testing.T) {
 	s := NewState(3)
 	if s.N() != 3 {
@@ -93,8 +39,12 @@ func TestHadamardSuperposition(t *testing.T) {
 	}
 }
 
+// bellCircuit prepares (|00> + |11>)/sqrt(2): H on both qubits, CZ, then
+// H on qubit 1 (the CNOT of the textbook circuit as H CZ H).
+func bellCircuit() *Circuit { return NewCircuit(2).H(0).H(1).CZ(0, 1).H(1) }
+
 func TestBellState(t *testing.T) {
-	c := NewCircuit(2).H(0).CNOT(0, 1)
+	c := bellCircuit()
 	s, err := Run(c, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -126,8 +76,7 @@ func TestUnitarity(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(5)
-		c := randomCircuit(n, 20, rng)
-		s, err := Run(c, nil)
+		s, err := Run(allKindsCircuit(n, 20, rng))
 		if err != nil {
 			return false
 		}
@@ -138,25 +87,29 @@ func TestUnitarity(t *testing.T) {
 	}
 }
 
+// TestRZZMatchesDecomposition checks RZZ(theta) on (0, 2) against the
+// textbook CNOT RZ(theta) CNOT: with CNOT = H CZ H on the target and
+// H RZ H = RX, that is H CZ RX(theta) CZ H on qubit 2.
 func TestRZZMatchesDecomposition(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 10; trial++ {
 		theta := rng.Float64() * 4 * math.Pi
-		pre := randomCircuit(3, 8, rng)
+		pre, ang := allKindsCircuit(3, 8, rng)
+		k := ang.bind(theta)
 
 		c1 := NewCircuit(3)
 		c1.gates = append(c1.gates, pre.gates...)
-		c1.RZZ(0, 2, theta)
+		c1.RZZP(0, 2, k, 1)
 
 		c2 := NewCircuit(3)
 		c2.gates = append(c2.gates, pre.gates...)
-		c2.CNOT(0, 2).RZ(2, theta).CNOT(0, 2)
+		c2.H(2).CZ(0, 2).RXP(2, k, 1).CZ(0, 2).H(2)
 
-		s1, err := Run(c1, nil)
+		s1, err := Run(c1, ang)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := Run(c2, nil)
+		s2, err := Run(c2, ang)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,31 +121,43 @@ func TestRZZMatchesDecomposition(t *testing.T) {
 	}
 }
 
+// TestPauliRotMatchesNamedRotations checks single-axis and ZZ Pauli
+// rotations against the named rotations' matrices applied by the seed
+// loops (refApply1Q, refApplyRZZ).
 func TestPauliRotMatchesNamedRotations(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	rz := func(th float64) [2][2]complex128 {
+		return [2][2]complex128{
+			{complex(math.Cos(th/2), -math.Sin(th/2)), 0},
+			{0, complex(math.Cos(th/2), math.Sin(th/2))},
+		}
+	}
 	cases := []struct {
 		p     string
-		build func(c *Circuit, theta float64)
+		apply func(amp []complex128, theta float64)
 	}{
-		{"ZII", func(c *Circuit, th float64) { c.RZ(0, th) }},
-		{"IXI", func(c *Circuit, th float64) { c.RX(1, th) }},
-		{"IIY", func(c *Circuit, th float64) { c.RY(2, th) }},
-		{"ZIZ", func(c *Circuit, th float64) { c.RZZ(0, 2, th) }},
+		{"ZII", func(amp []complex128, th float64) { refApply1Q(amp, 0, rz(th)) }},
+		{"IXI", func(amp []complex128, th float64) { refApply1Q(amp, 1, gateMatrix(GateRX, th)) }},
+		{"IIY", func(amp []complex128, th float64) { refApply1Q(amp, 2, gateMatrix(GateRY, th)) }},
+		{"ZIZ", func(amp []complex128, th float64) { refApplyRZZ(amp, 0, 2, th) }},
 	}
 	for _, tc := range cases {
 		theta := rng.Float64() * 4 * math.Pi
-		pre := randomCircuit(3, 10, rng)
+		pre, ang := allKindsCircuit(3, 10, rng)
 
-		c1 := NewCircuit(3)
-		c1.gates = append(c1.gates, pre.gates...)
-		c1.PauliRot(pauli.MustString(tc.p), theta)
+		c := NewCircuit(3)
+		c.gates = append(c.gates, pre.gates...)
+		c.PauliRotP(pauli.MustString(tc.p), ang.bind(theta), 1)
 
-		c2 := NewCircuit(3)
-		c2.gates = append(c2.gates, pre.gates...)
-		tc.build(c2, theta)
-
-		s1, _ := Run(c1, nil)
-		s2, _ := Run(c2, nil)
+		s1, err := Run(c, ang)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, err := Run(pre, ang)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.apply(s2.amp, theta)
 		for i := range s1.amp {
 			if cmplx.Abs(s1.amp[i]-s2.amp[i]) > 1e-9 {
 				t.Fatalf("%s: amp[%d] %v vs %v", tc.p, i, s1.amp[i], s2.amp[i])
@@ -203,14 +168,14 @@ func TestPauliRotMatchesNamedRotations(t *testing.T) {
 
 func TestPauliRotXYGenerators(t *testing.T) {
 	// exp(-i pi/2 X) = -i X up to global phase: |0> -> -i|1>.
-	c := NewCircuit(1).PauliRot(pauli.MustString("X"), math.Pi)
-	s, _ := Run(c, nil)
+	c := NewCircuit(1).PauliRotP(pauli.MustString("X"), 0, 1)
+	s, _ := Run(c, []float64{math.Pi})
 	if cmplx.Abs(s.amp[1]-complex(0, -1)) > 1e-9 {
 		t.Fatalf("exp(-i pi X/2)|0> amp1 = %v", s.amp[1])
 	}
 	// exp(-i pi/2 Y)|0> = |1> (up to sign conventions: RY(pi)|0> = |1>).
-	c2 := NewCircuit(1).PauliRot(pauli.MustString("Y"), math.Pi)
-	s2, _ := Run(c2, nil)
+	c2 := NewCircuit(1).PauliRotP(pauli.MustString("Y"), 0, 1)
+	s2, _ := Run(c2, []float64{math.Pi})
 	if cmplx.Abs(s2.amp[1]-1) > 1e-9 {
 		t.Fatalf("RY(pi)|0> amp1 = %v", s2.amp[1])
 	}
@@ -232,7 +197,7 @@ func TestParametricBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Run(NewCircuit(2).RX(0, 0.3).RZZ(0, 1, 1.4), nil)
+	s2, err := Run(NewCircuit(2).RXP(0, 0, 1).RZZP(0, 1, 1, 1), []float64{0.3, 1.4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,8 +211,7 @@ func TestParametricBinding(t *testing.T) {
 func TestExpectationDiagonalAgainstDistribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	n := 4
-	c := randomCircuit(n, 25, rng)
-	s, err := Run(c, nil)
+	s, err := Run(allKindsCircuit(n, 25, rng))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,8 +239,7 @@ func TestExpectationDiagonalAgainstDistribution(t *testing.T) {
 }
 
 func TestCloneAndReset(t *testing.T) {
-	c := NewCircuit(2).H(0).CNOT(0, 1)
-	s, _ := Run(c, nil)
+	s, _ := Run(bellCircuit(), nil)
 	cl := s.Clone()
 	s.Reset()
 	if !approx(real(s.amp[0]), 1, tol) {
@@ -299,17 +262,17 @@ func TestCircuitValidation(t *testing.T) {
 func TestCircuitDuplicateQubitPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("want panic for duplicate qubits in CNOT")
+			t.Fatal("want panic for duplicate qubits in CZ")
 		}
 	}()
-	NewCircuit(2).CNOT(1, 1)
+	NewCircuit(2).CZ(1, 1)
 }
 
 func TestGateCounts(t *testing.T) {
 	c := NewCircuit(4)
-	c.H(0).H(1).CNOT(0, 1).RZZ(1, 2, 0.5).RX(3, 0.1)
-	c.PauliRot(pauli.MustString("XYZI"), 0.2)
-	if got := c.TwoQubitCount(); got != 4 { // CNOT + RZZ + (weight3 rot = 2 CX)
+	c.H(0).H(1).CZ(0, 1).RZZP(1, 2, 0, 1).RXP(3, 1, 1)
+	c.PauliRotP(pauli.MustString("XYZI"), 2, 1)
+	if got := c.TwoQubitCount(); got != 4 { // CZ + RZZ + (weight3 rot = 2 CX)
 		t.Errorf("TwoQubitCount=%d want 4", got)
 	}
 	if got := c.CountKind(GateH); got != 2 {

@@ -188,8 +188,10 @@ func TestJobTraceChromeFormat(t *testing.T) {
 // spans once the job reaches a terminal state.
 func TestTraceSurvivesCancellation(t *testing.T) {
 	s := newTestServer(t, Config{})
+	// TestDeleteCancelsAsyncJob's 20-qubit job: it must still be running
+	// when the DELETE lands 20 ms after submission.
 	body := `{
-		"problem": {"kind": "maxcut3", "n": 14, "seed": 3},
+		"problem": {"kind": "maxcut3", "n": 20, "seed": 3},
 		"backend": {"kind": "statevector"},
 		"grid": {"beta_n": 30, "gamma_n": 30},
 		"options": {"sampling_fraction": 1.0}

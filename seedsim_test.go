@@ -54,26 +54,11 @@ func seedGateMatrix(k qsim.Kind, theta float64) [2][2]complex128 {
 		return [2][2]complex128{{inv, inv}, {inv, -inv}}
 	case qsim.GateX:
 		return [2][2]complex128{{0, 1}, {1, 0}}
-	case qsim.GateY:
-		return [2][2]complex128{{0, complex(0, -1)}, {complex(0, 1), 0}}
-	case qsim.GateZ:
-		return [2][2]complex128{{1, 0}, {0, -1}}
-	case qsim.GateS:
-		return [2][2]complex128{{1, 0}, {0, complex(0, 1)}}
-	case qsim.GateSdg:
-		return [2][2]complex128{{1, 0}, {0, complex(0, -1)}}
-	case qsim.GateT:
-		return [2][2]complex128{{1, 0}, {0, complex(math.Cos(math.Pi/4), math.Sin(math.Pi/4))}}
 	case qsim.GateRX:
 		return [2][2]complex128{{c, -sI}, {-sI, c}}
 	case qsim.GateRY:
 		sR := complex(math.Sin(theta/2), 0)
 		return [2][2]complex128{{c, -sR}, {sR, c}}
-	case qsim.GateRZ:
-		return [2][2]complex128{
-			{complex(math.Cos(theta/2), -math.Sin(theta/2)), 0},
-			{0, complex(math.Cos(theta/2), math.Sin(theta/2))},
-		}
 	default:
 		panic(fmt.Sprintf("seedsim: %v is not a single-qubit matrix gate", k))
 	}
@@ -94,30 +79,12 @@ func seedApply1Q(amp []complex128, q int, m [2][2]complex128) {
 
 func seedApplyGate(amp []complex128, g qsim.Gate, theta float64) {
 	switch g.Kind {
-	case qsim.GateCNOT:
-		cb := 1 << uint(g.Qubits[0])
-		tb := 1 << uint(g.Qubits[1])
-		for i := range amp {
-			if i&cb != 0 && i&tb == 0 {
-				j := i | tb
-				amp[i], amp[j] = amp[j], amp[i]
-			}
-		}
 	case qsim.GateCZ:
 		ab := 1 << uint(g.Qubits[0])
 		bb := 1 << uint(g.Qubits[1])
 		for i := range amp {
 			if i&ab != 0 && i&bb != 0 {
 				amp[i] = -amp[i]
-			}
-		}
-	case qsim.GateSWAP:
-		ab := 1 << uint(g.Qubits[0])
-		bb := 1 << uint(g.Qubits[1])
-		for i := range amp {
-			if i&ab != 0 && i&bb == 0 {
-				j := i&^ab | bb
-				amp[i], amp[j] = amp[j], amp[i]
 			}
 		}
 	case qsim.GateRZZ:
